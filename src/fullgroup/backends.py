@@ -11,8 +11,12 @@
   |u| - |v|.  No invariant probability measure exists, so comparison of
   clopen sets is unconditional.
 
-Both are minimal and second countable; this is a documented fact about
-the models, not a runtime check.
+Every rule that differs between the two models lives here: the piece
+classes carry the per-piece rules (range, restriction, inverse,
+composition, sibling merge, action on points), and `BackendId` builds
+pieces and states the comparison hypothesis.  Both models are minimal
+and second countable; this is a documented fact about the models, not a
+runtime check.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import Sequence, Union
 
-from .clopen import ClopenSet, Cylinder, Word, is_prefix
-from .errors import MalformedInput, PreconditionError
+from .clopen import (ClopenSet, Cylinder, PointName, Word, is_prefix,
+                     overlapping_pair)
+from .errors import MalformedInput, PostconditionError, PreconditionError
 
 ODOMETER = "odometer"
 FULL_SHIFT = "full-shift"
@@ -58,6 +63,27 @@ class BackendId:
     def __str__(self):
         return self.tag
 
+    def piece_between(self, u: Word, v: Word) -> "Piece":
+        """The piece mapping [u] onto [v]: the identity when u == v, a
+        carry-free translation between same-depth cylinders on the
+        odometer, the prefix rewrite u.y -> v.y on the shift."""
+        if not self.is_odometer:
+            return ShiftPiece(u, v)
+        if len(u) != len(v):
+            raise PreconditionError(
+                f"odometer pieces keep the depth: {u} and {v} differ in length")
+        return OdometerPiece(u, word_value(v, self.base) - word_value(u, self.base))
+
+    def measure_below(self, A: ClopenSet, B: ClopenSet, factor: int = 1) -> bool:
+        """The comparison hypothesis factor * mu(A) < mu(B) for every
+        invariant probability measure mu; vacuously true on the shift."""
+        return not self.is_odometer or factor * A.volume() < B.volume()
+
+    def measure_equal(self, A: ClopenSet, B: ClopenSet) -> bool:
+        """mu(A) = mu(B) for every invariant probability measure mu;
+        vacuously true on the shift."""
+        return not self.is_odometer or A.measure() == B.measure()
+
 
 def odometer(base: int) -> BackendId:
     return BackendId(ODOMETER, base)
@@ -77,6 +103,45 @@ class OdometerPiece:
     def is_identity(self) -> bool:
         return self.power == 0
 
+    def range_word(self, base: int) -> Word:
+        return _odometer_range_word(self.source, self.power, base)
+
+    def restrict(self, tail: Word) -> "OdometerPiece":
+        """The same map on the sub-cylinder [source.tail]."""
+        return OdometerPiece(self.source + tail, self.power)
+
+    def inverse(self, base: int) -> "OdometerPiece":
+        return OdometerPiece(self.range_word(base), -self.power)
+
+    def after(self, inner: "OdometerPiece") -> "OdometerPiece":
+        """self o inner, for an inner piece whose range lies in the source."""
+        return OdometerPiece(inner.source, inner.power + self.power)
+
+    @staticmethod
+    def merge_siblings(parent: Word,
+                       family: Sequence["OdometerPiece"]) -> "OdometerPiece | None":
+        """One piece on [parent] for a complete sorted sibling family, or
+        None: the powers must agree."""
+        power = family[0].power
+        if any(p.power != power for p in family[1:]):
+            return None
+        return OdometerPiece(parent, power)
+
+    def image_point(self, point: PointName, base: int) -> PointName:
+        """Image of a point of the source: the carry of value(source) +
+        power propagates into the tail."""
+        d = len(self.source)
+        carry = (word_value(self.source, base) + self.power) // base ** d
+        return point.drop(d).add_integer(carry).prepend(self.range_word(base))
+
+    def separated_word(self, base: int) -> Word:
+        """A word extending the source whose cylinder the piece moves off
+        itself (power nonzero): the shallowest one along the 0 digits."""
+        word = self.source
+        while self.power % base ** len(word) == 0:
+            word = word + (0,)
+        return word
+
 
 @dataclass(frozen=True)
 class ShiftPiece:
@@ -87,6 +152,51 @@ class ShiftPiece:
 
     def is_identity(self) -> bool:
         return self.source == self.target
+
+    def range_word(self, base: int) -> Word:
+        return self.target
+
+    def restrict(self, tail: Word) -> "ShiftPiece":
+        """The same map on the sub-cylinder [source.tail]."""
+        return ShiftPiece(self.source + tail, self.target + tail)
+
+    def inverse(self, base: int) -> "ShiftPiece":
+        return ShiftPiece(self.target, self.source)
+
+    def after(self, inner: "ShiftPiece") -> "ShiftPiece":
+        """self o inner, for an inner piece whose range lies in the source."""
+        return ShiftPiece(inner.source,
+                          self.target + inner.target[len(self.source):])
+
+    @staticmethod
+    def merge_siblings(parent: Word,
+                       family: Sequence["ShiftPiece"]) -> "ShiftPiece | None":
+        """One piece on [parent] for a complete sorted sibling family, or
+        None: every target must end in its source's last digit after a
+        common stem."""
+        if any(not p.target or p.target[-1] != p.source[-1] for p in family):
+            return None
+        stem = family[0].target[:-1]
+        if any(p.target[:-1] != stem for p in family[1:]):
+            return None
+        return ShiftPiece(parent, stem)
+
+    def image_point(self, point: PointName, base: int) -> PointName:
+        """Image of a point of the source: the prefix is rewritten."""
+        return point.drop(len(self.source)).prepend(self.target)
+
+    def separated_word(self, base: int) -> Word:
+        """A child of the source whose cylinder the piece moves off itself
+        (source != target).  When one of source and target extends the
+        other, the child's digit after the shorter one disagrees with the
+        image; otherwise source and target are disjoint and the first
+        child serves."""
+        u, v = self.source, self.target
+        if is_prefix(u, v) and u != v:
+            return u + (((v[len(u)] + 1) % base),)
+        if is_prefix(v, u):
+            return u + (((u[len(v)] + 1) % base),)
+        return u + (0,)
 
 
 Piece = Union[OdometerPiece, ShiftPiece]
@@ -114,36 +224,13 @@ def _odometer_range_word(source: Word, power: int, base: int) -> Word:
     return value_word((word_value(source, base) + power) % base ** d, d, base)
 
 
-def piece_range_word(piece: Piece, base: int) -> Word:
-    if isinstance(piece, OdometerPiece):
-        return _odometer_range_word(piece.source, piece.power, base)
-    return piece.target
-
-
-def piece_carry(piece: OdometerPiece, base: int) -> int:
-    """Integer carried into the tail beyond the source depth (may be < 0)."""
-    d = len(piece.source)
-    return (word_value(piece.source, base) + piece.power) // base ** d
-
-
 def apply_piece(piece: Piece, cyl: Cylinder) -> Cylinder:
     """Exact image of a cylinder contained in the piece's source."""
-    base = cyl.base
     if not is_prefix(piece.source, cyl.word):
         raise PreconditionError(
             f"cylinder {cyl.word} not contained in piece source {piece.source}")
-    if isinstance(piece, OdometerPiece):
-        d = len(cyl.word)
-        return Cylinder(base, value_word(
-            (word_value(cyl.word, base) + piece.power) % base ** d, d, base))
-    return Cylinder(base, piece.target + cyl.word[len(piece.source):])
-
-
-def split_piece(piece: Piece, base: int) -> list[Piece]:
-    """The b sub-pieces on the children of the source; same partial map."""
-    if isinstance(piece, OdometerPiece):
-        return [OdometerPiece(piece.source + (a,), piece.power) for a in range(base)]
-    return [ShiftPiece(piece.source + (a,), piece.target + (a,)) for a in range(base)]
+    sub = piece.restrict(cyl.word[len(piece.source):])
+    return Cylinder(cyl.base, sub.range_word(cyl.base))
 
 
 def refine_piece_to(piece: Piece, depth: int, base: int) -> list[Piece]:
@@ -151,10 +238,7 @@ def refine_piece_to(piece: Piece, depth: int, base: int) -> list[Piece]:
     d = len(piece.source)
     if depth <= d:
         return [piece]
-    tails = itertools.product(range(base), repeat=depth - d)
-    if isinstance(piece, OdometerPiece):
-        return [OdometerPiece(piece.source + t, piece.power) for t in tails]
-    return [ShiftPiece(piece.source + t, piece.target + t) for t in tails]
+    return [piece.restrict(t) for t in itertools.product(range(base), repeat=depth - d)]
 
 
 @dataclass(frozen=True)
@@ -179,7 +263,7 @@ class Bisection:
         return tuple(p.source for p in self.pieces)
 
     def range_words(self) -> tuple[Word, ...]:
-        return tuple(piece_range_word(p, self.base) for p in self.pieces)
+        return tuple(p.range_word(self.base) for p in self.pieces)
 
 
 @dataclass(frozen=True)
@@ -192,21 +276,13 @@ class Violation:
         return f"{self.which} cylinders overlap: {self.first} vs {self.second}"
 
 
-def _overlapping_pair(words: Iterable[Word]) -> tuple[Word, Word] | None:
-    ordered = sorted(words)
-    for a, b in zip(ordered, ordered[1:]):
-        if is_prefix(a, b):
-            return (a, b)
-    return None
-
-
 def validate_bisection(bis: Bisection) -> Violation | None:
     """None if sources and ranges are both pairwise disjoint, else the
     first offending pair."""
-    pair = _overlapping_pair(bis.source_words())
+    pair = overlapping_pair(bis.source_words())
     if pair is not None:
         return Violation("source", *pair)
-    pair = _overlapping_pair(bis.range_words())
+    pair = overlapping_pair(bis.range_words())
     if pair is not None:
         return Violation("range", *pair)
     return None
@@ -229,6 +305,20 @@ def refine_bisection(bis: Bisection, depth: int) -> Bisection:
     for p in bis.pieces:
         pieces.extend(refine_piece_to(p, depth, bis.base))
     return Bisection(bis.backend, tuple(pieces))
+
+
+def pair_cylinders(backend: BackendId, S: ClopenSet, T: ClopenSet, *,
+                   onto: bool = False) -> list[Piece]:
+    """Odometer pairing: S and T are refined to their common depth and
+    their cylinders matched in lexicographic order by carry-free
+    translations.  Pairs all of S when mu(S) < mu(T); with `onto` the
+    measures are equal and the ranges must fill T exactly."""
+    depth = max(S.max_depth(), T.max_depth())
+    src = S.refine_to(depth)
+    dst = T.refine_to(depth)
+    if onto and len(src) != len(dst):
+        raise PostconditionError("equal measures must refine to equal counts")
+    return [backend.piece_between(u, v) for u, v in zip(src, dst)]
 
 
 def _suffix_length(count: int, base: int) -> int:
@@ -256,21 +346,15 @@ def compare_clopen(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Bisection:
         raise PreconditionError("comparison target must be nonempty")
     if A.is_empty():
         return Bisection(backend, ())
+    if not backend.measure_below(A, B):
+        raise PreconditionError(
+            f"comparison unavailable: mu(A)={A.measure()} is not below mu(B)={B.measure()}")
     if backend.is_odometer:
-        if not A.measure() < B.measure():
-            raise PreconditionError(
-                f"comparison unavailable: mu(A)={A.measure()} is not below mu(B)={B.measure()}")
-        depth = max(A.max_depth(), B.max_depth())
-        src = A.refine_to(depth)
-        dst = B.refine_to(depth)
-        pieces = tuple(
-            OdometerPiece(u, word_value(v, backend.base) - word_value(u, backend.base))
-            for u, v in zip(src, dst))
-        return check_bisection(Bisection(backend, pieces))
-    v = B.pick().word
-    sources = sorted(A.words)
-    width = _suffix_length(len(sources), backend.base)
-    pieces = tuple(
-        ShiftPiece(u, v + value_word(i, width, backend.base)[::-1])
-        for i, u in enumerate(sources))
-    return check_bisection(Bisection(backend, pieces))
+        pieces = pair_cylinders(backend, A, B)
+    else:
+        v = B.pick().word
+        sources = sorted(A.words)
+        width = _suffix_length(len(sources), backend.base)
+        pieces = [backend.piece_between(u, v + value_word(i, width, backend.base)[::-1])
+                  for i, u in enumerate(sources)]
+    return check_bisection(Bisection(backend, tuple(pieces)))

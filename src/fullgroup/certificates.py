@@ -19,8 +19,8 @@ from functools import reduce
 from .backends import BackendId
 from .clopen import ClopenSet
 from .decompose import decompose_small_support, separated_cylinder
-from .elements import (GroupElement, compose, identity, image_of_clopen,
-                       inverse, support)
+from .elements import (GroupElement, commutator, compose, conjugate, identity,
+                       image_of_clopen, inverse, support)
 from .encoding import (format_backend, format_clopen, format_element,
                        parse_backend, parse_element)
 from .errors import MalformedInput, PostconditionError, PreconditionError
@@ -114,7 +114,7 @@ class ConjugateProduct:
         for f in self.factors:
             g = f.conjugator.evaluate(env)
             middle = tau0 if f.sign == 1 else tau0_inv
-            result = compose(result, compose(compose(g, middle), inverse(g)))
+            result = compose(result, conjugate(g, middle))
         return result
 
 
@@ -253,17 +253,16 @@ def normality_certificate(tau_name: str, alpha_name: str,
             gamma = full_group_transfer(backend, fbound, csupp.complement()).element
         gname = env.fresh("gamma", gamma)
         w_i = commutator_word(fname, gname)
-        conj = compose(compose(felem, current), inverse(felem))
+        conj = conjugate(felem, current)
         g_i = w_i.evaluate(env)
-        if not compose(compose(g_i, current), inverse(g_i)) == conj:
+        if not conjugate(g_i, current) == conj:
             raise PostconditionError("normality conjugator failed its identity")
         steps.append({"factor": fname, "gamma": gname,
                       "bound": format_clopen(fbound)})
         current = conj
         word = w_i * word
     final = word.evaluate(env)
-    if not compose(compose(final, tau), inverse(final)) == \
-            compose(compose(alpha, tau), inverse(alpha)):
+    if not conjugate(final, tau) == conjugate(alpha, tau):
         raise PostconditionError("normality certificate failed its identity")
     info = {"factors": steps[::-1]}
     if trace is not None:
@@ -303,7 +302,7 @@ def _atomic_closure_factors(a_name: str, a_bound: ClopenSet,
     tau = compose(compose(inverse(sigma), tau0), sigma)
     if not image_of_clopen(tau, D).intersect(D).is_empty():
         raise PostconditionError("conjugated generator does not displace the parked region")
-    gamma = compose(compose(compose(gamma0, tau), inverse(gamma0)), inverse(tau))
+    gamma = commutator(gamma0, tau)[0]
     if not image_of_clopen(gamma, a_bound).is_subset(not_b):
         raise PostconditionError("closure element does not separate the supports")
     w_g0s = GroupWord(((g0, 1), (sg, -1)))
@@ -334,16 +333,16 @@ def commutator_in_normal_closure(alpha_name: str, beta_name: str,
         raise PreconditionError("the generator tau0 must be nontrivial")
     alpha = env.get(alpha_name)
     beta = env.get(beta_name)
-    target = compose(compose(compose(alpha, beta), inverse(alpha)), inverse(beta))
+    target = commutator(alpha, beta)[0]
     if target.is_identity():
         return ConjugateProduct(tau0_name, ())
     C = separated_cylinder(env.get(tau0_name))
-    b_factors = _proper_support_factors(beta_name, env, None if not backend.is_odometer
-                                        else Fraction(1, 2))
     if backend.is_odometer:
+        b_factors = _proper_support_factors(beta_name, env, Fraction(1, 2))
         eta = min(min(b.complement().volume() for _, b in b_factors), C.volume())
         a_factors = _proper_support_factors(alpha_name, env, eta / 2)
     else:
+        b_factors = _proper_support_factors(beta_name, env, None)
         a_factors = _proper_support_factors(alpha_name, env, None)
     a_bounds = dict(a_factors)
     b_bounds = dict(b_factors)
@@ -384,8 +383,7 @@ def simplicity_certificate(tau0_name: str,
         cert = cert * commutator_in_normal_closure(alpha_name, beta_name,
                                                    tau0_name, env, sub_trace)
         alpha, beta = env.get(alpha_name), env.get(beta_name)
-        product = compose(product, compose(
-            compose(compose(alpha, beta), inverse(alpha)), inverse(beta)))
+        product = compose(product, commutator(alpha, beta)[0])
         if trace is not None:
             trace.setdefault("targets", []).append(sub_trace)
     if not cert.evaluate(env) == product:

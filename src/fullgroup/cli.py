@@ -17,9 +17,9 @@ from fractions import Fraction
 from functools import reduce
 
 from .backends import compare_clopen, source_range
-from .certificates import (Environment, commutator_in_normal_closure,
-                           dump_certificate, load_certificate,
-                           verify_certificate)
+from .certificates import (FORMAT_VERSION, Environment,
+                           commutator_in_normal_closure, dump_certificate,
+                           load_certificate, verify_certificate)
 from .decompose import decompose_small_support, split_nontrivial_support
 from .elements import commutator, compose, identity, image_of_clopen, support
 from .encoding import (format_bisection, format_clopen, format_element,
@@ -33,8 +33,6 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_MALFORMED = 2
 EXIT_VERIFY = 3
-
-FORMAT_VERSION = 1
 
 
 def _emit(artifact: dict, summary: list[str], out_path: str | None) -> None:

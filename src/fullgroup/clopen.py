@@ -37,14 +37,20 @@ def is_prefix(shorter: Word, longer: Word) -> bool:
     return longer[: len(shorter)] == shorter
 
 
+def overlapping_pair(words: Iterable[Word]) -> tuple[Word, Word] | None:
+    """The first pair of intersecting cylinders in sorted order, or None
+    if the words form an antichain."""
+    ordered = sorted(words)
+    for a, b in zip(ordered, ordered[1:]):
+        if is_prefix(a, b):
+            return (a, b)
+    return None
+
+
 def comparable(u: Word, v: Word) -> bool:
     """True iff the cylinders [u] and [v] intersect (one prefixes the other)."""
     k = min(len(u), len(v))
     return u[:k] == v[:k]
-
-
-def words_at_depth(base: int, depth: int) -> Iterator[Word]:
-    return itertools.product(range(base), repeat=depth)
 
 
 def expand_word(word: Word, base: int, depth: int) -> Iterator[Word]:
@@ -95,16 +101,6 @@ class Cylinder:
         if self.base < 2:
             raise MalformedInput(f"base must be >= 2, got {self.base}")
         check_word(self.word, self.base)
-
-    @property
-    def depth(self) -> int:
-        return len(self.word)
-
-    def as_clopen(self) -> "ClopenSet":
-        return ClopenSet.from_words(self.base, [self.word])
-
-    def child(self, digit: int) -> "Cylinder":
-        return Cylinder(self.base, self.word + (digit,))
 
 
 @dataclass(frozen=True)
@@ -200,9 +196,6 @@ class ClopenSet:
     def __sub__(self, other):
         return self.difference(other)
 
-    def __invert__(self):
-        return self.complement()
-
     # -- metric and measure ----------------------------------------------
 
     def measure(self) -> MeasureValue:
@@ -250,16 +243,8 @@ class ClopenSet:
             out.extend(expand_word(w, self.base, depth))
         return tuple(sorted(out))
 
-    def contains_word(self, word: Word) -> bool:
-        """True iff the cylinder [word] lies inside this set."""
-        return any(is_prefix(w, word) for w in self.words)
-
     def contains_point(self, point: "PointName") -> bool:
         return any(point.prefix(len(w)) == w for w in self.words)
-
-    def __str__(self):
-        inner = ",".join("".join(map(str, w)) if w else "ε" for w in self.words)
-        return f"b{self.base}:{{{inner}}}"
 
 
 def canonicalize(cylinders: Iterable[Cylinder]) -> ClopenSet:

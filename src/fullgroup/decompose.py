@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .backends import OdometerPiece, Piece, refine_piece_to
+from .backends import Piece
 from .clopen import ClopenSet, Word, is_prefix
 from .elements import (GroupElement, commutator, compose,
                        element_from_pieces, image_of_clopen, inverse,
@@ -40,16 +40,14 @@ class SplitResult:
 
 
 def _restricted_pieces(f: GroupElement, region: Word) -> list[Piece]:
-    """The pieces of f with sources refined to lie inside or outside the
-    cylinder [region], keeping only the inside ones."""
+    """The pieces of f with sources inside the cylinder [region], and the
+    restriction to [region] of a piece whose source contains it."""
     out: list[Piece] = []
     for p in f.pieces:
         if is_prefix(region, p.source):
             out.append(p)
         elif is_prefix(p.source, region):
-            for q in refine_piece_to(p, len(region), f.base):
-                if q.source == region:
-                    out.append(q)
+            out.append(p.restrict(region[len(p.source):]))
     return out
 
 
@@ -59,26 +57,16 @@ def separated_cylinder(tau: GroupElement, *,
     """A deterministic cylinder A with A disjoint from tau(A), both of
     depth at least two, A u tau(A) proper, and mu(A) < volume_bound.
 
-    Descends lexicographically (always appending digit 0) into the first
-    moved piece of tau; freeness of the odometer and the locality of
-    shift pieces guarantee termination.
+    Starts from the word the first moved piece of tau moves off itself
+    and descends lexicographically (always appending digit 0); freeness
+    of the odometer and the locality of shift pieces guarantee
+    termination.
     """
     if tau.is_identity():
         raise PreconditionError("the identity has no moved cylinder")
     base = tau.base
     piece = next(p for p in tau.pieces if not p.is_identity())
-    if isinstance(piece, OdometerPiece):
-        word = piece.source
-        while image_of_clopen(tau, ClopenSet.from_words(base, [word])).words == (word,):
-            word = word + (0,)
-    else:
-        u, v = piece.source, piece.target
-        if is_prefix(u, v) and u != v:
-            word = u + (((v[len(u)] + 1) % base),)
-        elif is_prefix(v, u):
-            word = u + (((u[len(v)] + 1) % base),)
-        else:
-            word = u + (0,)
+    word = piece.separated_word(base)
     for _ in range(extra_depth):
         word = word + (0,)
     while True:

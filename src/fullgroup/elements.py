@@ -17,28 +17,17 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Sequence
 
-from .backends import (Bisection, BackendId, OdometerPiece, Piece, ShiftPiece,
-                       apply_piece, check_bisection, piece_carry,
-                       piece_range_word, split_piece)
-from .clopen import ClopenSet, Cylinder, PointName, Word, is_prefix
+from .backends import Bisection, BackendId, Piece, apply_piece, check_bisection
+from .clopen import (ClopenSet, Cylinder, PointName, Word, is_prefix,
+                     overlapping_pair)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 
-def _mergeable(family: list[Piece], parent: Word, base: int) -> Piece | None:
+def _mergeable(family: list[Piece], parent: Word) -> Piece | None:
     family.sort(key=lambda p: p.source)
     if any(p.source != parent + (a,) for a, p in enumerate(family)):
         return None
-    first = family[0]
-    if isinstance(first, OdometerPiece):
-        if any(p.power != first.power for p in family[1:]):
-            return None
-        return OdometerPiece(parent, first.power)
-    if any(not p.target or p.target[-1] != p.source[-1] for p in family):
-        return None
-    stem = first.target[:-1]
-    if any(p.target[:-1] != stem for p in family[1:]):
-        return None
-    return ShiftPiece(parent, stem)
+    return family[0].merge_siblings(parent, family)
 
 
 def _merge_pieces(pieces: Iterable[Piece], base: int) -> tuple[Piece, ...]:
@@ -57,7 +46,7 @@ def _merge_pieces(pieces: Iterable[Piece], base: int) -> tuple[Piece, ...]:
         for parent, family in parents.items():
             if len(family) != base:
                 continue
-            merged = _mergeable(family, parent, base)
+            merged = _mergeable(family, parent)
             if merged is None:
                 continue
             for p in family:
@@ -70,10 +59,9 @@ def _merge_pieces(pieces: Iterable[Piece], base: int) -> tuple[Piece, ...]:
 def _check_partition(words: Sequence[Word], base: int, which: str) -> None:
     if not words:
         raise MalformedInput(f"{which} cylinders do not cover the whole space")
-    ordered = sorted(words)
-    for a, b in zip(ordered, ordered[1:]):
-        if is_prefix(a, b):
-            raise MalformedInput(f"{which} cylinders overlap: {a} vs {b}")
+    pair = overlapping_pair(words)
+    if pair is not None:
+        raise MalformedInput(f"{which} cylinders overlap: {pair[0]} vs {pair[1]}")
     deepest = max(len(w) for w in words)
     total = sum(base ** (deepest - len(w)) for w in words)
     if total != base ** deepest:
@@ -122,34 +110,9 @@ class GroupElement:
             raise MalformedInput(
                 f"backend mismatch: {self.backend.tag} vs {other.backend.tag}")
 
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return compose(self, other)
-
-    def __invert__(self) -> "GroupElement":
-        return inverse(self)
-
-    def __pow__(self, n: int) -> "GroupElement":
-        if n < 0:
-            return inverse(self) ** (-n)
-        result = identity(self.backend)
-        for _ in range(n):
-            result = compose(result, self)
-        return result
-
-    def support(self) -> ClopenSet:
-        return support(self)
-
-    def image(self, A: ClopenSet) -> ClopenSet:
-        return image_of_clopen(self, A)
-
-    def __str__(self):
-        from .encoding import format_element
-        return format_element(self)
-
 
 def identity(backend: BackendId) -> GroupElement:
-    piece: Piece = OdometerPiece((), 0) if backend.is_odometer else ShiftPiece((), ())
-    return GroupElement(Bisection(backend, (piece,)))
+    return GroupElement(Bisection(backend, (backend.piece_between((), ()),)))
 
 
 def element_from_pieces(backend: BackendId, pieces: Iterable[Piece],
@@ -169,7 +132,7 @@ def element_from_pieces(backend: BackendId, pieces: Iterable[Piece],
             raise MalformedInput(
                 "cannot fill with the identity: sources and ranges cover different sets")
         for w in src.complement().words:
-            pieces.append(OdometerPiece(w, 0) if backend.is_odometer else ShiftPiece(w, w))
+            pieces.append(backend.piece_between(w, w))
     return GroupElement(Bisection(backend, tuple(pieces)))
 
 
@@ -179,17 +142,11 @@ def involution_from_partial(backend: BackendId, pieces: Iterable[Piece]) -> Grou
     pieces = list(pieces)
     base = backend.base
     src = ClopenSet.from_words(base, [p.source for p in pieces])
-    rng = ClopenSet.from_words(base, [piece_range_word(p, base) for p in pieces])
+    rng = ClopenSet.from_words(base, [p.range_word(base) for p in pieces])
     if not src.intersect(rng).is_empty():
         raise PreconditionError("involution pieces must have disjoint sources and ranges")
-    both = pieces + [_invert_piece(p, base) for p in pieces]
+    both = pieces + [p.inverse(base) for p in pieces]
     return element_from_pieces(backend, both, fill_identity=True)
-
-
-def _invert_piece(piece: Piece, base: int) -> Piece:
-    if isinstance(piece, OdometerPiece):
-        return OdometerPiece(piece_range_word(piece, base), -piece.power)
-    return ShiftPiece(piece.target, piece.source)
 
 
 def compose(f: GroupElement, g: GroupElement) -> GroupElement:
@@ -201,7 +158,7 @@ def compose(f: GroupElement, g: GroupElement) -> GroupElement:
     stack = list(g.pieces)
     while stack:
         p = stack.pop()
-        w = piece_range_word(p, base)
+        w = p.range_word(base)
         hit = None
         for i in range(len(w), -1, -1):
             q = by_source.get(w[:i])
@@ -209,19 +166,16 @@ def compose(f: GroupElement, g: GroupElement) -> GroupElement:
                 hit = q
                 break
         if hit is None:
-            stack.extend(split_piece(p, base))
+            stack.extend(p.restrict((a,)) for a in range(base))
             continue
-        if isinstance(p, OdometerPiece):
-            out.append(OdometerPiece(p.source, p.power + hit.power))
-        else:
-            out.append(ShiftPiece(p.source, hit.target + w[len(hit.source):]))
+        out.append(hit.after(p))
     return GroupElement._trusted(f.backend, out)
 
 
 def inverse(f: GroupElement) -> GroupElement:
     base = f.base
     return GroupElement._trusted(
-        f.backend, [_invert_piece(p, base) for p in f.pieces])
+        f.backend, [p.inverse(base) for p in f.pieces])
 
 
 def equals(f: GroupElement, g: GroupElement) -> bool:
@@ -251,7 +205,7 @@ def image_of_clopen(f: GroupElement, A: ClopenSet) -> ClopenSet:
                     out.append(apply_piece(p, Cylinder(f.base, w)).word)
                     break
             elif is_prefix(w, s):
-                out.append(piece_range_word(p, f.base))
+                out.append(p.range_word(f.base))
     return ClopenSet.from_words(f.base, out)
 
 
@@ -260,11 +214,7 @@ def apply_point(f: GroupElement, point: PointName) -> PointName:
         raise MalformedInput("base mismatch between element and point")
     for p in f.pieces:
         if point.prefix(len(p.source)) == p.source:
-            tail = point.drop(len(p.source))
-            if isinstance(p, OdometerPiece):
-                carried = tail.add_integer(piece_carry(p, f.base))
-                return carried.prepend(piece_range_word(p, f.base))
-            return tail.prepend(p.target)
+            return p.image_point(point, f.base)
     raise PostconditionError("element sources do not cover the point")
 
 

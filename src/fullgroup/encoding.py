@@ -4,7 +4,8 @@ Formats (digits restricted to bases 2..10):
 
 * clopen set   ``b2:{00,01,1}``, empty ``b2:{}``, whole space ``b2:{ε}``
 * odometer piece ``(u;+n)``, shift piece ``(u>v)``
-* bisection    ``odo2:[(00;+1)]``, ``shift2:[(0>11),(11>0),(10>10)]``
+* bisection    ``odo2:[(00;+1)]``, ``shift2:[(0>11),(11>0),(10>10)]``;
+  pieces are separated by single commas (whitespace allowed around them)
 * element      bisection encoding with an ``elem:`` header
 * derived witness  bracketed word ``[a,b]*[c,d]`` over named elements
 """
@@ -117,13 +118,9 @@ def parse_bisection(text: str) -> Bisection:
     inner = body[1:-1].strip()
     if not inner:
         return Bisection(backend, ())
-    parts = re.findall(r"\([^()]*\)", inner)
-    if "".join(parts) != inner.replace(",", "").replace(" ", ""):
-        # tolerate comma separators only
-        pass
-    if not parts:
-        raise MalformedInput(f"bad bisection encoding {text!r}")
-    return Bisection(backend, tuple(parse_piece(p, backend) for p in parts))
+    # pieces contain no commas, so each comma-separated part must be
+    # exactly one piece: junk and empty parts fail parse_piece
+    return Bisection(backend, tuple(parse_piece(p, backend) for p in inner.split(",")))
 
 
 def format_element(elem: GroupElement) -> str:

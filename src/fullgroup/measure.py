@@ -43,41 +43,9 @@ class MeasureValue:
     def zero(cls, base: int) -> "MeasureValue":
         return cls(base, 0, 0)
 
-    @classmethod
-    def one(cls, base: int) -> "MeasureValue":
-        return cls(base, 1, 0)
-
-    @classmethod
-    def cylinder(cls, base: int, depth: int) -> "MeasureValue":
-        """Measure base**(-depth) of a depth-d cylinder."""
-        return cls(base, 1, depth)
-
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.numerator, self.base ** self.exponent)
-
-    def is_zero(self) -> bool:
-        return self.numerator == 0
-
-    def __add__(self, other: "MeasureValue") -> "MeasureValue":
-        self._check(other)
-        e = max(self.exponent, other.exponent)
-        num = (self.numerator * self.base ** (e - self.exponent)
-               + other.numerator * self.base ** (e - other.exponent))
-        return MeasureValue(self.base, num, e)
-
-    def __sub__(self, other: "MeasureValue") -> "MeasureValue":
-        self._check(other)
-        e = max(self.exponent, other.exponent)
-        num = (self.numerator * self.base ** (e - self.exponent)
-               - other.numerator * self.base ** (e - other.exponent))
-        if num < 0:
-            raise MalformedInput("measure subtraction went negative")
-        return MeasureValue(self.base, num, e)
-
-    def _check(self, other):
-        if not isinstance(other, MeasureValue) or other.base != self.base:
-            raise MalformedInput("measure arithmetic requires matching bases")
 
     def _as_fraction(self, other) -> Fraction:
         if isinstance(other, MeasureValue):

@@ -40,12 +40,6 @@ def random_clopen(rng: random.Random, base: int, max_depth: int, *,
         return A
 
 
-def random_partition_pick(rng: random.Random, base: int, depth: int,
-                          count: int, avoid: frozenset[Word] = frozenset()) -> list[Word]:
-    pool = [w for w in ClopenSet.whole(base).refine_to(depth) if w not in avoid]
-    return rng.sample(pool, count)
-
-
 def equal_measure_pair(rng: random.Random, base: int, max_depth: int, *,
                        disjoint: bool = False,
                        region: ClopenSet | None = None) -> tuple[ClopenSet, ClopenSet]:
@@ -107,10 +101,8 @@ def comparison_pair(rng: random.Random, backend: BackendId, max_depth: int,
     while True:
         A = random_clopen(rng, base, max_depth, proper=True)
         B = random_clopen(rng, base, max_depth, nonempty=True)
-        if backend.is_odometer:
-            if not factor * A.volume() < B.volume():
-                continue
-        return A, B
+        if backend.measure_below(A, B, factor):
+            return A, B
 
 
 def rotation_element(backend: BackendId, rng: random.Random) -> GroupElement:

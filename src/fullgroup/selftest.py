@@ -13,7 +13,8 @@ from functools import reduce
 
 from . import randomize as rz
 from .backends import BackendId, compare_clopen, source_range, validate_bisection
-from .certificates import (Environment, commutator_in_normal_closure,
+from .certificates import (FORMAT_VERSION, Environment,
+                           commutator_in_normal_closure,
                            expand_commutator_product, normality_certificate,
                            scan_conjugate_form, verify_certificate)
 from .clopen import ClopenSet
@@ -26,9 +27,6 @@ from .errors import MalformedInput
 from .transfers import (COMMUTATOR_CYCLIC, INVOLUTION_SMALL_SUPPORT,
                         exact_swap_involution, full_group_transfer,
                         commutator_transfer, gw_intertwining)
-
-FORMAT_VERSION = 1
-
 
 @dataclass(frozen=True)
 class RunConfig:

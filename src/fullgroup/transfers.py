@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backends import (BackendId, OdometerPiece, Piece, ShiftPiece,
-                       compare_clopen, word_value)
+from .backends import BackendId, Piece, compare_clopen, pair_cylinders
 from .clopen import ClopenSet, PointName, Word
 from .elements import (DerivedWitness, GroupElement, commutator, compose,
                        identity, image_of_clopen, involution_from_partial,
@@ -60,16 +59,11 @@ def matching_pieces(backend: BackendId, S: ClopenSet, T: ClopenSet) -> list[Piec
         return []
     if S.is_empty() or T.is_empty():
         raise PreconditionError("cannot match a nonempty set with an empty one")
+    if not backend.measure_equal(S, T):
+        raise PreconditionError(
+            f"exact matching needs equal measures, got {S.measure()} vs {T.measure()}")
     if backend.is_odometer:
-        if S.measure() != T.measure():
-            raise PreconditionError(
-                f"exact matching needs equal measures, got {S.measure()} vs {T.measure()}")
-        depth = max(S.max_depth(), T.max_depth())
-        src = S.refine_to(depth)
-        dst = T.refine_to(depth)
-        _require(len(src) == len(dst), "equal measures must refine to equal counts")
-        return [OdometerPiece(u, word_value(v, base) - word_value(u, base))
-                for u, v in zip(src, dst)]
+        return pair_cylinders(backend, S, T, onto=True)
     src = sorted(S.words, key=lambda w: (len(w), w))
     dst = sorted(T.words, key=lambda w: (len(w), w))
     if (len(src) - len(dst)) % (base - 1) != 0:
@@ -84,7 +78,7 @@ def matching_pieces(backend: BackendId, S: ClopenSet, T: ClopenSet) -> list[Piec
         grow(src)
     while len(dst) < len(src):
         grow(dst)
-    return [ShiftPiece(u, v) for u, v in zip(src, dst)]
+    return [backend.piece_between(u, v) for u, v in zip(src, dst)]
 
 
 def exact_swap_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> GroupElement:
@@ -96,7 +90,7 @@ def exact_swap_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Gro
     """
     if A.base != backend.base or B.base != backend.base:
         raise PreconditionError("clopen sets do not match the backend base")
-    if backend.is_odometer and A.measure() != B.measure():
+    if not backend.measure_equal(A, B):
         raise PreconditionError(
             f"exact swap needs equal measures, got {A.measure()} vs {B.measure()}")
     A1 = A - B
@@ -125,7 +119,7 @@ def full_group_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
         raise PreconditionError("transfer source must not be the whole space")
     if B.is_empty():
         raise PreconditionError("transfer target must be nonempty")
-    if backend.is_odometer and not A.measure() < B.measure():
+    if not backend.measure_below(A, B):
         raise PreconditionError(
             f"transfer unavailable: mu(A)={A.measure()} is not below mu(B)={B.measure()}")
     if A.is_subset(B):
@@ -173,7 +167,7 @@ def commutator_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
         raise PreconditionError("transfer source must not be the whole space")
     if B.is_empty():
         raise PreconditionError("transfer target must be nonempty")
-    if backend.is_odometer and not 3 * A.volume() < B.volume():
+    if not backend.measure_below(A, B, factor=3):
         raise PreconditionError(
             f"commutator transfer needs 3*mu(A) < mu(B), got {A.measure()} vs {B.measure()}")
     A1 = A - B
@@ -229,24 +223,17 @@ def _fit_depth(S: ClopenSet, point: PointName) -> int:
     raise PreconditionError("anchor escaped its residual neighbourhood")
 
 
-def _shrink_depth(backend: BackendId, res: ClopenSet, anchor: PointName, n: int) -> int:
-    """Depth of the round-n anchor neighbourhood: one level deeper than
-    the diameter requirement, properly inside the residual, and (on the
-    odometer) below half the residual measure."""
+def _anchor_depth(backend: BackendId, res: ClopenSet, anchor: PointName,
+                  n: int, below: Fraction) -> int:
+    """Depth of a round-n anchor cylinder: one level deeper than the
+    diameter requirement, properly inside the residual, and (on the
+    odometer) of measure strictly below `below`.  Used for the kept
+    neighbourhood (below half the residual measure) and for the
+    opposite-anchor cylinder excluded from the transfer target (below
+    the measure of the kept neighbourhood)."""
     d = max(n + 1, _fit_depth(res, anchor) + 1)
     if backend.is_odometer:
-        d = max(d, depth_for_measure_below(backend.base, res.volume() / 2))
-    return d
-
-
-def _exclusion_depth(backend: BackendId, res: ClopenSet, anchor: PointName,
-                     n: int, kept: ClopenSet) -> int:
-    """Depth of the opposite-anchor cylinder excluded from the transfer
-    target; on the odometer strictly smaller in measure than the kept
-    neighbourhood."""
-    d = max(n + 1, _fit_depth(res, anchor) + 1)
-    if backend.is_odometer:
-        d = max(d, depth_for_measure_below(backend.base, kept.volume()))
+        d = max(d, depth_for_measure_below(backend.base, below))
     return d
 
 
@@ -263,7 +250,7 @@ def gw_intertwining(backend: BackendId, A: ClopenSet, B: ClopenSet,
     """
     if rounds < 0:
         raise PreconditionError("rounds must be nonnegative")
-    if backend.is_odometer and A.measure() != B.measure():
+    if not backend.measure_equal(A, B):
         raise PreconditionError("intertwining needs exactly equal measures")
     At = A - B
     Bt = B - A
@@ -283,11 +270,13 @@ def gw_intertwining(backend: BackendId, A: ClopenSet, B: ClopenSet,
             dst_res, dst_anchor = res_a, anchor_a
         kept = ClopenSet.from_words(
             backend.base,
-            [src_anchor.prefix(_shrink_depth(backend, src_res, src_anchor, n))])
+            [src_anchor.prefix(_anchor_depth(backend, src_res, src_anchor, n,
+                                             src_res.volume() / 2))])
         annulus = src_res - kept
         excluded = ClopenSet.from_words(
             backend.base,
-            [dst_anchor.prefix(_exclusion_depth(backend, dst_res, dst_anchor, n, kept))])
+            [dst_anchor.prefix(_anchor_depth(backend, dst_res, dst_anchor, n,
+                                             kept.volume()))])
         step = full_group_transfer(backend, annulus, dst_res - excluded)
         image = image_of_clopen(step.element, annulus)
         _require(support(step.element).is_subset(annulus | image),

@@ -35,7 +35,8 @@ SEED = 20260810
 
 def report(name: str, started: float, budget: float, checks: int) -> None:
     elapsed = time.perf_counter() - started
-    print(f"PASS  {name}: {checks} exact checks in {elapsed:.1f}s "
+    status = "PASS" if elapsed < budget else "FAIL"
+    print(f"{status}  {name}: {checks} exact checks in {elapsed:.1f}s "
           f"(budget {budget:.0f}s)")
     assert elapsed < budget, f"{name} exceeded its {budget}s budget"
 

@@ -178,3 +178,54 @@ class TestFreeness:
         fixed = PointName(2, (0,), (1,))
         image = Cylinder(2, fixed.prefix(6))
         assert apply_piece(piece, Cylinder(2, fixed.prefix(5))).word == fixed.prefix(6)
+
+
+class TestPieceProtocol:
+    def test_piece_between(self):
+        assert odometer(2).piece_between((0, 1), (1, 1)) == OdometerPiece((0, 1), 1)
+        assert odometer(3).piece_between((2,), (0,)) == OdometerPiece((2,), -2)
+        assert odometer(2).piece_between((), ()) == OdometerPiece((), 0)
+        assert full_shift(2).piece_between((0,), (1, 1)) == ShiftPiece((0,), (1, 1))
+        with pytest.raises(PreconditionError):
+            odometer(2).piece_between((0,), (1, 1))
+
+    def test_measure_hypothesis(self):
+        A, B = cs(2, (0,)), cs(2, (1, 0))
+        assert not odometer(2).measure_below(A, B)
+        assert odometer(2).measure_below(B, A)
+        assert not odometer(2).measure_below(cs(2, (0, 0)), A, factor=2)
+        assert odometer(2).measure_equal(cs(2, (0, 0), (0, 1)), A)
+        assert not odometer(2).measure_equal(A, B)
+        # no invariant measure: both hold vacuously
+        assert full_shift(2).measure_below(A, B, factor=3)
+        assert full_shift(2).measure_equal(A, B)
+
+    def test_restrict_inverse_after(self):
+        p = OdometerPiece((1,), 1)
+        assert p.restrict((0, 1)) == OdometerPiece((1, 0, 1), 1)
+        assert p.inverse(2) == OdometerPiece((0,), -1)
+        assert p.after(p.inverse(2)) == OdometerPiece((0,), 0)
+        q = ShiftPiece((0,), (1, 1))
+        assert q.restrict((1,)) == ShiftPiece((0, 1), (1, 1, 1))
+        assert q.inverse(2) == ShiftPiece((1, 1), (0,))
+        # (1 -> 00) after (0 -> 11) sends 0.y to 001.y
+        assert ShiftPiece((1,), (0, 0)).after(q) == ShiftPiece((0,), (0, 0, 1))
+
+    def test_merge_siblings(self):
+        assert OdometerPiece.merge_siblings(
+            (1,), [OdometerPiece((1, 0), 2), OdometerPiece((1, 1), 2)]) == OdometerPiece((1,), 2)
+        assert OdometerPiece.merge_siblings(
+            (1,), [OdometerPiece((1, 0), 2), OdometerPiece((1, 1), 0)]) is None
+        assert ShiftPiece.merge_siblings(
+            (0,), [ShiftPiece((0, 0), (1, 0)), ShiftPiece((0, 1), (1, 1))]) == ShiftPiece((0,), (1,))
+        assert ShiftPiece.merge_siblings(
+            (0,), [ShiftPiece((0, 0), (1, 0)), ShiftPiece((0, 1), (0, 1))]) is None
+
+    @pytest.mark.parametrize("piece", [
+        OdometerPiece((), 4), OdometerPiece((1,), -2), OdometerPiece((0, 1), 3),
+        ShiftPiece((0,), (0, 1)), ShiftPiece((0, 1), (0,)), ShiftPiece((0,), (1, 1))])
+    def test_separated_word_is_moved_off_itself(self, piece):
+        word = piece.separated_word(2)
+        assert word[:len(piece.source)] == piece.source
+        image = apply_piece(piece, Cylinder(2, word)).word
+        assert word[:len(image)] != image[:len(word)]

@@ -100,6 +100,12 @@ class TestDecomposeSplit:
         code, _, _ = run(capsys, "split", "elem:odo2:[(ε;+0)]")
         assert code == 1
 
+    def test_junk_between_pieces_exit_code(self, capsys):
+        code, out, err = run(capsys, "decompose",
+                             "elem:odo2:[(0;+1)junk(1;-1)]", "--eps", "3/8")
+        assert code == 2
+        assert "error" in err and not out
+
 
 ALPHA_ODO = "elem:odo2:[(00;+1),(01;+0),(10;-1),(11;+0)]"
 BETA_ODO = "elem:odo2:[(00;+2),(01;-2),(10;+0),(11;+0)]"

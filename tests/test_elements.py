@@ -3,16 +3,16 @@
 import pytest
 
 from fullgroup.backends import (Bisection, OdometerPiece, ShiftPiece,
-                                full_shift, odometer)
-from fullgroup.clopen import ClopenSet
+                                apply_piece, full_shift, odometer)
+from fullgroup.clopen import ClopenSet, Cylinder, PointName
 from fullgroup.elements import (DerivedWitness, GroupElement, apply_point,
                                 check_measure_invariance, commutator, compose,
                                 conjugate, element_from_pieces, equals,
                                 identity, image_of_clopen, inverse, support)
 from fullgroup.errors import MalformedInput
-from fullgroup.randomize import random_element, substream
+from fullgroup.randomize import random_clopen, random_element, substream
 
-from conftest import oracle_equal
+from conftest import bitmap, oracle_equal
 
 
 def cs(base, *words):
@@ -252,3 +252,43 @@ class TestApplyPoint:
         e = shift_elem(2, ((0,), (1, 1)), ((1, 1), (0,)), ((1, 0), (1, 0)))
         p = PointName(2, (0,), (0, 1))
         assert apply_point(e, p) == PointName(2, (1, 1), (0, 1))
+
+
+class TestPointwiseDifferential:
+    """compose, inverse and image_of_clopen against their pointwise
+    meaning, on seeded random elements of all four backends: a compose
+    that is wrong in a consistent way still satisfies the group laws,
+    but not these."""
+
+    @staticmethod
+    def _point(rng, base):
+        pre = tuple(rng.randrange(base) for _ in range(rng.randint(0, 6)))
+        per = tuple(rng.randrange(base) for _ in range(rng.randint(1, 3)))
+        return PointName(base, pre, per)
+
+    def test_compose_and_inverse_pointwise(self, backend):
+        base = backend.base
+        rng = substream(4242, f"pointwise:{backend.tag}")
+        for _ in range(40):
+            f = random_element(rng, backend, 4)
+            g = random_element(rng, backend, 4)
+            fg, f_inv = compose(f, g), inverse(f)
+            for _ in range(5):
+                x = self._point(rng, base)
+                assert apply_point(fg, x) == apply_point(f, apply_point(g, x))
+                assert apply_point(f_inv, apply_point(f, x)) == x
+
+    def test_image_matches_pushed_cylinders(self, backend):
+        base = backend.base
+        rng = substream(4243, f"image:{backend.tag}")
+        for _ in range(30):
+            f = random_element(rng, backend, 3)
+            A = random_clopen(rng, base, 3)
+            depth = max([A.max_depth()] + [len(p.source) for p in f.pieces])
+            pushed = []
+            for w in A.refine_to(depth):
+                piece = next(p for p in f.pieces if w[:len(p.source)] == p.source)
+                pushed.append(apply_piece(piece, Cylinder(base, w)).word)
+            got = image_of_clopen(f, A).words
+            deepest = max([len(w) for w in pushed + list(got)], default=0)
+            assert bitmap(got, base, deepest) == bitmap(pushed, base, deepest)

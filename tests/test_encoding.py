@@ -80,6 +80,26 @@ class TestBisectionCodec:
         with pytest.raises(MalformedInput):
             parse_bisection(bad)
 
+    def test_whitespace_around_commas(self):
+        bis = parse_bisection(" odo2:[ (0;+1) ,(1;-1)  ] ")
+        assert bis.pieces == (OdometerPiece((0,), 1), OdometerPiece((1,), -1))
+
+    @pytest.mark.parametrize("bad", [
+        "odo2:[(0;+1)junk(1;-1)]",       # junk between pieces
+        "odo2:[(0;+1)(1;-1)]",           # missing comma
+        "odo2:[(0;+1),,,(1;-1)]",        # repeated commas
+        "odo2:[(0;+1),,(1;-1)]",         # doubled comma
+        "odo2:[(0;+1),(1;-1),]",         # trailing comma
+        "odo2:[,(0;+1),(1;-1)]",         # leading comma
+        "shift2:[(0>1) x,(1>0)]",        # junk after a piece
+        "odo2:[(0;+1),(1;-1)]]",         # stray bracket
+    ])
+    def test_rejects_anything_but_comma_separators(self, bad):
+        with pytest.raises(MalformedInput):
+            parse_bisection(bad)
+        with pytest.raises(MalformedInput):
+            parse_element("elem:" + bad)
+
 
 class TestElementCodec:
     def test_roundtrip(self):

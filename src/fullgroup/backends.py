@@ -74,6 +74,11 @@ class BackendId:
                 f"odometer pieces keep the depth: {u} and {v} differ in length")
         return OdometerPiece(u, word_value(v, self.base) - word_value(u, self.base))
 
+    def check_sets(self, A: ClopenSet, B: ClopenSet) -> None:
+        """Reject clopen sets over another base than the backend's."""
+        if A.base != self.base or B.base != self.base:
+            raise MalformedInput("clopen sets do not match the backend base")
+
     def measure_below(self, A: ClopenSet, B: ClopenSet, factor: int = 1) -> bool:
         """The comparison hypothesis factor * mu(A) < mu(B) for every
         invariant probability measure mu; vacuously true on the shift."""
@@ -340,8 +345,7 @@ def compare_clopen(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Bisection:
     cylinder is rewritten into the picked cylinder of B with a distinct
     fixed-length suffix, assigned in counting order.
     """
-    if A.base != backend.base or B.base != backend.base:
-        raise MalformedInput("clopen sets do not match the backend base")
+    backend.check_sets(A, B)
     if B.is_empty():
         raise PreconditionError("comparison target must be nonempty")
     if A.is_empty():

@@ -14,12 +14,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import MalformedInput, PreconditionError
 from .measure import MeasureValue
 
 Word = tuple[int, ...]
+T = TypeVar("T")
 
 
 def check_word(word: Word, base: int) -> None:
@@ -61,33 +62,55 @@ def expand_word(word: Word, base: int, depth: int) -> Iterator[Word]:
         yield word + tail
 
 
+def merge_families(items: Iterable[T], base: int, word_of: Callable[[T], Word],
+                   join: Callable[[Word, list[T]], T | None]) -> list[T]:
+    """Merge complete sibling families into their parents, deepest first.
+
+    `items` must be sorted by word, with no word a prefix of another.
+    One pass keeps the items on a stack; while the top `base` items are
+    the complete family parent.0, ..., parent.(b-1) and
+    `join(parent, family)` returns an item (None rejects the family),
+    they are replaced by it.  A family is complete only once its last
+    child is on top, and every deeper merge inside it has happened by
+    then, so the result is the fixpoint of merging in any order.
+    """
+    stack: list[T] = []
+    for item in items:
+        stack.append(item)
+        while len(stack) >= base:
+            word = word_of(stack[-1])
+            if not word or word[-1] != base - 1:
+                break
+            parent = word[:-1]
+            family = stack[-base:]
+            if any(word_of(x) != parent + (a,) for a, x in enumerate(family)):
+                break
+            joined = join(parent, family)
+            if joined is None:
+                break
+            del stack[-base:]
+            stack.append(joined)
+    return stack
+
+
 def canonical_words(words: Iterable[Word], base: int) -> tuple[Word, ...]:
     """Canonical antichain denoting the same union of cylinders."""
-    pool = set(words)
-    if not pool:
-        return ()
-    if () in pool:
-        return ((),)
-    # absorption: drop any word with a proper prefix in the pool
-    kept = set()
-    for w in pool:
-        if not any(w[:i] in pool for i in range(len(w))):
-            kept.add(w)
-    pool = kept
-    # merge complete sibling families, deepest level first
-    for depth in range(max(len(w) for w in pool), 0, -1):
-        parents: dict[Word, set[int]] = {}
-        for w in pool:
-            if len(w) == depth:
-                parents.setdefault(w[:-1], set()).add(w[-1])
-        for parent, digits in parents.items():
-            if len(digits) == base:
-                for a in range(base):
-                    pool.discard(parent + (a,))
-                pool.add(parent)
-    if () in pool:
-        return ((),)
-    return tuple(sorted(pool, key=word_key))
+    # absorption: in lexicographic order every word that extends another
+    # follows it with only extensions of that word in between
+    kept: list[Word] = []
+    for w in sorted(words):
+        if not kept or not is_prefix(kept[-1], w):
+            kept.append(w)
+    merged = merge_families(kept, base, _itself, _parent_word)
+    return tuple(sorted(merged, key=word_key))
+
+
+def _itself(word: Word) -> Word:
+    return word
+
+
+def _parent_word(parent: Word, family: list[Word]) -> Word:
+    return parent
 
 
 @dataclass(frozen=True)
@@ -152,21 +175,34 @@ class ClopenSet:
     # -- Boolean algebra -------------------------------------------------
 
     def complement(self) -> "ClopenSet":
-        def rec(rel: list[Word]) -> list[Word]:
-            out = []
-            for a in range(self.base):
-                sub = [w[1:] for w in rel if w[0] == a]
-                if not sub:
-                    out.append((a,))
-                elif () not in sub:
-                    out.extend((a,) + t for t in rec(sub))
-            return out
-
+        """The gaps between lexicographically consecutive words: each gap
+        is cut into the cylinders branching off the two words' paths
+        below their first differing digit.  Iterative and linear in the
+        output, so arbitrarily deep words are fine."""
         if self.is_empty():
             return ClopenSet.whole(self.base)
-        if self.is_whole():
-            return ClopenSet.empty(self.base)
-        return ClopenSet(self.base, tuple(rec(list(self.words))))
+        base = self.base
+        words = sorted(self.words)
+        out: list[Word] = []
+
+        def after(u: Word, k: int) -> None:
+            """The cylinders of [u[:k]] that lie after [u]."""
+            for i in range(len(u) - 1, k - 1, -1):
+                out.extend(u[:i] + (d,) for d in range(u[i] + 1, base))
+
+        def before(v: Word, k: int) -> None:
+            """The cylinders of [v[:k]] that lie before [v]."""
+            for i in range(k, len(v)):
+                out.extend(v[:i] + (d,) for d in range(v[i]))
+
+        before(words[0], 0)
+        for u, v in zip(words, words[1:]):
+            k = next(i for i, (a, b) in enumerate(zip(u, v)) if a != b)
+            after(u, k + 1)
+            out.extend(u[:k] + (d,) for d in range(u[k] + 1, v[k]))
+            before(v, k + 1)
+        after(words[-1], 0)
+        return ClopenSet(base, tuple(out))
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
         self._check_base(other)
@@ -243,8 +279,15 @@ class ClopenSet:
             out.extend(expand_word(w, self.base, depth))
         return tuple(sorted(out))
 
+    def word_containing(self, point: "PointName") -> Word | None:
+        """The word of the set whose cylinder contains the point, if any."""
+        for w in self.words:
+            if point.prefix(len(w)) == w:
+                return w
+        return None
+
     def contains_point(self, point: "PointName") -> bool:
-        return any(point.prefix(len(w)) == w for w in self.words)
+        return self.word_containing(point) is not None
 
 
 def canonicalize(cylinders: Iterable[Cylinder]) -> ClopenSet:

@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .backends import Piece
-from .clopen import ClopenSet, Word, is_prefix
+from .clopen import ClopenSet
 from .elements import (GroupElement, commutator, compose,
                        element_from_pieces, image_of_clopen, inverse,
-                       involution_from_partial, support)
+                       involution_from_partial, restrict, support)
 from .errors import PostconditionError, PreconditionError
 from .measure import depth_for_measure_below
 from .transfers import (commutator_transfer, full_group_transfer,
@@ -37,18 +36,6 @@ class SplitResult:
     certificate: "ConjugateProduct"
     environment: "Environment"
     trace: dict = field(compare=False)
-
-
-def _restricted_pieces(f: GroupElement, region: Word) -> list[Piece]:
-    """The pieces of f with sources inside the cylinder [region], and the
-    restriction to [region] of a piece whose source contains it."""
-    out: list[Piece] = []
-    for p in f.pieces:
-        if is_prefix(region, p.source):
-            out.append(p)
-        elif is_prefix(p.source, region):
-            out.append(p.restrict(region[len(p.source):]))
-    return out
 
 
 def separated_cylinder(tau: GroupElement, *,
@@ -125,11 +112,9 @@ def _decompose_odometer(alpha: GroupElement, eps: Fraction) -> DecompositionResu
         moved = image_of_clopen(residual, cell)
         if residual.is_identity() or support(residual).intersect(cell).is_empty():
             continue
-        inside = _restricted_pieces(residual, cell_word)
         extra = cell - moved          # A_i' : needs to receive the swap-back
         surplus = moved - cell        # B_i' : image overflow outside the cell
-        pieces: list[Piece] = list(inside)
-        pieces.extend(matching_pieces(backend, surplus, extra))
+        pieces = restrict(residual, cell_word) + matching_pieces(backend, surplus, extra)
         factor = element_from_pieces(backend, pieces, fill_identity=True)
         bound = cell | moved
         if factor.is_identity():
@@ -153,7 +138,7 @@ def _decompose_shift(alpha: GroupElement) -> DecompositionResult:
     backend = alpha.backend
     A = separated_cylinder(alpha)
     image = image_of_clopen(alpha, A)
-    inside = _restricted_pieces(alpha, A.words[0])
+    inside = restrict(alpha, A.words[0])
     alpha1 = involution_from_partial(backend, inside)
     alpha2 = compose(inverse(alpha1), alpha)
     bound1 = A | image
@@ -215,9 +200,9 @@ def split_nontrivial_support(tau: GroupElement) -> SplitResult:
     tau_A0 = image_of_clopen(tau, A0)
     B0 = image_of_clopen(sigma0, tau_A0)
     sigma1 = involution_from_partial(
-        backend, _partial_restriction(tau, A0))
+        backend, [p for w in A0.words for p in restrict(tau, w)])
     sigma2 = involution_from_partial(
-        backend, _partial_restriction(sigma0, tau_A0))
+        backend, [p for w in tau_A0.words for p in restrict(sigma0, w)])
     sigma, sigma_witness = commutator(sigma2, sigma1)
     if not sigma == compose(sigma1, sigma2):
         raise PostconditionError("three-cycle does not reduce to sigma1*sigma2")
@@ -249,12 +234,3 @@ def split_nontrivial_support(tau: GroupElement) -> SplitResult:
         "cleared": format_clopen(C),
     }
     return SplitResult(tau1, tau2, certificate, env, trace)
-
-
-def _partial_restriction(f: GroupElement, region: ClopenSet) -> list[Piece]:
-    """Pieces of f restricted to the given clopen region (a union of
-    cylinders, each inside or splitting sources of f)."""
-    out: list[Piece] = []
-    for w in region.words:
-        out.extend(_restricted_pieces(f, w))
-    return out

@@ -13,58 +13,38 @@ in the same order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
+from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .backends import Bisection, BackendId, Piece, apply_piece, check_bisection
-from .clopen import (ClopenSet, Cylinder, PointName, Word, is_prefix,
-                     overlapping_pair)
+from .backends import Bisection, BackendId, Piece, check_bisection
+from .clopen import (ClopenSet, PointName, Word, canonical_words, is_prefix,
+                     merge_families, overlapping_pair)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
-
-def _mergeable(family: list[Piece], parent: Word) -> Piece | None:
-    family.sort(key=lambda p: p.source)
-    if any(p.source != parent + (a,) for a, p in enumerate(family)):
-        return None
-    return family[0].merge_siblings(parent, family)
+_source = attrgetter("source")
 
 
 def _merge_pieces(pieces: Iterable[Piece], base: int) -> tuple[Piece, ...]:
-    """Greedily merge complete sibling families with compatible behaviour."""
-    pieces = list(pieces)
-    pool: dict[Word, Piece] = {p.source: p for p in pieces}
-    if len(pool) != len(pieces):
+    """Sort pieces by source and merge complete sibling families with
+    compatible behaviour."""
+    ordered = sorted(pieces, key=_source)
+    if any(p.source == q.source for p, q in zip(ordered, ordered[1:])):
         raise MalformedInput("duplicate source cylinders among pieces")
-    changed = True
-    while changed:
-        changed = False
-        parents: dict[Word, list[Piece]] = {}
-        for w, p in pool.items():
-            if w:
-                parents.setdefault(w[:-1], []).append(p)
-        for parent, family in parents.items():
-            if len(family) != base:
-                continue
-            merged = _mergeable(family, parent)
-            if merged is None:
-                continue
-            for p in family:
-                del pool[p.source]
-            pool[parent] = merged
-            changed = True
-    return tuple(sorted(pool.values(), key=lambda p: p.source))
+    return tuple(merge_families(ordered, base, _source, _join))
+
+
+def _join(parent: Word, family: list[Piece]) -> Piece | None:
+    return family[0].merge_siblings(parent, family)
 
 
 def _check_partition(words: Sequence[Word], base: int, which: str) -> None:
-    if not words:
-        raise MalformedInput(f"{which} cylinders do not cover the whole space")
     pair = overlapping_pair(words)
     if pair is not None:
         raise MalformedInput(f"{which} cylinders overlap: {pair[0]} vs {pair[1]}")
-    deepest = max(len(w) for w in words)
-    total = sum(base ** (deepest - len(w)) for w in words)
-    if total != base ** deepest:
+    if canonical_words(words, base) != ((),):
         raise MalformedInput(f"{which} cylinders do not cover the whole space")
 
 
@@ -192,21 +172,27 @@ def support(f: GroupElement) -> ClopenSet:
         f.base, [p.source for p in f.pieces if not p.is_identity()])
 
 
+def restrict(f: GroupElement, w: Word) -> list[Piece]:
+    """The pieces of f on the cylinder [w]: the piece whose source
+    contains [w], restricted to [w], or else the pieces whose sources
+    lie inside [w].  Pieces are sorted by source, so one binary search
+    finds either."""
+    pieces = f.pieces
+    i = bisect_right(pieces, w, key=_source)
+    if i and is_prefix(pieces[i - 1].source, w):
+        p = pieces[i - 1]
+        return [p.restrict(w[len(p.source):])]
+    j = i
+    while j < len(pieces) and is_prefix(w, pieces[j].source):
+        j += 1
+    return list(pieces[i:j])
+
+
 def image_of_clopen(f: GroupElement, A: ClopenSet) -> ClopenSet:
     if A.base != f.base:
         raise MalformedInput("base mismatch between element and clopen set")
-    out: list[Word] = []
-    for w in A.words:
-        for p in f.pieces:
-            s = p.source
-            if len(s) <= len(w):
-                if is_prefix(s, w):
-                    # sources form an antichain: the ancestor is unique
-                    out.append(apply_piece(p, Cylinder(f.base, w)).word)
-                    break
-            elif is_prefix(w, s):
-                out.append(p.range_word(f.base))
-    return ClopenSet.from_words(f.base, out)
+    return ClopenSet.from_words(
+        f.base, [p.range_word(f.base) for w in A.words for p in restrict(f, w)])
 
 
 def apply_point(f: GroupElement, point: PointName) -> PointName:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .backends import BackendId, Piece, compare_clopen, pair_cylinders
-from .clopen import ClopenSet, PointName, Word
+from .clopen import ClopenSet, PointName, Word, word_key
 from .elements import (DerivedWitness, GroupElement, commutator, compose,
                        identity, image_of_clopen, involution_from_partial,
                        support)
@@ -64,8 +64,8 @@ def matching_pieces(backend: BackendId, S: ClopenSet, T: ClopenSet) -> list[Piec
             f"exact matching needs equal measures, got {S.measure()} vs {T.measure()}")
     if backend.is_odometer:
         return pair_cylinders(backend, S, T, onto=True)
-    src = sorted(S.words, key=lambda w: (len(w), w))
-    dst = sorted(T.words, key=lambda w: (len(w), w))
+    src = list(S.words)
+    dst = list(T.words)
     if (len(src) - len(dst)) % (base - 1) != 0:
         raise PreconditionError(
             "clopen sets are not prefix-exchange equivalent: cylinder counts "
@@ -73,7 +73,7 @@ def matching_pieces(backend: BackendId, S: ClopenSet, T: ClopenSet) -> list[Piec
     def grow(words: list[Word]) -> None:
         w = words.pop(0)
         words.extend(w + (a,) for a in range(base))
-        words.sort(key=lambda x: (len(x), x))
+        words.sort(key=word_key)
     while len(src) < len(dst):
         grow(src)
     while len(dst) < len(src):
@@ -88,8 +88,7 @@ def exact_swap_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Gro
     Odometer: requires mu(A) = mu(B) exactly.  Full shift: requires the
     symmetric difference halves to be prefix-exchange equivalent.
     """
-    if A.base != backend.base or B.base != backend.base:
-        raise PreconditionError("clopen sets do not match the backend base")
+    backend.check_sets(A, B)
     if not backend.measure_equal(A, B):
         raise PreconditionError(
             f"exact swap needs equal measures, got {A.measure()} vs {B.measure()}")
@@ -115,6 +114,7 @@ def full_group_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
     of two involutions built inside the complement of a reserved
     cylinder, so that A u supp(alpha) is not the whole space.
     """
+    backend.check_sets(A, B)
     if A.is_whole():
         raise PreconditionError("transfer source must not be the whole space")
     if B.is_empty():
@@ -163,6 +163,7 @@ def commutator_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
     shift): both involutions avoid a reserved cylinder, keeping
     A u supp(gamma) proper.
     """
+    backend.check_sets(A, B)
     if A.is_whole():
         raise PreconditionError("transfer source must not be the whole space")
     if B.is_empty():
@@ -215,14 +216,6 @@ class GWState:
     anchor_b: PointName
 
 
-def _fit_depth(S: ClopenSet, point: PointName) -> int:
-    """Depth of the unique cylinder of S containing the point."""
-    for w in S.words:
-        if point.prefix(len(w)) == w:
-            return len(w)
-    raise PreconditionError("anchor escaped its residual neighbourhood")
-
-
 def _anchor_depth(backend: BackendId, res: ClopenSet, anchor: PointName,
                   n: int, below: Fraction) -> int:
     """Depth of a round-n anchor cylinder: one level deeper than the
@@ -231,7 +224,10 @@ def _anchor_depth(backend: BackendId, res: ClopenSet, anchor: PointName,
     neighbourhood (below half the residual measure) and for the
     opposite-anchor cylinder excluded from the transfer target (below
     the measure of the kept neighbourhood)."""
-    d = max(n + 1, _fit_depth(res, anchor) + 1)
+    fit = res.word_containing(anchor)
+    if fit is None:
+        raise PreconditionError("anchor escaped its residual neighbourhood")
+    d = max(n + 1, len(fit) + 1)
     if backend.is_odometer:
         d = max(d, depth_for_measure_below(backend.base, below))
     return d
@@ -248,6 +244,7 @@ def gw_intertwining(backend: BackendId, A: ClopenSet, B: ClopenSet,
     residual complement on the other side, and the source-side residual
     is a cylinder whose diameter bound is below 2**(1-n).
     """
+    backend.check_sets(A, B)
     if rounds < 0:
         raise PreconditionError("rounds must be nonnegative")
     if not backend.measure_equal(A, B):

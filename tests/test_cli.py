@@ -67,6 +67,14 @@ class TestTransferSwapGw:
         assert code == 0
         assert artifact_of(out)["element"].startswith("elem:odo2:")
 
+    def test_swap_deep_words(self, capsys):
+        zeros, ones = "0" * 1200, "1" * 1200
+        code, out, err = run(capsys, "swap", f"b2:{{{zeros}}}", f"b2:{{{ones}}}",
+                             "--backend", "odo2")
+        assert code == 0
+        assert "Traceback" not in err
+        assert artifact_of(out)["element"].startswith("elem:odo2:")
+
     def test_gw(self, capsys):
         code, out, _ = run(capsys, "gw", "b2:{00}", "b2:{10}",
                            "--backend", "odo2", "--rounds", "2")

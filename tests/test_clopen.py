@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fullgroup.clopen import ClopenSet, Cylinder, PointName, canonicalize
+from fullgroup.clopen import (ClopenSet, Cylinder, PointName, canonicalize,
+                              expand_word)
 from fullgroup.errors import MalformedInput, PreconditionError
 from fullgroup.measure import MeasureValue, depth_for_measure_below
+from fullgroup.randomize import random_clopen
 
 from conftest import clopen_bitmap, same_set
 
@@ -46,6 +48,20 @@ class TestCanonicalize:
         with pytest.raises(MalformedInput):
             cs(2, (2,))
 
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_refined_words_give_the_same_set(self, base):
+        rng = random.Random(base)
+        for _ in range(200):
+            A = random_clopen(rng, base, 4)
+            words = []
+            for w in A.words:
+                extra = rng.randint(0, 3)
+                words.extend(expand_word(w, base, len(w) + extra))
+                if extra and rng.random() < 0.5:
+                    words.append(w)     # absorbs its own refinement
+            rng.shuffle(words)
+            assert ClopenSet.from_words(base, words).words == A.words
+
 
 class TestBooleanOps:
     def test_complement_empty(self):
@@ -75,40 +91,56 @@ class TestBooleanOps:
         with pytest.raises(MalformedInput):
             cs(2, (0,)).intersect(cs(3, (0,)))
 
+    def test_complement_of_deep_word(self):
+        A = cs(2, (0,) * 5000)
+        C = A.complement()
+        assert C.words == tuple((0,) * i + (1,) for i in range(5000))
+        assert C.complement() == A
 
-words_strategy = st.lists(
-    st.lists(st.integers(0, 1), min_size=0, max_size=5).map(tuple),
-    min_size=0, max_size=5).map(tuple)
+
+def words_in(base):
+    return st.lists(
+        st.lists(st.integers(0, base - 1), min_size=0, max_size=5).map(tuple),
+        min_size=0, max_size=5).map(tuple)
+
+
+# every example draws its base, so merges of three siblings meet the
+# oracles as well as merges of two
+two_word_lists = st.sampled_from([2, 3]).flatmap(
+    lambda base: st.tuples(st.just(base), words_in(base), words_in(base)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(words_strategy, words_strategy)
-def test_ops_match_bitmap_oracle(aw, bw):
-    A = ClopenSet.from_words(2, aw)
-    B = ClopenSet.from_words(2, bw)
+@given(two_word_lists)
+def test_ops_match_bitmap_oracle(case):
+    base, aw, bw = case
+    A = ClopenSet.from_words(base, aw)
+    B = ClopenSet.from_words(base, bw)
     depth = max(A.max_depth(), B.max_depth(), 1)
     am, bm = clopen_bitmap(A, depth), clopen_bitmap(B, depth)
     assert clopen_bitmap(A | B, depth) == am | bm
     assert clopen_bitmap(A & B, depth) == am & bm
     assert clopen_bitmap(A - B, depth) == am - bm
     assert clopen_bitmap(A.complement(), depth) == clopen_bitmap(
-        ClopenSet.whole(2), depth) - am
+        ClopenSet.whole(base), depth) - am
     assert A.is_subset(B) == (am <= bm)
 
 
 @settings(max_examples=200, deadline=None)
-@given(words_strategy, words_strategy)
-def test_canonical_form_is_normal(aw, bw):
-    A = ClopenSet.from_words(2, aw)
-    B = ClopenSet.from_words(2, bw)
+@given(two_word_lists)
+def test_canonical_form_is_normal(case):
+    base, aw, bw = case
+    A = ClopenSet.from_words(base, aw)
+    B = ClopenSet.from_words(base, bw)
     assert (A == B) == same_set(A, B)
 
 
 @settings(max_examples=100, deadline=None)
-@given(words_strategy, words_strategy)
-def test_measure_additive_on_disjoint(aw, bw):
-    A = ClopenSet.from_words(2, aw)
-    B = ClopenSet.from_words(2, bw)
+@given(two_word_lists)
+def test_measure_additive_on_disjoint(case):
+    base, aw, bw = case
+    A = ClopenSet.from_words(base, aw)
+    B = ClopenSet.from_words(base, bw)
     A = A - B
     assert (A | B).measure().fraction == A.measure().fraction + B.measure().fraction
 

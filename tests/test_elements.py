@@ -3,7 +3,8 @@
 import pytest
 
 from fullgroup.backends import (Bisection, OdometerPiece, ShiftPiece,
-                                apply_piece, full_shift, odometer)
+                                apply_piece, full_shift, odometer,
+                                refine_piece_to)
 from fullgroup.clopen import ClopenSet, Cylinder, PointName
 from fullgroup.elements import (DerivedWitness, GroupElement, apply_point,
                                 check_measure_invariance, commutator, compose,
@@ -70,6 +71,22 @@ class TestCanonicalForm:
         with pytest.raises(MalformedInput):
             GroupElement(Bisection(odometer(2), (
                 OdometerPiece((), 0), OdometerPiece((0,), 0))))
+
+
+class TestPresentationIndependence:
+    def test_refined_pieces_rebuild_the_same_element(self, backend):
+        rng = substream(4244, f"refine:{backend.tag}")
+        for _ in range(40):
+            f = random_element(rng, backend, 4)
+            pieces = []
+            for p in f.pieces:
+                if rng.random() < 0.5:
+                    depth = len(p.source) + rng.randint(1, 3)
+                    pieces.extend(refine_piece_to(p, depth, backend.base))
+                else:
+                    pieces.append(p)
+            rng.shuffle(pieces)
+            assert GroupElement(Bisection(backend, tuple(pieces))).pieces == f.pieces
 
 
 class TestCompose:

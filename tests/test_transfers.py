@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from fullgroup.backends import full_shift, odometer
+from fullgroup.backends import compare_clopen, full_shift, odometer
 from fullgroup.clopen import ClopenSet
 from fullgroup.elements import (compose, equals, image_of_clopen, inverse,
                                 support)
-from fullgroup.errors import PreconditionError
+from fullgroup.errors import MalformedInput, PreconditionError
 from fullgroup.randomize import (comparison_pair, substream,
                                  swap_equivalent_pair)
 from fullgroup.transfers import (COMMUTATOR_CYCLIC, COMMUTATOR_INSIDE_CASE,
@@ -23,6 +23,24 @@ def cs(base, *words):
 
 
 ALL_BACKENDS = [odometer(2), full_shift(2), odometer(3), full_shift(3)]
+
+SYNTHESIZERS = {
+    "compare_clopen": compare_clopen,
+    "exact_swap_involution": exact_swap_involution,
+    "full_group_transfer": full_group_transfer,
+    "commutator_transfer": commutator_transfer,
+    "gw_intertwining": lambda backend, A, B: gw_intertwining(backend, A, B, 2),
+}
+
+
+@pytest.mark.parametrize("backend", [odometer(2), full_shift(2)], ids=lambda b: b.tag)
+@pytest.mark.parametrize("name", list(SYNTHESIZERS))
+def test_sets_over_another_base_rejected(name, backend):
+    # without the base check these sets reach a measure test or a base
+    # mismatch further down and fail there, with another error
+    A, B = cs(3, (0,)), cs(3, (1,))
+    with pytest.raises(MalformedInput, match="^clopen sets do not match the backend base$"):
+        SYNTHESIZERS[name](backend, A, B)
 
 
 class TestFullGroupTransfer:

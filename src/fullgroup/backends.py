@@ -223,7 +223,10 @@ def value_word(value: int, depth: int, base: int) -> Word:
     return tuple(out)
 
 
-@lru_cache(maxsize=1 << 18)
+# 2^13 entries hold the ~4k range words the certify benchmark reuses (~150
+# hits each), while the single-use words of random clopen sets (~220 per
+# sets task) are evicted instead of growing the process as long as it runs.
+@lru_cache(maxsize=1 << 13)
 def _odometer_range_word(source: Word, power: int, base: int) -> Word:
     d = len(source)
     return value_word((word_value(source, base) + power) % base ** d, d, base)

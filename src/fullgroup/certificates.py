@@ -57,16 +57,19 @@ class GroupWord:
         return {n for n, _ in self.tokens}
 
     def evaluate(self, env: "Environment") -> GroupElement:
-        result = identity(env.backend)
+        """Resolve every name in token order (an unresolved name raises
+        even where it would cancel), reduce freely (x x^-1 -> 1, exact in
+        any group), then compose left to right inverting each name once."""
+        values = {name: env.get(name) for name, _ in self.tokens}
+        reduced: list[tuple[str, int]] = []
         for name, exp in self.tokens:
-            elem = env.get(name)
-            result = compose(result, elem if exp == 1 else inverse(elem))
-        return result
-
-    def __str__(self):
-        if not self.tokens:
-            return "1"
-        return "*".join(n if e == 1 else f"{n}^-1" for n, e in self.tokens)
+            if reduced and reduced[-1] == (name, -exp):
+                reduced.pop()
+            else:
+                reduced.append((name, exp))
+        inverses = {name: inverse(values[name]) for name, exp in set(reduced) if exp == -1}
+        factors = [values[name] if exp == 1 else inverses[name] for name, exp in reduced]
+        return reduce(compose, factors) if factors else identity(env.backend)
 
 
 def commutator_word(a: str, b: str) -> GroupWord:
@@ -94,28 +97,20 @@ class ConjugateProduct:
         if not self.generator:
             raise MalformedInput("conjugate product needs a generator name")
 
-    def conjugated(self, word: GroupWord) -> "ConjugateProduct":
-        return ConjugateProduct(self.generator, tuple(
-            ConjugateFactor(word * f.conjugator, f.sign) for f in self.factors))
-
-    def inverse(self) -> "ConjugateProduct":
-        return ConjugateProduct(self.generator, tuple(
-            ConjugateFactor(f.conjugator, -f.sign) for f in reversed(self.factors)))
-
     def __mul__(self, other: "ConjugateProduct") -> "ConjugateProduct":
         if other.generator != self.generator:
             raise MalformedInput("cannot concatenate certificates over different generators")
         return ConjugateProduct(self.generator, self.factors + other.factors)
 
     def evaluate(self, env: "Environment") -> GroupElement:
-        tau0 = env.get(self.generator)
-        tau0_inv = inverse(tau0)
-        result = identity(env.backend)
+        """Evaluate the flat word g1 tau0^s1 g1^-1 g2 ..., whose free
+        reduction cancels the prefixes consecutive conjugators share."""
+        env.get(self.generator)  # resolved even when there are no factors
+        tokens: list[tuple[str, int]] = []
         for f in self.factors:
-            g = f.conjugator.evaluate(env)
-            middle = tau0 if f.sign == 1 else tau0_inv
-            result = compose(result, conjugate(g, middle))
-        return result
+            tokens += (*f.conjugator.tokens, (self.generator, f.sign),
+                       *f.conjugator.inverse().tokens)
+        return GroupWord(tuple(tokens)).evaluate(env)
 
 
 class Environment:
@@ -149,9 +144,6 @@ class Environment:
             return self._map[name]
         except KeyError:
             raise MalformedInput(f"unresolved name {name!r}") from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._map
 
     def names(self) -> list[str]:
         return sorted(self._map)

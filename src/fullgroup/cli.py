@@ -4,7 +4,8 @@ Subcommands synthesize witnesses and certificates, verify certificate
 files, and run the randomized self-test suites.  Every command prints a
 short human-readable summary and emits a JSON artifact (to stdout, or
 to --out).  Exit codes: 0 success, 1 precondition violation,
-2 malformed input, 3 verification failure.
+2 malformed input, 3 verification failure, 4 internal error (a failed
+postcondition or an unexpected exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .decompose import decompose_small_support, split_nontrivial_support
 from .elements import commutator, compose, identity, image_of_clopen, support
 from .encoding import (format_bisection, format_clopen, format_element,
                        parse_backend, parse_clopen, parse_element)
-from .errors import FullGroupError, MalformedInput, PreconditionError
+from .errors import MalformedInput, PreconditionError
 from .selftest import SUITES, RunConfig, run_selftest
 from .transfers import (exact_swap_involution, full_group_transfer,
                         commutator_transfer, gw_intertwining)
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_MALFORMED = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(artifact: dict, summary: list[str], out_path: str | None) -> None:
@@ -221,7 +223,7 @@ def _cmd_selftest(args) -> None:
         except ValueError as exc:
             raise MalformedInput(f"bad FULLGROUP_SEED {env_seed!r}") from exc
     config = RunConfig(backend=backend, seed=seed, max_depth=args.max_depth,
-                       trial_count=args.trials, output_path=args.out)
+                       trial_count=args.trials)
     report = run_selftest(args.suite, config)
     summary = [f"selftest {args.suite} backend={backend.tag} seed={seed} "
                f"trials={args.trials}"]
@@ -326,14 +328,14 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except FullGroupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     except SystemExit as exc:
         return int(exc.code or 0)
+    except Exception as exc:  # a PostconditionError or another bug, not bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

@@ -231,9 +231,6 @@ class DerivedWitness:
         leaves = [commutator(f, g)[0] for f, g in self.factors]
         return reduce(compose, leaves)
 
-    def __mul__(self, other: "DerivedWitness") -> "DerivedWitness":
-        return DerivedWitness(self.factors + other.factors)
-
 
 @dataclass(frozen=True)
 class InvarianceReport:

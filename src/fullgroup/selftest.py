@@ -34,7 +34,6 @@ class RunConfig:
     seed: int
     max_depth: int
     trial_count: int
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.max_depth < 1:

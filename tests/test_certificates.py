@@ -27,6 +27,44 @@ def random_env(backend, seed, names_spec):
     return env
 
 
+def word_oracle(word, env):
+    """Left fold of compose over the unreduced tokens."""
+    result = identity(env.backend)
+    for name, exp in word.tokens:
+        elem = env.get(name)
+        result = compose(result, elem if exp == 1 else inverse(elem))
+    return result
+
+
+def per_factor_oracle(cp, env):
+    """Replay factor by factor: evaluate each conjugator g on its own and
+    multiply in g tau0^{+-1} g^-1."""
+    tau0 = env.get(cp.generator)
+    result = identity(env.backend)
+    for f in cp.factors:
+        middle = tau0 if f.sign == 1 else inverse(tau0)
+        result = compose(result, conjugate(word_oracle(f.conjugator, env), middle))
+    return result
+
+
+def non_involution_env(backend, seed, names):
+    """Random elements with x x != 1, so cancelling x x is observable."""
+    rng = substream(seed, f"noninv:{backend.tag}")
+    env = Environment(backend)
+    for name in names:
+        while True:
+            x = random_element(rng, backend, 3, nontrivial=True)
+            if not compose(x, x).is_identity():
+                env.define(name, x)
+                break
+    return env
+
+
+def word(*spec):
+    """word("a", "b-") is the word a b^-1."""
+    return GroupWord(tuple((s.rstrip("-"), -1 if s.endswith("-") else 1) for s in spec))
+
+
 class TestGroupWord:
     def test_inverse(self):
         w = GroupWord((("a", 1), ("b", -1)))
@@ -47,6 +85,64 @@ class TestGroupWord:
     def test_bad_exponent(self):
         with pytest.raises(MalformedInput):
             GroupWord((("a", 2),))
+
+
+class TestFreeReduction:
+    """Evaluation by free reduction against the unreduced oracles."""
+
+    WORDS = [(), ("a", "a-", "b"), ("a", "a", "b"), ("b", "a", "a-", "b-"),
+             ("a-", "a-", "b", "b-", "a"), ("a", "b", "b-", "a-", "a-"),
+             ("b-", "a", "a-", "b", "a", "b-")]
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
+    def test_words_match_oracle(self, backend):
+        env = non_involution_env(backend, 31, ["a", "b"])
+        for spec in self.WORDS:
+            w = word(*spec)
+            assert equals(w.evaluate(env), word_oracle(w, env)), spec
+        assert equals(word("a", "a-", "b").evaluate(env), env.get("b"))
+        assert word("b", "a", "a-", "b-").evaluate(env).is_identity()
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
+    def test_shared_prefixes_match_oracle(self, backend):
+        # consecutive conjugators share prefixes that cancel in the flat
+        # word, one conjugator is empty, and some contain x x
+        env = non_involution_env(backend, 32, ["t", "c", "a", "b"])
+        conjugators = [("c", "a"), ("c", "b"), (), ("c", "a", "a"), ("c", "a", "b-"),
+                       ("c", "a", "b-"), ("b-", "b-"), ("a",), ()]
+        cp = ConjugateProduct("t", tuple(ConjugateFactor(word(*c), (-1) ** k)
+                                         for k, c in enumerate(conjugators)))
+        assert equals(cp.evaluate(env), per_factor_oracle(cp, env))
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
+    def test_closure_certificates_match_oracle(self, backend):
+        rng = substream(33, f"oracle:{backend.tag}")
+        for _ in range(3):
+            env = Environment(backend)
+            env.define("tau0", random_element(rng, backend, 3, nontrivial=True))
+            for name in ("a", "b"):
+                env.define(name, random_element(rng, backend, 3, nontrivial=True,
+                                                proper_support=True))
+            cert = commutator_in_normal_closure("a", "b", "tau0", env)
+            assert equals(cert.evaluate(env), per_factor_oracle(cert, env))
+
+    def test_unresolved_pair_raises(self):
+        env = non_involution_env(odometer(2), 34, ["a"])
+        with pytest.raises(MalformedInput, match="ghost"):
+            word("a", "ghost", "ghost-").evaluate(env)
+        cp = ConjugateProduct("a", (ConjugateFactor(word("ghost", "ghost-"), 1),))
+        with pytest.raises(MalformedInput, match="ghost"):
+            cp.evaluate(env)
+
+    def test_first_unresolved_name_reported(self):
+        env = non_involution_env(odometer(2), 35, ["a"])
+        with pytest.raises(MalformedInput, match="'zz'"):
+            word("a", "zz", "a-", "aa").evaluate(env)
+
+    def test_empty_product_resolves_generator(self):
+        env = Environment(odometer(2))
+        with pytest.raises(MalformedInput, match="tau0"):
+            ConjugateProduct("tau0", ()).evaluate(env)
 
 
 class TestExpansion:

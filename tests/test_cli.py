@@ -5,6 +5,7 @@ import json
 import pytest
 
 from fullgroup.cli import main
+from fullgroup.errors import PostconditionError
 
 
 def run(capsys, *argv):
@@ -161,6 +162,40 @@ class TestCertifyVerify:
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "verify", "/nonexistent/cert.json")
         assert code == 2
+
+    @pytest.mark.parametrize("pair,code_want", [("ghost", 2), ("alpha", 0)])
+    def test_inserted_cancelling_pair(self, capsys, tmp_path, pair, code_want):
+        # x x^-1 cancels in every group, but only a name the environment
+        # binds may cancel: an unresolved one is malformed input
+        cert_file = tmp_path / "cert.json"
+        run(capsys, "certify",
+            "--tau0", "elem:odo2:[(ε;+1)]",
+            "--alpha", ALPHA_ODO,
+            "--beta", BETA_ODO,
+            "--out", str(cert_file))
+        data = json.loads(cert_file.read_text())
+        data["factors"][0]["conjugator"][:0] = [[pair, 1], [pair, -1]]
+        cert_file.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(cert_file))
+        assert code == code_want
+        if code_want == 0:
+            assert "PASS" in out
+        else:
+            assert "ghost" in err and "Traceback" not in err
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("exc", [PostconditionError("swap lost a piece"),
+                                     RuntimeError("swap lost a piece")],
+                             ids=lambda e: type(e).__name__)
+    def test_internal_error_exit_code(self, capsys, monkeypatch, exc):
+        def broken(*args):
+            raise exc
+        monkeypatch.setattr("fullgroup.cli.exact_swap_involution", broken)
+        code, out, err = run(capsys, "swap", "b2:{00}", "b2:{10}", "--backend", "odo2")
+        assert code == 4
+        assert not out
+        assert err == f"internal error: {type(exc).__name__}: swap lost a piece\n"
 
 
 class TestSelftest:

@@ -4,7 +4,9 @@ Each case runs one CLI command in-process on fixed inputs and compares
 the sha256 digest of everything it prints (summary lines and JSON
 artifact) and its exit code with values recorded from the reference
 implementation.  Criterion 10 only compares two runs of the same code;
-these digests pin the artifacts across changes to the library.  A change
+these digests pin the artifacts across changes to the library.  The
+verify cases pin the round trip `certify --out cert.json` then `verify
+cert.json` (printed output, exit codes and the file's bytes).  A change
 that alters an artifact on purpose records the new digest here and says
 so in CHANGES.md.
 """
@@ -67,6 +69,11 @@ SELFTEST_SUITES = ("clopen-algebra", "group-axioms", "measure-invariance",
                    "split-normal", "certificates")
 
 
+def certify_argv(tag: str) -> list[str]:
+    x = INPUTS[tag]
+    return ["certify", "--tau0", x["rotation"], "--alpha", x["alpha"], "--beta", x["beta"]]
+
+
 def _cases():
     cases = []
     for tag, x in INPUTS.items():
@@ -82,8 +89,7 @@ def _cases():
             (f"decompose-swap-{tag}", ["decompose", x["alpha"], "--eps", "1/8"]),
             (f"split-{tag}", ["split", x["rotation"]]),
             (f"split-swap-{tag}", ["split", x["beta"]]),
-            (f"certify-{tag}", ["certify", "--tau0", x["rotation"],
-                                "--alpha", x["alpha"], "--beta", x["beta"]]),
+            (f"certify-{tag}", certify_argv(tag)),
         ]
     for tag in INPUTS:
         for suite in SELFTEST_SUITES:
@@ -195,9 +201,29 @@ DIGESTS = {
     "selftest-decompose-small-shift3": "6707ddff13ac2e11c97a3a8d729a5f1609873c6baa114e269f9c582803d51551",
     "selftest-split-normal-shift3": "379d72a0f259f5067feac917909773d8525dfd04568bd2b8f5a5b0c64d304c62",
     "selftest-certificates-shift3": "59d9902b73a67bba7be64e5843cd5e6954fe7be843cb987c408b7cb6f4f6324a",
+    "verify-odo2": "72bb6403c1ec1f4aaed60949e2302a072d8bd3886142c82ad21cacc3bdc834cc",
+    "verify-odo3": "a8ed6501b2d95f24721bfcb89c45b3295938d15969aa42dd7d571f066ddb52c6",
+    "verify-shift2": "76cc50c0dfac5d6d25b79e481d2ed54aeea958e2ce16b95f1981153889ad41c8",
+    "verify-shift3": "fd60576443153cbfc409cf7b712c85c441bda221dc3b150bd79b487a1f02864f",
 }
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
 def test_artifact_digest(name, argv):
     assert artifact_digest(argv) == DIGESTS[name]
+
+
+def verify_digest(tag: str) -> str:
+    """sha256 over `certify --out cert.json`, the file it writes and
+    `verify cert.json`, run by relative path in the current directory."""
+    parts = [artifact_digest([*certify_argv(tag), "--out", "cert.json"])]
+    with open("cert.json", "rb") as fh:
+        parts.append(hashlib.sha256(fh.read()).hexdigest())
+    parts.append(artifact_digest(["verify", "cert.json"]))
+    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("tag", list(INPUTS))
+def test_verify_digest(tag, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert verify_digest(tag) == DIGESTS[f"verify-{tag}"]

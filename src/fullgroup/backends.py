@@ -296,13 +296,6 @@ def validate_bisection(bis: Bisection) -> Violation | None:
     return None
 
 
-def check_bisection(bis: Bisection) -> Bisection:
-    violation = validate_bisection(bis)
-    if violation is not None:
-        raise MalformedInput(f"invalid bisection: {violation}")
-    return bis
-
-
 def source_range(bis: Bisection) -> tuple[ClopenSet, ClopenSet]:
     return (ClopenSet.from_words(bis.base, bis.source_words()),
             ClopenSet.from_words(bis.base, bis.range_words()))
@@ -364,4 +357,8 @@ def compare_clopen(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Bisection:
         width = _suffix_length(len(sources), backend.base)
         pieces = [backend.piece_between(u, v + value_word(i, width, backend.base)[::-1])
                   for i, u in enumerate(sources)]
-    return check_bisection(Bisection(backend, tuple(pieces)))
+    witness = Bisection(backend, tuple(pieces))
+    violation = validate_bisection(witness)
+    if violation is not None:
+        raise PostconditionError(f"comparison witness is not a bisection: {violation}")
+    return witness

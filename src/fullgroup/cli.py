@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -215,17 +214,10 @@ def _cmd_verify(args) -> None:
 
 def _cmd_selftest(args) -> None:
     backend = parse_backend(args.backend)
-    seed = args.seed
-    env_seed = os.environ.get("FULLGROUP_SEED")
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError as exc:
-            raise MalformedInput(f"bad FULLGROUP_SEED {env_seed!r}") from exc
-    config = RunConfig(backend=backend, seed=seed, max_depth=args.max_depth,
+    config = RunConfig(backend=backend, seed=args.seed, max_depth=args.max_depth,
                        trial_count=args.trials)
     report = run_selftest(args.suite, config)
-    summary = [f"selftest {args.suite} backend={backend.tag} seed={seed} "
+    summary = [f"selftest {args.suite} backend={backend.tag} seed={args.seed} "
                f"trials={args.trials}"]
     for prop in report["properties"]:
         status = "PASS" if prop["failures"] == 0 else "FAIL"

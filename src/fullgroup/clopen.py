@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Container, Iterable, Iterator, TypeVar
 
 from .errors import MalformedInput, PreconditionError
 from .measure import MeasureValue
@@ -48,10 +48,21 @@ def overlapping_pair(words: Iterable[Word]) -> tuple[Word, Word] | None:
     return None
 
 
-def comparable(u: Word, v: Word) -> bool:
-    """True iff the cylinders [u] and [v] intersect (one prefixes the other)."""
-    k = min(len(u), len(v))
-    return u[:k] == v[:k]
+def word_depths(words: Iterable[Word]) -> list[int]:
+    """The distinct lengths of the words, longest first."""
+    return sorted({len(w) for w in words}, reverse=True)
+
+
+def prefix_in(word: Word, table: Container[Word], depths: list[int]) -> Word | None:
+    """The longest prefix of `word` (itself included) in `table`, or None,
+    probing only `depths`, the `word_depths` of the table.  For a canonical
+    antichain S, [u] lies inside S exactly when u has a prefix in S: else
+    the words of S covering [u] extend u, and the deepest one's complete
+    sibling family is in S, which canonical form merges."""
+    for k in depths:
+        if k <= len(word) and word[:k] in table:
+            return word[:k]
+    return None
 
 
 def expand_word(word: Word, base: int, depth: int) -> Iterator[Word]:
@@ -204,14 +215,17 @@ class ClopenSet:
         after(words[-1], 0)
         return ClopenSet(base, tuple(out))
 
+    def _inside(self, other: "ClopenSet") -> list[Word]:
+        """The words of self whose cylinder lies inside other."""
+        theirs = set(other.words)
+        depths = word_depths(theirs)
+        return [u for u in self.words if prefix_in(u, theirs, depths) is not None]
+
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
+        """The words of either operand lying inside the other: two
+        cylinders meet only when one word prefixes the other."""
         self._check_base(other)
-        out = []
-        for u in self.words:
-            for v in other.words:
-                if comparable(u, v):
-                    out.append(u if len(u) >= len(v) else v)
-        return ClopenSet(self.base, tuple(out))
+        return ClopenSet(self.base, tuple(self._inside(other) + other._inside(self)))
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         self._check_base(other)
@@ -221,7 +235,8 @@ class ClopenSet:
         return self.intersect(other.complement())
 
     def is_subset(self, other: "ClopenSet") -> bool:
-        return self.difference(other).is_empty()
+        self._check_base(other)
+        return len(self._inside(other)) == len(self.words)
 
     def __and__(self, other):
         return self.intersect(other)

@@ -203,7 +203,7 @@ def split_nontrivial_support(tau: GroupElement) -> SplitResult:
         backend, [p for w in A0.words for p in restrict(tau, w)])
     sigma2 = involution_from_partial(
         backend, [p for w in tau_A0.words for p in restrict(sigma0, w)])
-    sigma, sigma_witness = commutator(sigma2, sigma1)
+    sigma = commutator(sigma2, sigma1)[0]
     if not sigma == compose(sigma1, sigma2):
         raise PostconditionError("three-cycle does not reduce to sigma1*sigma2")
     gamma_result = commutator_transfer(backend, tau_A | B, C)

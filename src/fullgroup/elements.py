@@ -19,9 +19,9 @@ from functools import reduce
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .backends import Bisection, BackendId, Piece, check_bisection
+from .backends import Bisection, BackendId, Piece
 from .clopen import (ClopenSet, PointName, Word, canonical_words, is_prefix,
-                     merge_families, overlapping_pair)
+                     merge_families, overlapping_pair, prefix_in, word_depths)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 _source = attrgetter("source")
@@ -99,20 +99,14 @@ def element_from_pieces(backend: BackendId, pieces: Iterable[Piece],
                         fill_identity: bool = True) -> GroupElement:
     """Build an element from a partial list of pieces.
 
-    With fill_identity, the complement of the union of sources (which
-    must equal the complement of the union of ranges) is filled with
-    identity pieces.
+    With fill_identity, the complement of the union of sources is filled
+    with identity pieces; the element's partition checks then reject
+    overlaps and ranges that cover another set than the sources.
     """
     pieces = list(pieces)
-    bis = check_bisection(Bisection(backend, tuple(pieces)))
     if fill_identity:
-        src = ClopenSet.from_words(backend.base, bis.source_words())
-        rng = ClopenSet.from_words(backend.base, bis.range_words())
-        if src != rng:
-            raise MalformedInput(
-                "cannot fill with the identity: sources and ranges cover different sets")
-        for w in src.complement().words:
-            pieces.append(backend.piece_between(w, w))
+        sources = ClopenSet.from_words(backend.base, [p.source for p in pieces])
+        pieces += [backend.piece_between(w, w) for w in sources.complement().words]
     return GroupElement(Bisection(backend, tuple(pieces)))
 
 
@@ -134,21 +128,16 @@ def compose(f: GroupElement, g: GroupElement) -> GroupElement:
     f._check_backend(g)
     base = f.base
     by_source = {p.source: p for p in f.pieces}
+    depths = word_depths(by_source)
     out: list[Piece] = []
     stack = list(g.pieces)
     while stack:
         p = stack.pop()
-        w = p.range_word(base)
-        hit = None
-        for i in range(len(w), -1, -1):
-            q = by_source.get(w[:i])
-            if q is not None:
-                hit = q
-                break
+        hit = prefix_in(p.range_word(base), by_source, depths)
         if hit is None:
             stack.extend(p.restrict((a,)) for a in range(base))
             continue
-        out.append(hit.after(p))
+        out.append(by_source[hit].after(p))
     return GroupElement._trusted(f.backend, out)
 
 

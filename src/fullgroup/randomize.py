@@ -67,7 +67,7 @@ def equal_measure_pair(rng: random.Random, base: int, max_depth: int, *,
         B = ClopenSet.from_words(base, bw)
         if set(aw) == set(bw):
             continue
-        if (A - B).is_empty() or (B - A).is_empty():
+        if A.is_subset(B) or B.is_subset(A):
             continue
         return A, B
 

@@ -124,7 +124,7 @@ def full_group_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
             f"transfer unavailable: mu(A)={A.measure()} is not below mu(B)={B.measure()}")
     if A.is_subset(B):
         return TransferResult(identity(backend), None, INVOLUTION_SMALL_SUPPORT)
-    if not (B - A).is_empty():
+    if not B.is_subset(A):
         alpha = _transfer_involution(backend, A, B)
         image = image_of_clopen(alpha, A)
         _require(image.is_subset(B), "transfer image escapes the target")
@@ -174,7 +174,7 @@ def commutator_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
     A1 = A - B
     if A1.is_empty():
         return TransferResult(identity(backend), DerivedWitness(()), COMMUTATOR_CYCLIC)
-    if not (B - A).is_empty():
+    if not B.is_subset(A):
         B1 = B - A
         target = B1
         if not backend.is_odometer:
@@ -286,6 +286,6 @@ def gw_intertwining(backend: BackendId, A: ClopenSet, B: ClopenSet,
         state = GWState(n, partial, res_a, res_b, anchor_a, anchor_b)
         _require(res_a.contains_point(anchor_a) and res_b.contains_point(anchor_b),
                  "anchors escaped their residuals")
-        _require(Fraction(state.residual_a.diameter_bound().fraction) < Fraction(2) ** (1 - n),
+        _require(state.residual_a.diameter_bound().fraction < Fraction(2) ** (1 - n),
                  "residual diameter bound violated")
     return state

@@ -75,6 +75,15 @@ def oracle_equal(f, g) -> bool:
     return True
 
 
+def overlapping_pairing(backend, S, T, **_):
+    """A broken stand-in for `backends.pair_cylinders`: every cylinder of
+    S at the common depth is mapped onto the first cylinder of T there,
+    so the ranges overlap whenever S has two or more."""
+    depth = max(S.max_depth(), T.max_depth())
+    v = T.refine_to(depth)[0]
+    return [backend.piece_between(u, v) for u in S.refine_to(depth)]
+
+
 def odometer_point_value(point: PointName, digits: int) -> int:
     """Base-b value of the first `digits` digits, for hand-check math."""
     return word_value(point.prefix(digits), point.base)

@@ -7,8 +7,10 @@ from fullgroup.backends import (BackendId, Bisection, OdometerPiece,
                                 full_shift, odometer, refine_bisection,
                                 source_range, validate_bisection)
 from fullgroup.clopen import ClopenSet, Cylinder
-from fullgroup.errors import MalformedInput, PreconditionError
+from fullgroup.errors import MalformedInput, PostconditionError, PreconditionError
 from fullgroup.randomize import comparison_pair, substream
+
+from conftest import overlapping_pairing
 
 
 def cs(base, *words):
@@ -139,6 +141,11 @@ class TestCompare:
     def test_empty_target(self):
         with pytest.raises(PreconditionError):
             compare_clopen(full_shift(2), cs(2, (0,)), ClopenSet.empty(2))
+
+    def test_invalid_witness_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr("fullgroup.backends.pair_cylinders", overlapping_pairing)
+        with pytest.raises(PostconditionError, match="range cylinders overlap"):
+            compare_clopen(odometer(2), cs(2, (0, 0), (0, 1, 0)), cs(2, (1,)))
 
     @pytest.mark.parametrize("kind", ["odometer", "shift"])
     @pytest.mark.parametrize("base", [2, 3])

@@ -7,6 +7,8 @@ import pytest
 from fullgroup.cli import main
 from fullgroup.errors import PostconditionError
 
+from conftest import overlapping_pairing
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -197,6 +199,13 @@ class TestInternalErrors:
         assert not out
         assert err == f"internal error: {type(exc).__name__}: swap lost a piece\n"
 
+    def test_invalid_comparison_witness(self, capsys, monkeypatch):
+        monkeypatch.setattr("fullgroup.backends.pair_cylinders", overlapping_pairing)
+        code, out, err = run(capsys, "compare", "b2:{00,010}", "b2:{1}", "--backend", "odo2")
+        assert code == 4
+        assert not out
+        assert err.startswith("internal error: PostconditionError: ")
+
 
 class TestSelftest:
     def test_deterministic_artifacts(self, capsys, tmp_path):
@@ -206,15 +215,6 @@ class TestSelftest:
                              "--backend", "shift2", "--seed", "7",
                              "--trials", "10", "--out", str(path))
             assert code == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_env_seed_override(self, capsys, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run(capsys, "selftest", "--suite", "comparison", "--backend", "odo2",
-            "--seed", "1", "--trials", "5", "--out", str(a))
-        monkeypatch.setenv("FULLGROUP_SEED", "1")
-        run(capsys, "selftest", "--suite", "comparison", "--backend", "odo2",
-            "--seed", "999", "--trials", "5", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_suite(self, capsys):

@@ -87,9 +87,17 @@ class TestBooleanOps:
         assert cs(2, (0, 0)).is_subset(cs(2, (0,)))
         assert not cs(2, (0,)).is_subset(cs(2, (0, 0)))
 
+    def test_subset_of_merged_sibling_family(self):
+        # the words 00, 010, 011 canonicalize to 0, so [0] has its word
+        # as a prefix only after the merge
+        assert cs(2, (0,)).is_subset(cs(2, (0, 0), (0, 1, 0), (0, 1, 1)))
+        assert cs(2, (0, 0), (0, 1, 0), (0, 1, 1)).is_subset(cs(2, (0,)))
+
     def test_base_mismatch(self):
         with pytest.raises(MalformedInput):
             cs(2, (0,)).intersect(cs(3, (0,)))
+        with pytest.raises(MalformedInput):
+            cs(2, (0,)).is_subset(cs(3, (0,)))
 
     def test_complement_of_deep_word(self):
         A = cs(2, (0,) * 5000)
@@ -124,6 +132,42 @@ def test_ops_match_bitmap_oracle(case):
     assert clopen_bitmap(A.complement(), depth) == clopen_bitmap(
         ClopenSet.whole(base), depth) - am
     assert A.is_subset(B) == (am <= bm)
+
+
+def pairwise_intersect(A, B):
+    """Reference intersection by the pairwise scan over all word pairs:
+    [u] and [v] meet exactly when one word prefixes the other, and then
+    in the longer one."""
+    out = []
+    for u in A.words:
+        for v in B.words:
+            k = min(len(u), len(v))
+            if u[:k] == v[:k]:
+                out.append(u if len(u) >= len(v) else v)
+    return ClopenSet.from_words(A.base, out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3]), st.data())
+def test_prefix_lookup_matches_pairwise_scan(base, data):
+    """B has up to 40 words of up to 12 digits, deeper than bitmaps
+    reach; A has up to 40 extensions of B's words (cut to 12 digits), so
+    containment and nesting are common, plus up to 2 free words."""
+    word = st.integers(0, 12).flatmap(
+        lambda n: st.tuples(*[st.integers(0, base - 1)] * n))
+    def some(words, most):
+        return st.integers(0, most).flatmap(
+            lambda n: st.lists(words, min_size=n, max_size=n))
+    bw = data.draw(some(word, 40))
+    grown = (st.tuples(st.sampled_from(bw), word).map(lambda wt: (wt[0] + wt[1])[:12])
+             if bw else word)
+    aw = data.draw(some(grown, 40)) + data.draw(some(word, 2))
+    A = ClopenSet.from_words(base, aw)
+    B = ClopenSet.from_words(base, bw)
+    for X, Y in ((A, B), (B, A)):
+        assert X & Y == pairwise_intersect(X, Y)
+        assert X - Y == pairwise_intersect(X, Y.complement())
+        assert X.is_subset(Y) == pairwise_intersect(X, Y.complement()).is_empty()
 
 
 @settings(max_examples=200, deadline=None)

@@ -73,6 +73,28 @@ class TestCanonicalForm:
                 OdometerPiece((), 0), OdometerPiece((0,), 0))))
 
 
+class TestElementFromPieces:
+    @pytest.mark.parametrize("pieces, fill", [
+        # overlapping sources [0] and [00]
+        ([OdometerPiece((0,), 0), OdometerPiece((0, 0), 1)], True),
+        # [00] -> [10] and [10] -> [10]: disjoint sources, overlapping ranges
+        ([OdometerPiece((0, 0), 1), OdometerPiece((1, 0), 0)], True),
+        # [00] -> [10] alone: the fill of [01] u [1] covers [10] twice and
+        # leaves [00] uncovered
+        ([OdometerPiece((0, 0), 1)], True),
+        # a partial list without fill leaves [1] uncovered
+        ([OdometerPiece((0,), 0)], False),
+    ], ids=["overlapping-sources", "overlapping-ranges", "ranges-differ",
+            "partial-no-fill"])
+    def test_invalid_pieces_rejected(self, pieces, fill):
+        with pytest.raises(MalformedInput):
+            element_from_pieces(odometer(2), pieces, fill_identity=fill)
+
+    def test_shift_ranges_differ_rejected(self):
+        with pytest.raises(MalformedInput):
+            shift_elem(2, ((0,), (1, 0)))
+
+
 class TestPresentationIndependence:
     def test_refined_pieces_rebuild_the_same_element(self, backend):
         rng = substream(4244, f"refine:{backend.tag}")

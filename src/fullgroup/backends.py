@@ -223,13 +223,21 @@ def value_word(value: int, depth: int, base: int) -> Word:
     return tuple(out)
 
 
-# 2^13 entries hold the ~4k range words the certify benchmark reuses (~150
-# hits each), while the single-use words of random clopen sets (~220 per
+# 2^13 entries hold the ~1.2k range words the certify benchmark reuses
+# (~130 hits each), while the single-use words of random clopen sets (~220 per
 # sets task) are evicted instead of growing the process as long as it runs.
 @lru_cache(maxsize=1 << 13)
 def _odometer_range_word(source: Word, power: int, base: int) -> Word:
-    d = len(source)
-    return value_word((word_value(source, base) + power) % base ** d, d, base)
+    """Add power digit by digit from the least significant end; the carry
+    out of the last digit is dropped (the sum is taken mod base**depth),
+    and the digits above the one where the carry reaches 0 are copied."""
+    out = list(source)
+    carry = power
+    for i in range(len(out)):
+        if carry == 0:
+            break
+        carry, out[i] = divmod(out[i] + carry, base)
+    return tuple(out)
 
 
 def apply_piece(piece: Piece, cyl: Cylinder) -> Cylinder:

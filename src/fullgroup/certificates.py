@@ -18,7 +18,7 @@ from functools import reduce
 
 from .backends import BackendId
 from .clopen import ClopenSet
-from .decompose import decompose_small_support, separated_cylinder
+from .decompose import decompose_small_support, displaced_set, separated_cylinder
 from .elements import (GroupElement, commutator, compose, conjugate, identity,
                        image_of_clopen, inverse, support)
 from .encoding import (format_backend, format_clopen, format_element,
@@ -269,7 +269,7 @@ def _atomic_closure_factors(a_name: str, a_bound: ClopenSet,
                             tags: set[str] | None = None) -> tuple[ConjugateFactor, ...]:
     """The eight conjugate factors expressing [a, b] inside the normal
     closure of tau0, via gamma0 (moving supp a off supp b), sigma
-    (parking everything inside the separating cylinder C of tau0) and
+    (parking everything inside C, a clopen set disjoint from tau0(C)) and
     tau = sigma^-1 tau0 sigma."""
     backend = env.backend
     tau0 = env.get(tau0_name)
@@ -318,7 +318,10 @@ def commutator_in_normal_closure(alpha_name: str, beta_name: str,
                                  trace: dict | None = None) -> ConjugateProduct:
     """A certificate expressing [alpha, beta] as a product of conjugates
     of tau0^{+-1}; eight factors per atomic pair of the commutator
-    expansion of the pre-factored alpha and beta."""
+    expansion of the pre-factored alpha and beta whose support bounds
+    meet (the other pairs commute).  On the odometer the pairs are parked
+    in `displaced_set(tau0)`: alpha's factors have measure below half
+    of its measure, so a larger set means fewer pairs."""
     backend = env.backend
     tau0 = env.get(tau0_name)
     if tau0.is_identity():
@@ -328,12 +331,13 @@ def commutator_in_normal_closure(alpha_name: str, beta_name: str,
     target = commutator(alpha, beta)[0]
     if target.is_identity():
         return ConjugateProduct(tau0_name, ())
-    C = separated_cylinder(env.get(tau0_name))
     if backend.is_odometer:
+        C = displaced_set(tau0)
         b_factors = _proper_support_factors(beta_name, env, Fraction(1, 2))
         eta = min(min(b.complement().volume() for _, b in b_factors), C.volume())
         a_factors = _proper_support_factors(alpha_name, env, eta / 2)
     else:
+        C = separated_cylinder(tau0)
         b_factors = _proper_support_factors(beta_name, env, None)
         a_factors = _proper_support_factors(alpha_name, env, None)
     a_bounds = dict(a_factors)
@@ -341,7 +345,11 @@ def commutator_in_normal_closure(alpha_name: str, beta_name: str,
     expansion = _expand_pairs([n for n, _ in a_factors], [n for n, _ in b_factors])
     factors: list[ConjugateFactor] = []
     tags: set[str] = set()
+    pairs = 0
     for conj, a_nm, b_nm in expansion:
+        if a_bounds[a_nm].intersect(b_bounds[b_nm]).is_empty():
+            continue      # disjoint supports commute: conj [a, b] conj^-1 = 1
+        pairs += 1
         eight = _atomic_closure_factors(a_nm, a_bounds[a_nm], b_nm, b_bounds[b_nm],
                                         tau0_name, C, env, tags)
         factors.extend(ConjugateFactor(conj * f.conjugator, f.sign) for f in eight)
@@ -353,7 +361,7 @@ def commutator_in_normal_closure(alpha_name: str, beta_name: str,
             "separating": format_clopen(C),
             "alpha_factors": [n for n, _ in a_factors],
             "beta_factors": [n for n, _ in b_factors],
-            "pairs": len(expansion),
+            "pairs": pairs,
             "tags": sorted(tags),
         })
     return cert

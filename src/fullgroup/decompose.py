@@ -68,6 +68,42 @@ def separated_cylinder(tau: GroupElement, *,
         word = word + (0,)
 
 
+def displaced_set(tau: GroupElement) -> ClopenSet:
+    """A deterministic clopen C with C disjoint from tau(C) and
+    C u tau(C) proper, grown greedily from `separated_cylinder(tau)`.
+
+    supp(tau) is refined one, two and three levels below its deepest
+    word, and each cylinder W, coarsest first and in lexicographic order
+    within a level, is added when tau moves W off itself, W avoids
+    C u tau(C) u tau^-1(C), and C u tau(C) stays proper with W added.
+    The first two conditions keep C disjoint from tau(C) as it grows.
+    """
+    C = separated_cylinder(tau)
+    tau_inv = inverse(tau)
+    used = C | image_of_clopen(tau, C)
+    blocked = used | image_of_clopen(tau_inv, C)
+    supp = support(tau)
+    for level in range(1, 4):
+        for word in supp.refine_to(supp.max_depth() + level):
+            W = ClopenSet.from_words(tau.base, [word])
+            if not W.intersect(blocked).is_empty():
+                continue
+            tau_W = image_of_clopen(tau, W)
+            grown = used | W | tau_W
+            if not W.intersect(tau_W).is_empty() or grown.is_whole():
+                continue
+            C, used = C | W, grown
+            blocked = blocked | W | tau_W | image_of_clopen(tau_inv, W)
+    image = image_of_clopen(tau, C)
+    if C.is_empty():
+        raise PostconditionError("displaced set is empty")
+    if not C.intersect(image).is_empty():
+        raise PostconditionError("displaced set meets its image")
+    if (C | image).is_whole():
+        raise PostconditionError("displaced set and its image fill the whole space")
+    return C
+
+
 def decompose_small_support(alpha: GroupElement,
                             epsilon: Fraction | None = None) -> DecompositionResult:
     """Write alpha as a left-to-right product of factors with proper

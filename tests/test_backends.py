@@ -1,11 +1,14 @@
 """Backend pieces, bisections, refinement and the comparison primitive."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fullgroup.backends import (BackendId, Bisection, OdometerPiece,
                                 ShiftPiece, apply_piece, compare_clopen,
                                 full_shift, odometer, refine_bisection,
-                                source_range, validate_bisection)
+                                source_range, validate_bisection, value_word,
+                                word_value)
 from fullgroup.clopen import ClopenSet, Cylinder
 from fullgroup.errors import MalformedInput, PostconditionError, PreconditionError
 from fullgroup.randomize import comparison_pair, substream
@@ -49,6 +52,17 @@ class TestApplyPiece:
     def test_requires_containment(self):
         with pytest.raises(PreconditionError):
             apply_piece(OdometerPiece((0, 0), 1), Cylinder(2, (1,)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(-10**4, 10**4), st.data())
+def test_range_word_matches_integer_sum(base, power, data):
+    """The carry-local add agrees with adding power to the word's value
+    mod base**depth, for words of 0 to 40 digits."""
+    word = data.draw(st.lists(st.integers(0, base - 1), max_size=40).map(tuple))
+    d = len(word)
+    want = value_word((word_value(word, base) + power) % base ** d, d, base)
+    assert OdometerPiece(word, power).range_word(base) == want
 
 
 class TestValidate:

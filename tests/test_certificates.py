@@ -12,6 +12,7 @@ from fullgroup.certificates import (ConjugateFactor, ConjugateProduct,
                                     simplicity_certificate, verify_certificate)
 from fullgroup.elements import (commutator, compose, conjugate, equals,
                                 identity, inverse)
+from fullgroup.encoding import parse_element
 from fullgroup.errors import MalformedInput, PreconditionError
 from fullgroup.randomize import random_element, substream
 
@@ -268,6 +269,33 @@ class TestClosure:
         trace = {}
         cert = commutator_in_normal_closure("a", "b", "tau0", env, trace)
         assert len(cert.factors) == 8 * trace["pairs"]
+
+    def test_disjoint_pairs_dropped(self):
+        # alpha splits into four factors and beta into two; the pairs whose
+        # support bounds are disjoint commute and emit no factors
+        env = Environment(odometer(2), {
+            "tau0": parse_element("elem:odo2:[(ε;+1)]"),
+            "a": parse_element("elem:odo2:[(00;+2),(01;-2),(1;+0)]"),
+            "b": parse_element("elem:odo2:[(00;+0),(01;-1),(10;+1),(11;+0)]")})
+        trace = {}
+        cert = commutator_in_normal_closure("a", "b", "tau0", env, trace)
+        assert len(cert.factors) == 8 * trace["pairs"]
+        assert 0 < trace["pairs"] < len(trace["alpha_factors"]) * len(trace["beta_factors"])
+        target = commutator(env.get("a"), env.get("b"))[0]
+        assert verify_certificate(cert, env, target)
+        assert equals(per_factor_oracle(cert, env), target)
+
+    def test_full_support_odometer_size(self):
+        # full-support draws of depth 3: parking every pair in the single
+        # separated cylinder of tau0 took 6336 factors on this triple
+        backend = odometer(3)
+        rng = substream(33, "oracle:odo3")
+        env = Environment(backend)
+        for name in ("tau0", "a", "b"):
+            env.define(name, random_element(rng, backend, 3, nontrivial=True))
+        cert = commutator_in_normal_closure("a", "b", "tau0", env)
+        assert len(cert.factors) <= 1300
+        assert verify_certificate(cert, env, commutator(env.get("a"), env.get("b"))[0])
 
     def test_trivial_generator_rejected(self):
         backend = odometer(2)

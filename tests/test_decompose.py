@@ -5,15 +5,18 @@ from functools import reduce
 
 import pytest
 
-from fullgroup.backends import OdometerPiece, ShiftPiece, full_shift, odometer
-from fullgroup.clopen import ClopenSet
-from fullgroup.decompose import (decompose_small_support, separated_cylinder,
-                                 split_nontrivial_support)
+from fullgroup.backends import (OdometerPiece, ShiftPiece, apply_piece,
+                                full_shift, odometer)
+from fullgroup.clopen import ClopenSet, Cylinder
+from fullgroup.decompose import (decompose_small_support, displaced_set,
+                                 separated_cylinder, split_nontrivial_support)
 from fullgroup.elements import (compose, element_from_pieces, equals,
                                 identity, image_of_clopen, inverse, support)
 from fullgroup.encoding import parse_clopen
 from fullgroup.errors import PreconditionError
 from fullgroup.randomize import random_element, substream
+
+from conftest import _acting_piece, bitmap, clopen_bitmap
 
 
 def cs(base, *words):
@@ -57,6 +60,46 @@ class TestSeparatedCylinder:
             ShiftPiece((1, 1), (1,))], fill_identity=False)
         A = separated_cylinder(e)
         assert A.intersect(image_of_clopen(e, A)).is_empty()
+
+
+def pointwise_image_words(tau, A):
+    """Image words of A pushed cylinder by cylinder through the piece
+    acting on it, at the depth of tau's deepest source."""
+    depth = max(A.max_depth(), max(len(p.source) for p in tau.pieces))
+    out = []
+    for w in A.refine_to(depth):
+        out.append(apply_piece(_acting_piece(tau, w), Cylinder(A.base, w)).word)
+    return out
+
+
+class TestDisplacedSet:
+    def test_identity_rejected(self):
+        with pytest.raises(PreconditionError):
+            displaced_set(identity(odometer(3)))
+
+    def test_rotation_grows_past_one_cylinder(self):
+        rotation = element_from_pieces(odometer(2), [OdometerPiece((), 1)])
+        C = displaced_set(rotation)
+        assert C.volume() > separated_cylinder(rotation).volume()
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
+    def test_postconditions_against_bitmaps(self, backend):
+        rng = substream(35, f"displaced:{backend.tag}")
+        # shift images can be much deeper than their sources, and bitmaps
+        # cost base**depth, so shift elements are drawn one level shallower
+        max_depth = 3 if backend.is_odometer else 2
+        for _ in range(20):
+            tau = random_element(rng, backend, max_depth, nontrivial=True)
+            C = displaced_set(tau)
+            assert displaced_set(tau) == C
+            assert separated_cylinder(tau).is_subset(C)
+            image = pointwise_image_words(tau, C)
+            depth = max([C.max_depth()] + [len(w) for w in image])
+            c_bits = clopen_bitmap(C, depth)
+            image_bits = bitmap(image, backend.base, depth)
+            assert c_bits
+            assert not c_bits & image_bits
+            assert len(c_bits | image_bits) < backend.base ** depth
 
 
 class TestDecompose:

@@ -123,7 +123,7 @@ DIGESTS = {
     "decompose-swap-odo2": "9a92c86b0de7a056e8f359b40ba239d0ebfe5550c5db4d0b7d0e3d7704e60ead",
     "split-odo2": "63c3fb6790948602b76d815e7b6b02f64a785798521094995a6787338bc73e61",
     "split-swap-odo2": "d925f9118b22c1d31ca99390267c685e9fef93adbdced22c0da697389015c1eb",
-    "certify-odo2": "962d2745270b01688a429372948059a1e025de6ada9a600723ea7bf55300d36e",
+    "certify-odo2": "2543da3070275bce7915040eba9ca0b628c2242982928ab8ee20f0cb7a345cd4",
     "compare-odo3": "a608cbf839392b8643ffbf5d9606ea2407e5f9fa91e7623d406983a7155607f2",
     "transfer-odo3": "7f1077dd2ec4d5c2d42ba4c2cedc3b1251f8411aa72c2efd733d4538bea24520",
     "transfer2-odo3": "eb730bf64041b24238957fb5c83675a4895ce32c66ef097ef5392cd0605e4b66",
@@ -134,7 +134,7 @@ DIGESTS = {
     "decompose-swap-odo3": "79e46a0af50e7fc37956e372c0b44afb6044dd4d976a105346573905d841da02",
     "split-odo3": "b66a002f64b1ffee05323b3f4f5f63ed40fdd82f6531f339582a2b7f37492598",
     "split-swap-odo3": "eed59d6e781a0c8a45ad3f36c2a7be0163f6d0d9d9273e583d8d53e97ed03d6b",
-    "certify-odo3": "55d35130cbcbf53616c1143ce3de7e8ef772147e8d5074d4d58514551520569f",
+    "certify-odo3": "6d047d81477b5a1d9ea160abd72b99824cffae8e43d42e6781f5bbf78ca06724",
     "compare-shift2": "2e6541fcb83f83fd48378e9ede0c5c42d8b7612219e4bebea50ab616b1425e16",
     "transfer-shift2": "aab13ed28cabcec8fd8c42959c7547be6be04f51baecb5f9ae027b5cd340d511",
     "transfer2-shift2": "84c7cccb8765cd408cf029cb7a72175c978ac8ca7e9302372c7a2788c2d61256",
@@ -201,8 +201,8 @@ DIGESTS = {
     "selftest-decompose-small-shift3": "6707ddff13ac2e11c97a3a8d729a5f1609873c6baa114e269f9c582803d51551",
     "selftest-split-normal-shift3": "379d72a0f259f5067feac917909773d8525dfd04568bd2b8f5a5b0c64d304c62",
     "selftest-certificates-shift3": "59d9902b73a67bba7be64e5843cd5e6954fe7be843cb987c408b7cb6f4f6324a",
-    "verify-odo2": "72bb6403c1ec1f4aaed60949e2302a072d8bd3886142c82ad21cacc3bdc834cc",
-    "verify-odo3": "a8ed6501b2d95f24721bfcb89c45b3295938d15969aa42dd7d571f066ddb52c6",
+    "verify-odo2": "bfe9b719130155e57435116a5087d0dc6092c7aae232d8101b48e09bc7207841",
+    "verify-odo3": "c07c937d1a70765202f318147b69872bdbe11393c0b27424111a77e399759e7f",
     "verify-shift2": "76cc50c0dfac5d6d25b79e481d2ed54aeea958e2ce16b95f1981153889ad41c8",
     "verify-shift3": "fd60576443153cbfc409cf7b712c85c441bda221dc3b150bd79b487a1f02864f",
 }

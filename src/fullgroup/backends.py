@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence, Union
 
 from .clopen import (ClopenSet, Cylinder, PointName, Word, is_prefix,
@@ -109,7 +108,17 @@ class OdometerPiece:
         return self.power == 0
 
     def range_word(self, base: int) -> Word:
-        return _odometer_range_word(self.source, self.power, base)
+        """Add power digit by digit from the least significant end; the
+        carry out of the last digit is dropped (the sum is taken mod
+        base**depth), and the digits above the one where the carry
+        reaches 0 are copied."""
+        out = list(self.source)
+        carry = self.power
+        for i in range(len(out)):
+            if carry == 0:
+                break
+            carry, out[i] = divmod(out[i] + carry, base)
+        return tuple(out)
 
     def restrict(self, tail: Word) -> "OdometerPiece":
         """The same map on the sub-cylinder [source.tail]."""
@@ -220,23 +229,6 @@ def value_word(value: int, depth: int, base: int) -> Word:
     for _ in range(depth):
         value, digit = divmod(value, base)
         out.append(digit)
-    return tuple(out)
-
-
-# 2^13 entries hold the ~1.2k range words the certify benchmark reuses
-# (~130 hits each), while the single-use words of random clopen sets (~220 per
-# sets task) are evicted instead of growing the process as long as it runs.
-@lru_cache(maxsize=1 << 13)
-def _odometer_range_word(source: Word, power: int, base: int) -> Word:
-    """Add power digit by digit from the least significant end; the carry
-    out of the last digit is dropped (the sum is taken mod base**depth),
-    and the digits above the one where the carry reaches 0 are copied."""
-    out = list(source)
-    carry = power
-    for i in range(len(out)):
-        if carry == 0:
-            break
-        carry, out[i] = divmod(out[i] + carry, base)
     return tuple(out)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .clopen import ClopenSet
+from .clopen import ClopenSet, expand_word
 from .elements import (GroupElement, commutator, compose,
                        element_from_pieces, image_of_clopen, inverse,
                        involution_from_partial, restrict, support)
@@ -72,9 +72,12 @@ def displaced_set(tau: GroupElement) -> ClopenSet:
     """A deterministic clopen C with C disjoint from tau(C) and
     C u tau(C) proper, grown greedily from `separated_cylinder(tau)`.
 
-    supp(tau) is refined one, two and three levels below its deepest
-    word, and each cylinder W, coarsest first and in lexicographic order
-    within a level, is added when tau moves W off itself, W avoids
+    Each word of supp(tau) is refined one, two and three levels below
+    its own depth, no deeper than three levels below the starting
+    cylinder: the transfers that park into C refine it to their common
+    depth, so C stays within three levels of its start.  Each candidate W,
+    level by level and coarsest first then lexicographic within a level,
+    is added when tau moves W off itself, W avoids
     C u tau(C) u tau^-1(C), and C u tau(C) stays proper with W added.
     The first two conditions keep C disjoint from tau(C) as it grows.
     """
@@ -83,8 +86,10 @@ def displaced_set(tau: GroupElement) -> ClopenSet:
     used = C | image_of_clopen(tau, C)
     blocked = used | image_of_clopen(tau_inv, C)
     supp = support(tau)
+    max_depth = C.max_depth() + 3
     for level in range(1, 4):
-        for word in supp.refine_to(supp.max_depth() + level):
+        for word in (x for w in supp.words if len(w) + level <= max_depth
+                     for x in expand_word(w, tau.base, len(w) + level)):
             W = ClopenSet.from_words(tau.base, [word])
             if not W.intersect(blocked).is_empty():
                 continue

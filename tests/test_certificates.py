@@ -2,7 +2,7 @@
 
 import pytest
 
-from fullgroup.backends import full_shift, odometer
+from fullgroup.backends import OdometerPiece, full_shift, odometer
 from fullgroup.certificates import (ConjugateFactor, ConjugateProduct,
                                     Environment, GroupWord, certificate_to_dict,
                                     commutator_in_normal_closure,
@@ -10,8 +10,9 @@ from fullgroup.certificates import (ConjugateFactor, ConjugateProduct,
                                     expand_commutator_product, load_certificate,
                                     normality_certificate, scan_conjugate_form,
                                     simplicity_certificate, verify_certificate)
-from fullgroup.elements import (commutator, compose, conjugate, equals,
-                                identity, inverse)
+from fullgroup.elements import (commutator, compose, conjugate,
+                                element_from_pieces, equals, identity,
+                                inverse)
 from fullgroup.encoding import parse_element
 from fullgroup.errors import MalformedInput, PreconditionError
 from fullgroup.randomize import random_element, substream
@@ -284,6 +285,23 @@ class TestClosure:
         target = commutator(env.get("a"), env.get("b"))[0]
         assert verify_certificate(cert, env, target)
         assert equals(per_factor_oracle(cert, env), target)
+
+    def test_mixed_depth_generator(self):
+        # tau0 swaps [00] with [10] and two depth-40 cylinders: the parking
+        # set must stay shallow, or every transfer into it refines to depth 40
+        deep = (0, 1) + (0,) * 38
+        tau0 = element_from_pieces(odometer(2), [
+            OdometerPiece((0, 0), 1), OdometerPiece((1, 0), -1),
+            OdometerPiece(deep, 1), OdometerPiece((1,) + deep[1:], -1)],
+            fill_identity=True)
+        env = Environment(odometer(2), {
+            "tau0": tau0,
+            "a": parse_element("elem:odo2:[(00;+2),(01;-2),(1;+0)]"),
+            "b": parse_element("elem:odo2:[(00;+0),(01;-1),(10;+1),(11;+0)]")})
+        trace = {}
+        cert = commutator_in_normal_closure("a", "b", "tau0", env, trace)
+        assert len(cert.factors) == 8 * trace["pairs"]
+        assert verify_certificate(cert, env, commutator(env.get("a"), env.get("b"))[0])
 
     def test_full_support_odometer_size(self):
         # full-support draws of depth 3: parking every pair in the single

@@ -82,6 +82,21 @@ class TestDisplacedSet:
         C = displaced_set(rotation)
         assert C.volume() > separated_cylinder(rotation).volume()
 
+    def test_mixed_depth_support_stays_shallow(self):
+        # tau swaps [00] with [10] and two depth-40 cylinders; refining the
+        # whole support below its deepest word would draw ~2^41 candidates
+        deep = (0, 1) + (0,) * 38
+        tau = element_from_pieces(odometer(2), [
+            OdometerPiece((0, 0), 1), OdometerPiece((1, 0), -1),
+            OdometerPiece(deep, 1), OdometerPiece((1,) + deep[1:], -1)],
+            fill_identity=True)
+        assert support(tau).max_depth() == 40
+        C = displaced_set(tau)
+        assert separated_cylinder(tau).is_subset(C)
+        assert C.max_depth() <= separated_cylinder(tau).max_depth() + 3
+        image = image_of_clopen(tau, C)
+        assert C.intersect(image).is_empty() and not (C | image).is_whole()
+
     @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
     def test_postconditions_against_bitmaps(self, backend):
         rng = substream(35, f"displaced:{backend.tag}")

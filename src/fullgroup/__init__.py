@@ -8,14 +8,14 @@ conjugate-product certificates with a CLI front end.
 """
 
 from .backends import (BackendId, Bisection, OdometerPiece, ShiftPiece,
-                       apply_piece, compare_clopen, full_shift, odometer,
-                       refine_bisection, source_range, validate_bisection)
+                       compare_clopen, full_shift, odometer, source_range,
+                       validate_bisection)
 from .certificates import (ConjugateFactor, ConjugateProduct, Environment,
                            GroupWord, commutator_in_normal_closure,
                            dump_certificate, expand_commutator_product,
                            load_certificate, normality_certificate,
                            simplicity_certificate, verify_certificate)
-from .clopen import ClopenSet, Cylinder, PointName, canonicalize
+from .clopen import ClopenSet, PointName
 from .decompose import (DecompositionResult, SplitResult,
                         decompose_small_support, split_nontrivial_support)
 from .elements import (DerivedWitness, GroupElement, apply_point,

@@ -14,26 +14,22 @@
 Every rule that differs between the two models lives here: the piece
 classes carry the per-piece rules (range, restriction, inverse,
 composition, sibling merge, action on points), and `BackendId` builds
-pieces and states the comparison hypothesis.  Both models are minimal
-and second countable; this is a documented fact about the models, not a
-runtime check.
+pieces, checks their class and states the comparison hypothesis.  Both
+models are minimal and second countable; this is a documented fact
+about the models, not a runtime check.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .clopen import (ClopenSet, Cylinder, PointName, Word, is_prefix,
+from .clopen import (ClopenSet, PointName, Word, expand_word, is_prefix,
                      overlapping_pair)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 ODOMETER = "odometer"
 FULL_SHIFT = "full-shift"
-
-UNIQUE_ERGODIC = "unique-ergodic"
-NO_INVARIANT_MEASURE = "empty"
 
 
 @dataclass(frozen=True)
@@ -52,10 +48,6 @@ class BackendId:
         return self.kind == ODOMETER
 
     @property
-    def measure_class(self) -> str:
-        return UNIQUE_ERGODIC if self.is_odometer else NO_INVARIANT_MEASURE
-
-    @property
     def tag(self) -> str:
         return ("odo" if self.is_odometer else "shift") + str(self.base)
 
@@ -72,6 +64,13 @@ class BackendId:
             raise PreconditionError(
                 f"odometer pieces keep the depth: {u} and {v} differ in length")
         return OdometerPiece(u, word_value(v, self.base) - word_value(u, self.base))
+
+    def check_pieces(self, pieces: Iterable["Piece"]) -> None:
+        """Reject pieces of the other backend's piece class."""
+        want = OdometerPiece if self.is_odometer else ShiftPiece
+        for p in pieces:
+            if not isinstance(p, want):
+                raise MalformedInput(f"piece {p!r} does not belong to backend {self.tag}")
 
     def check_sets(self, A: ClopenSet, B: ClopenSet) -> None:
         """Reject clopen sets over another base than the backend's."""
@@ -232,36 +231,16 @@ def value_word(value: int, depth: int, base: int) -> Word:
     return tuple(out)
 
 
-def apply_piece(piece: Piece, cyl: Cylinder) -> Cylinder:
-    """Exact image of a cylinder contained in the piece's source."""
-    if not is_prefix(piece.source, cyl.word):
-        raise PreconditionError(
-            f"cylinder {cyl.word} not contained in piece source {piece.source}")
-    sub = piece.restrict(cyl.word[len(piece.source):])
-    return Cylinder(cyl.base, sub.range_word(cyl.base))
-
-
-def refine_piece_to(piece: Piece, depth: int, base: int) -> list[Piece]:
-    """Sub-pieces with sources of exactly max(depth, current) digits."""
-    d = len(piece.source)
-    if depth <= d:
-        return [piece]
-    return [piece.restrict(t) for t in itertools.product(range(base), repeat=depth - d)]
-
-
 @dataclass(frozen=True)
 class Bisection:
-    """A compact open bisection given by finitely many pieces."""
+    """A compact open bisection given by finitely many pieces: the
+    partial comparison witness of `compare_clopen`."""
 
     backend: BackendId
     pieces: tuple[Piece, ...]
 
     def __post_init__(self):
-        want = OdometerPiece if self.backend.is_odometer else ShiftPiece
-        for p in self.pieces:
-            if not isinstance(p, want):
-                raise MalformedInput(
-                    f"piece {p!r} does not belong to backend {self.backend.tag}")
+        self.backend.check_pieces(self.pieces)
 
     @property
     def base(self) -> int:
@@ -301,23 +280,20 @@ def source_range(bis: Bisection) -> tuple[ClopenSet, ClopenSet]:
             ClopenSet.from_words(bis.base, bis.range_words()))
 
 
-def refine_bisection(bis: Bisection, depth: int) -> Bisection:
-    pieces: list[Piece] = []
-    for p in bis.pieces:
-        pieces.extend(refine_piece_to(p, depth, bis.base))
-    return Bisection(bis.backend, tuple(pieces))
-
-
 def pair_cylinders(backend: BackendId, S: ClopenSet, T: ClopenSet, *,
                    onto: bool = False) -> list[Piece]:
     """Odometer pairing: S and T are refined to their common depth and
     their cylinders matched in lexicographic order by carry-free
     translations.  Pairs all of S when mu(S) < mu(T); with `onto` the
-    measures are equal and the ranges must fill T exactly."""
+    measures are equal and the ranges must fill T exactly.  T is expanded
+    lazily, so a shallow T costs only the cylinders that get paired."""
+    base = backend.base
     depth = max(S.max_depth(), T.max_depth())
     src = S.refine_to(depth)
-    dst = T.refine_to(depth)
-    if onto and len(src) != len(dst):
+    # the cylinders of a sorted antichain, each expanded in order, are in
+    # the sorted order of T.refine_to(depth)
+    dst = (v for w in sorted(T.words) for v in expand_word(w, base, depth))
+    if onto and len(src) != sum(base ** (depth - len(w)) for w in T.words):
         raise PostconditionError("equal measures must refine to equal counts")
     return [backend.piece_between(u, v) for u, v in zip(src, dst)]
 
@@ -352,7 +328,7 @@ def compare_clopen(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Bisection:
     if backend.is_odometer:
         pieces = pair_cylinders(backend, A, B)
     else:
-        v = B.pick().word
+        v = B.pick()
         sources = sorted(A.words)
         width = _suffix_length(len(sources), backend.base)
         pieces = [backend.piece_between(u, v + value_word(i, width, backend.base)[::-1])

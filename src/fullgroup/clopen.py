@@ -125,19 +125,6 @@ def _parent_word(parent: Word, family: list[Word]) -> Word:
 
 
 @dataclass(frozen=True)
-class Cylinder:
-    """The basic clopen set [u] = {x : x starts with u}."""
-
-    base: int
-    word: Word
-
-    def __post_init__(self):
-        if self.base < 2:
-            raise MalformedInput(f"base must be >= 2, got {self.base}")
-        check_word(self.word, self.base)
-
-
-@dataclass(frozen=True)
 class ClopenSet:
     """Canonical antichain of cylinder prefixes over one base."""
 
@@ -281,11 +268,12 @@ class ClopenSet:
 
     # -- choice and refinement --------------------------------------------
 
-    def pick(self) -> Cylinder:
-        """Deterministic choice: minimal depth, then lexicographically least."""
+    def pick(self) -> Word:
+        """The word of a deterministically chosen cylinder: minimal depth,
+        then lexicographically least."""
         if self.is_empty():
             raise PreconditionError("cannot pick a cylinder from the empty set")
-        return Cylinder(self.base, self.words[0])
+        return self.words[0]
 
     def refine_to(self, depth: int) -> tuple[Word, ...]:
         """All cylinder words of the set at exactly `depth` >= max_depth()."""
@@ -303,19 +291,6 @@ class ClopenSet:
 
     def contains_point(self, point: "PointName") -> bool:
         return self.word_containing(point) is not None
-
-
-def canonicalize(cylinders: Iterable[Cylinder]) -> ClopenSet:
-    """Canonical clopen set denoting the union of the given cylinders."""
-    cyls = list(cylinders)
-    if not cyls:
-        raise MalformedInput("canonicalize needs at least one cylinder; "
-                             "use ClopenSet.empty for the empty set")
-    base = cyls[0].base
-    for c in cyls:
-        if c.base != base:
-            raise MalformedInput(f"mixed bases: {base} vs {c.base}")
-    return ClopenSet.from_words(base, [c.word for c in cyls])
 
 
 def _primitive_period(period: Word) -> Word:

@@ -16,10 +16,15 @@ from .clopen import ClopenSet, expand_word
 from .elements import (GroupElement, commutator, compose,
                        element_from_pieces, image_of_clopen, inverse,
                        involution_from_partial, restrict, support)
-from .errors import PostconditionError, PreconditionError
+from .errors import MalformedInput, PostconditionError, PreconditionError
 from .measure import depth_for_measure_below
 from .transfers import (commutator_transfer, full_group_transfer,
                         matching_pieces, proper_subcylinder)
+
+
+# The most cells an odometer decomposition may refine the space into:
+# a decomposition needing more is refused before any cell is built.
+MAX_DECOMPOSITION_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -144,11 +149,15 @@ def _decompose_odometer(alpha: GroupElement, eps: Fraction) -> DecompositionResu
     # partition depth: cells measure below eps/2, and at least 2 so that
     # each bound A_i u residual(A_i) stays proper
     depth = max(2, depth_for_measure_below(base, eps / 2))
+    if base ** depth > MAX_DECOMPOSITION_CELLS:
+        raise MalformedInput(
+            f"odometer decomposition needs {base ** depth} cells at depth {depth}, "
+            f"over the limit of {MAX_DECOMPOSITION_CELLS}")
     factors: list[GroupElement] = []
     bounds: list[ClopenSet] = []
     residual = alpha
     peeled = ClopenSet.empty(base)
-    for cell_word in sorted(ClopenSet.whole(base).refine_to(depth)):
+    for cell_word in ClopenSet.whole(base).refine_to(depth):
         cell = ClopenSet.from_words(base, [cell_word])
         moved = image_of_clopen(residual, cell)
         if residual.is_identity() or support(residual).intersect(cell).is_empty():
@@ -228,7 +237,7 @@ def split_nontrivial_support(tau: GroupElement) -> SplitResult:
     if backend.is_odometer:
         target = outside
     else:
-        word = outside.pick().word
+        word = outside.pick()
         while Fraction(1, base ** len(word)) >= budget:
             word = word + (0,)
         target = ClopenSet.from_words(base, [word])

@@ -1,11 +1,12 @@
 """Group algebra of finitely piecewise homeomorphisms.
 
-A group element is a bisection whose source and range cylinders both
-partition the whole space.  Elements are kept in canonical form:
-complete sibling families of pieces with the same behaviour are merged
-(odometer: equal powers; shift: suffix-compatible targets) and pieces
-are sorted by source, so syntactic equality coincides with equality of
-the underlying homeomorphisms.
+A group element is a backend together with finitely many pieces whose
+source and range cylinders both partition the whole space (a compact
+open bisection with full source and range).  Elements are kept in
+canonical form: complete sibling families of pieces with the same
+behaviour are merged (odometer: equal powers; shift: suffix-compatible
+targets) and pieces are sorted by source, so syntactic equality
+coincides with equality of the underlying homeomorphisms.
 
 Composition f * g denotes x -> f(g(x)); group words read left to right
 in the same order.
@@ -19,7 +20,7 @@ from functools import reduce
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .backends import Bisection, BackendId, Piece
+from .backends import BackendId, Piece
 from .clopen import (ClopenSet, PointName, Word, canonical_words, is_prefix,
                      merge_families, overlapping_pair, prefix_in, word_depths)
 from .errors import MalformedInput, PostconditionError, PreconditionError
@@ -50,37 +51,32 @@ def _check_partition(words: Sequence[Word], base: int, which: str) -> None:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """A full-group element with finitely many prefix-map pieces."""
+    """A full-group element: its backend and its sorted canonical pieces."""
 
-    bisection: Bisection
+    backend: BackendId
+    pieces: tuple[Piece, ...]
 
     def __post_init__(self):
-        base = self.bisection.base
-        canon = _merge_pieces(self.bisection.pieces, base)
-        object.__setattr__(self, "bisection", Bisection(self.bisection.backend, canon))
-        _check_partition(self.bisection.source_words(), base, "source")
-        _check_partition(self.bisection.range_words(), base, "range")
+        self.backend.check_pieces(self.pieces)
+        base = self.backend.base
+        canon = _merge_pieces(self.pieces, base)
+        object.__setattr__(self, "pieces", canon)
+        _check_partition([p.source for p in canon], base, "source")
+        _check_partition([p.range_word(base) for p in canon], base, "range")
 
     @classmethod
     def _trusted(cls, backend: BackendId, pieces: Iterable[Piece]) -> "GroupElement":
-        """Canonicalize without partition checks.  Only for pieces coming
-        out of compose/inverse, which preserve validity by construction."""
+        """Canonicalize without piece-class and partition checks.  Only for
+        pieces coming out of compose/inverse, which preserve validity by
+        construction."""
         elem = object.__new__(cls)
-        canon = _merge_pieces(pieces, backend.base)
-        object.__setattr__(elem, "bisection", Bisection(backend, canon))
+        object.__setattr__(elem, "backend", backend)
+        object.__setattr__(elem, "pieces", _merge_pieces(pieces, backend.base))
         return elem
 
     @property
-    def backend(self) -> BackendId:
-        return self.bisection.backend
-
-    @property
     def base(self) -> int:
-        return self.bisection.base
-
-    @property
-    def pieces(self) -> tuple[Piece, ...]:
-        return self.bisection.pieces
+        return self.backend.base
 
     def is_identity(self) -> bool:
         return all(p.is_identity() for p in self.pieces)
@@ -92,7 +88,7 @@ class GroupElement:
 
 
 def identity(backend: BackendId) -> GroupElement:
-    return GroupElement(Bisection(backend, (backend.piece_between((), ()),)))
+    return GroupElement(backend, (backend.piece_between((), ()),))
 
 
 def element_from_pieces(backend: BackendId, pieces: Iterable[Piece],
@@ -107,7 +103,7 @@ def element_from_pieces(backend: BackendId, pieces: Iterable[Piece],
     if fill_identity:
         sources = ClopenSet.from_words(backend.base, [p.source for p in pieces])
         pieces += [backend.piece_between(w, w) for w in sources.complement().words]
-    return GroupElement(Bisection(backend, tuple(pieces)))
+    return GroupElement(backend, tuple(pieces))
 
 
 def involution_from_partial(backend: BackendId, pieces: Iterable[Piece]) -> GroupElement:
@@ -149,7 +145,7 @@ def inverse(f: GroupElement) -> GroupElement:
 
 def equals(f: GroupElement, g: GroupElement) -> bool:
     f._check_backend(g)
-    return f.bisection == g.bisection
+    return f.pieces == g.pieces
 
 
 def support(f: GroupElement) -> ClopenSet:

@@ -7,7 +7,6 @@ Formats (digits restricted to bases 2..10):
 * bisection    ``odo2:[(00;+1)]``, ``shift2:[(0>11),(11>0),(10>10)]``;
   pieces are separated by single commas (whitespace allowed around them)
 * element      bisection encoding with an ``elem:`` header
-* derived witness  bracketed word ``[a,b]*[c,d]`` over named elements
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import re
 from .backends import (FULL_SHIFT, ODOMETER, BackendId, Bisection,
                        OdometerPiece, Piece, ShiftPiece)
 from .clopen import ClopenSet, Word
-from .elements import DerivedWitness, GroupElement
+from .elements import GroupElement
 from .errors import MalformedInput
 
 EPSILON = "ε"
@@ -104,12 +103,12 @@ def parse_piece(text: str, backend: BackendId) -> Piece:
                       parse_word(m.group(2), backend.base))
 
 
-def format_bisection(bis: Bisection) -> str:
-    _check_encodable(bis.base)
-    return f"{bis.backend.tag}:[{','.join(format_piece(p) for p in bis.pieces)}]"
+def _format_pieces(backend: BackendId, pieces: tuple[Piece, ...]) -> str:
+    _check_encodable(backend.base)
+    return f"{backend.tag}:[{','.join(format_piece(p) for p in pieces)}]"
 
 
-def parse_bisection(text: str) -> Bisection:
+def _parse_pieces(text: str) -> tuple[BackendId, tuple[Piece, ...]]:
     text = text.strip()
     head, sep, body = text.partition(":")
     if not sep or not body.startswith("[") or not body.endswith("]"):
@@ -117,31 +116,26 @@ def parse_bisection(text: str) -> Bisection:
     backend = parse_backend(head)
     inner = body[1:-1].strip()
     if not inner:
-        return Bisection(backend, ())
+        return backend, ()
     # pieces contain no commas, so each comma-separated part must be
     # exactly one piece: junk and empty parts fail parse_piece
-    return Bisection(backend, tuple(parse_piece(p, backend) for p in inner.split(",")))
+    return backend, tuple(parse_piece(p, backend) for p in inner.split(","))
+
+
+def format_bisection(bis: Bisection) -> str:
+    return _format_pieces(bis.backend, bis.pieces)
+
+
+def parse_bisection(text: str) -> Bisection:
+    return Bisection(*_parse_pieces(text))
 
 
 def format_element(elem: GroupElement) -> str:
-    return "elem:" + format_bisection(elem.bisection)
+    return "elem:" + _format_pieces(elem.backend, elem.pieces)
 
 
 def parse_element(text: str) -> GroupElement:
     text = text.strip()
     if not text.startswith("elem:"):
         raise MalformedInput(f"element encodings start with 'elem:', got {text!r}")
-    return GroupElement(parse_bisection(text[len("elem:"):]))
-
-
-def format_witness(witness: DerivedWitness, names: dict[str, GroupElement] | None = None) -> str:
-    """Bracketed word over named elements, e.g. ``[a,b]*[c,d]``."""
-    reverse: dict[GroupElement, str] = {}
-    for name, elem in (names or {}).items():
-        reverse.setdefault(elem, name)
-    parts = []
-    for i, (f, g) in enumerate(witness.factors):
-        fn = reverse.get(f, f"g{i}")
-        gn = reverse.get(g, f"h{i}")
-        parts.append(f"[{fn},{gn}]")
-    return "*".join(parts) if parts else "1"
+    return GroupElement(*_parse_pieces(text[len("elem:"):]))

@@ -6,7 +6,9 @@ class FullGroupError(Exception):
 
 
 class MalformedInput(FullGroupError):
-    """Ill-formed data: bad encodings, mixed bases, mixed backends."""
+    """Ill-formed data: bad encodings, mixed bases, mixed backends, or
+    input beyond a documented size limit (such as
+    `decompose.MAX_DECOMPOSITION_CELLS`)."""
 
 
 class PreconditionError(FullGroupError):

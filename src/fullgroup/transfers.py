@@ -35,7 +35,7 @@ class TransferResult:
 def proper_subcylinder(S: ClopenSet) -> ClopenSet:
     """A deterministic nonempty clopen set properly inside S: the first
     child of the picked cylinder."""
-    w = S.pick().word
+    w = S.pick()
     return ClopenSet.from_words(S.base, [w + (0,)])
 
 
@@ -253,8 +253,8 @@ def gw_intertwining(backend: BackendId, A: ClopenSet, B: ClopenSet,
     Bt = B - A
     if At.is_empty() or Bt.is_empty():
         raise PreconditionError("intertwining needs both A\\B and B\\A nonempty")
-    anchor_a = PointName.zeros_tail(A.base, At.pick().word)
-    anchor_b = PointName.zeros_tail(B.base, Bt.pick().word)
+    anchor_a = PointName.zeros_tail(A.base, At.pick())
+    anchor_b = PointName.zeros_tail(B.base, Bt.pick())
     partial = identity(backend)
     res_a, res_b = At, Bt
     state = GWState(0, partial, A, B, anchor_a, anchor_b)

@@ -5,15 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullgroup.backends import (BackendId, Bisection, OdometerPiece,
-                                ShiftPiece, apply_piece, compare_clopen,
-                                full_shift, odometer, refine_bisection,
-                                source_range, validate_bisection, value_word,
-                                word_value)
-from fullgroup.clopen import ClopenSet, Cylinder
+                                ShiftPiece, compare_clopen, full_shift,
+                                odometer, pair_cylinders, source_range,
+                                validate_bisection, value_word, word_value)
+from fullgroup.clopen import ClopenSet
 from fullgroup.errors import MalformedInput, PostconditionError, PreconditionError
 from fullgroup.randomize import comparison_pair, substream
 
-from conftest import overlapping_pairing
+from conftest import apply_piece, overlapping_pairing
 
 
 def cs(base, *words):
@@ -21,10 +20,6 @@ def cs(base, *words):
 
 
 class TestBackendId:
-    def test_measure_classes(self):
-        assert odometer(2).measure_class == "unique-ergodic"
-        assert full_shift(2).measure_class == "empty"
-
     def test_tags(self):
         assert odometer(2).tag == "odo2"
         assert full_shift(3).tag == "shift3"
@@ -37,21 +32,18 @@ class TestBackendId:
 class TestApplyPiece:
     def test_odometer_no_carry(self):
         # two-digit value 0 plus 3 stays below 4
-        got = apply_piece(OdometerPiece((0, 0), 3), Cylinder(2, (0, 0)))
-        assert got.word == (1, 1)
+        assert apply_piece(OdometerPiece((0, 0), 3), (0, 0), 2) == (1, 1)
 
     def test_odometer_with_carry(self):
         # value 3 plus 1 is 4 = 0 mod 4 with carry 1
-        got = apply_piece(OdometerPiece((1, 1), 1), Cylinder(2, (1, 1)))
-        assert got.word == (0, 0)
+        assert apply_piece(OdometerPiece((1, 1), 1), (1, 1), 2) == (0, 0)
 
     def test_shift_suffix(self):
-        got = apply_piece(ShiftPiece((0,), (1, 1, 0)), Cylinder(2, (0, 1)))
-        assert got.word == (1, 1, 0, 1)
+        assert apply_piece(ShiftPiece((0,), (1, 1, 0)), (0, 1), 2) == (1, 1, 0, 1)
 
     def test_requires_containment(self):
         with pytest.raises(PreconditionError):
-            apply_piece(OdometerPiece((0, 0), 1), Cylinder(2, (1,)))
+            apply_piece(OdometerPiece((0, 0), 1), (1,), 2)
 
 
 @settings(max_examples=300, deadline=None)
@@ -106,29 +98,6 @@ class TestSourceRange:
         assert src.is_whole() and rng.is_whole()
 
 
-class TestRefine:
-    def test_odometer_refine(self):
-        bis = Bisection(odometer(2), (OdometerPiece((), 1),))
-        got = refine_bisection(bis, 1)
-        assert got.pieces == (OdometerPiece((0,), 1), OdometerPiece((1,), 1))
-
-    def test_shift_refine(self):
-        bis = Bisection(full_shift(2), (ShiftPiece((0,), (1,)),))
-        got = refine_bisection(bis, 2)
-        assert got.pieces == (ShiftPiece((0, 0), (1, 0)), ShiftPiece((0, 1), (1, 1)))
-
-    def test_refine_is_idempotent_at_depth(self):
-        bis = Bisection(odometer(2), (OdometerPiece((0, 1), 2), OdometerPiece((1, 1), 0)))
-        assert refine_bisection(bis, 2) == bis
-
-    def test_refine_preserves_map(self):
-        bis = Bisection(odometer(2), (OdometerPiece((0,), 3),))
-        fine = refine_bisection(bis, 3)
-        for piece in fine.pieces:
-            cyl = Cylinder(2, piece.source)
-            assert apply_piece(piece, cyl) == apply_piece(bis.pieces[0], cyl)
-
-
 class TestCompare:
     def test_odometer_example(self):
         U = compare_clopen(odometer(2), cs(2, (0, 0)), cs(2, (1,)))
@@ -177,7 +146,19 @@ class TestCompare:
                 # same-depth pieces preserve the measure cylinder-wise
                 for piece in U.pieces:
                     assert len(piece.source) == len(
-                        apply_piece(piece, Cylinder(base, piece.source)).word)
+                        apply_piece(piece, piece.source, base))
+
+
+@pytest.mark.parametrize("base", [2, 3])
+def test_lazy_pairing_matches_refined_pairing(base):
+    backend = odometer(base)
+    rng = substream(102, f"pair:{backend.tag}")
+    for _ in range(60):
+        S, T = comparison_pair(rng, backend, 5)
+        depth = max(S.max_depth(), T.max_depth())
+        want = [backend.piece_between(u, v)
+                for u, v in zip(S.refine_to(depth), T.refine_to(depth))]
+        assert pair_cylinders(backend, S, T) == want
 
 
 class TestFreeness:
@@ -197,8 +178,7 @@ class TestFreeness:
         from fullgroup.clopen import PointName
         piece = ShiftPiece((0,), (0, 1))
         fixed = PointName(2, (0,), (1,))
-        image = Cylinder(2, fixed.prefix(6))
-        assert apply_piece(piece, Cylinder(2, fixed.prefix(5))).word == fixed.prefix(6)
+        assert apply_piece(piece, fixed.prefix(5), 2) == fixed.prefix(6)
 
 
 class TestPieceProtocol:
@@ -248,5 +228,5 @@ class TestPieceProtocol:
     def test_separated_word_is_moved_off_itself(self, piece):
         word = piece.separated_word(2)
         assert word[:len(piece.source)] == piece.source
-        image = apply_piece(piece, Cylinder(2, word)).word
+        image = apply_piece(piece, word, 2)
         assert word[:len(image)] != image[:len(word)]

@@ -5,9 +5,8 @@ from functools import reduce
 
 import pytest
 
-from fullgroup.backends import (OdometerPiece, ShiftPiece, apply_piece,
-                                full_shift, odometer)
-from fullgroup.clopen import ClopenSet, Cylinder
+from fullgroup.backends import OdometerPiece, ShiftPiece, full_shift, odometer
+from fullgroup.clopen import ClopenSet
 from fullgroup.decompose import (decompose_small_support, displaced_set,
                                  separated_cylinder, split_nontrivial_support)
 from fullgroup.elements import (compose, element_from_pieces, equals,
@@ -16,7 +15,7 @@ from fullgroup.encoding import parse_clopen
 from fullgroup.errors import PreconditionError
 from fullgroup.randomize import random_element, substream
 
-from conftest import _acting_piece, bitmap, clopen_bitmap
+from conftest import _acting_piece, apply_piece, bitmap, clopen_bitmap
 
 
 def cs(base, *words):
@@ -68,7 +67,7 @@ def pointwise_image_words(tau, A):
     depth = max(A.max_depth(), max(len(p.source) for p in tau.pieces))
     out = []
     for w in A.refine_to(depth):
-        out.append(apply_piece(_acting_piece(tau, w), Cylinder(A.base, w)).word)
+        out.append(apply_piece(_acting_piece(tau, w), w, A.base))
     return out
 
 

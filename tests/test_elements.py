@@ -1,11 +1,11 @@
 """Group laws, canonical equality, support, measure invariance."""
 
+import itertools
+
 import pytest
 
-from fullgroup.backends import (Bisection, OdometerPiece, ShiftPiece,
-                                apply_piece, full_shift, odometer,
-                                refine_piece_to)
-from fullgroup.clopen import ClopenSet, Cylinder, PointName
+from fullgroup.backends import OdometerPiece, ShiftPiece, full_shift, odometer
+from fullgroup.clopen import ClopenSet, PointName
 from fullgroup.elements import (DerivedWitness, GroupElement, apply_point,
                                 check_measure_invariance, commutator, compose,
                                 conjugate, element_from_pieces, equals,
@@ -13,7 +13,7 @@ from fullgroup.elements import (DerivedWitness, GroupElement, apply_point,
 from fullgroup.errors import MalformedInput
 from fullgroup.randomize import random_clopen, random_element, substream
 
-from conftest import bitmap, oracle_equal
+from conftest import apply_piece, bitmap, oracle_equal
 
 
 def cs(base, *words):
@@ -34,7 +34,7 @@ def shift_elem(base, *pieces):
 
 @pytest.fixture
 def phi():
-    return GroupElement(Bisection(odometer(2), (OdometerPiece((), 1),)))
+    return GroupElement(odometer(2), (OdometerPiece((), 1),))
 
 
 @pytest.fixture
@@ -65,12 +65,30 @@ class TestCanonicalForm:
 
     def test_invalid_partition_rejected(self):
         with pytest.raises(MalformedInput):
-            GroupElement(Bisection(odometer(2), (OdometerPiece((0,), 0),)))
+            GroupElement(odometer(2), (OdometerPiece((0,), 0),))
 
     def test_overlap_rejected(self):
         with pytest.raises(MalformedInput):
-            GroupElement(Bisection(odometer(2), (
-                OdometerPiece((), 0), OdometerPiece((0,), 0))))
+            GroupElement(odometer(2), (
+                OdometerPiece((), 0), OdometerPiece((0,), 0)))
+
+
+class TestConstructor:
+    def test_foreign_piece_class_rejected(self):
+        with pytest.raises(MalformedInput):
+            GroupElement(odometer(2), (ShiftPiece((), ()),))
+        with pytest.raises(MalformedInput):
+            GroupElement(full_shift(2), (OdometerPiece((), 0),))
+
+    def test_trusted_results_pass_the_checked_constructor(self, backend):
+        # compose and inverse skip the checks; rebuilding their results
+        # through the checked constructor must neither reject nor change them
+        rng = substream(4245, f"trusted:{backend.tag}")
+        for _ in range(30):
+            f = random_element(rng, backend, 4)
+            g = random_element(rng, backend, 4)
+            for x in (compose(f, g), inverse(f)):
+                assert GroupElement(x.backend, x.pieces) == x
 
 
 class TestElementFromPieces:
@@ -103,12 +121,13 @@ class TestPresentationIndependence:
             pieces = []
             for p in f.pieces:
                 if rng.random() < 0.5:
-                    depth = len(p.source) + rng.randint(1, 3)
-                    pieces.extend(refine_piece_to(p, depth, backend.base))
+                    tails = itertools.product(range(backend.base),
+                                              repeat=rng.randint(1, 3))
+                    pieces.extend(p.restrict(t) for t in tails)
                 else:
                     pieces.append(p)
             rng.shuffle(pieces)
-            assert GroupElement(Bisection(backend, tuple(pieces))).pieces == f.pieces
+            assert GroupElement(backend, tuple(pieces)).pieces == f.pieces
 
 
 class TestCompose:
@@ -327,7 +346,7 @@ class TestPointwiseDifferential:
             pushed = []
             for w in A.refine_to(depth):
                 piece = next(p for p in f.pieces if w[:len(p.source)] == p.source)
-                pushed.append(apply_piece(piece, Cylinder(base, w)).word)
+                pushed.append(apply_piece(piece, w, base))
             got = image_of_clopen(f, A).words
             deepest = max([len(w) for w in pushed + list(got)], default=0)
             assert bitmap(got, base, deepest) == bitmap(pushed, base, deepest)

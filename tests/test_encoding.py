@@ -5,11 +5,10 @@ import pytest
 from fullgroup.backends import (Bisection, OdometerPiece, ShiftPiece,
                                 full_shift, odometer)
 from fullgroup.clopen import ClopenSet
-from fullgroup.elements import DerivedWitness, element_from_pieces, identity
+from fullgroup.elements import element_from_pieces
 from fullgroup.encoding import (format_bisection, format_clopen,
-                                format_element, format_witness, parse_backend,
-                                parse_bisection, parse_clopen, parse_element,
-                                parse_word)
+                                format_element, parse_backend, parse_bisection,
+                                parse_clopen, parse_element, parse_word)
 from fullgroup.errors import MalformedInput
 
 
@@ -116,21 +115,3 @@ class TestElementCodec:
         with pytest.raises(MalformedInput):
             parse_element("elem:odo2:[(00;+1)]")
 
-
-class TestWitnessCodec:
-    def test_named(self):
-        backend = odometer(2)
-        e = identity(backend)
-        w = DerivedWitness(((e, e),))
-        assert format_witness(w, {"a": e}) == "[a,a]"
-
-    def test_positional(self):
-        backend = odometer(2)
-        e = identity(backend)
-        f = element_from_pieces(backend, [OdometerPiece((), 1)],
-                                fill_identity=False)
-        w = DerivedWitness(((e, f), (f, e)))
-        assert format_witness(w) == "[g0,h0]*[g1,h1]"
-
-    def test_empty(self):
-        assert format_witness(DerivedWitness(())) == "1"

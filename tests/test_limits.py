@@ -1,0 +1,75 @@
+"""Deep inputs on the command line, each run in a subprocess under an
+address-space limit: the command must answer with its exit code within
+seconds instead of exhausting memory."""
+
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+from fullgroup.backends import OdometerPiece, odometer
+from fullgroup.decompose import MAX_DECOMPOSITION_CELLS
+from fullgroup.elements import involution_from_partial
+from fullgroup.encoding import format_element
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ADDRESS_SPACE = 1 << 30
+TIMEOUT_S = 120
+
+ALPHA = "elem:odo2:[(00;+2),(01;-2),(1;+0)]"
+BETA = "elem:odo2:[(00;+0),(01;-1),(10;+1),(11;+0)]"
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def cli(*argv):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "fullgroup", *argv], capture_output=True,
+        text=True, timeout=TIMEOUT_S, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": path})
+
+
+def artifact_of(stdout: str) -> dict:
+    return json.loads(stdout[stdout.index("\n{") + 1:])
+
+
+def cells(word: str) -> str:
+    return "b2:{" + word + "}"
+
+
+def test_deep_compare_pairs_lazily():
+    deep = "0" * 200
+    done = cli("compare", cells(deep), cells("1"), "--backend", "odo2")
+    assert done.returncode == 0, done.stderr
+    data = artifact_of(done.stdout)
+    assert data["witness"] == f"odo2:[({deep};+1)]"
+    assert data["range"] == cells("1" + "0" * 199)
+
+
+def test_deep_transfer_pairs_lazily():
+    done = cli("transfer", cells("0" * 200), cells("1"), "--backend", "odo2")
+    assert done.returncode == 0, done.stderr
+    assert artifact_of(done.stdout)["image"] == cells("1" + "0" * 199)
+
+
+def test_fine_decomposition_is_refused():
+    # eps = 2^-20 needs cells of measure below 2^-21: 2^22 of them
+    done = cli("decompose", ALPHA, "--eps", "1/1048576")
+    assert done.returncode == 2, done.stderr
+    assert f"needs {2 ** 22} cells" in done.stderr
+    assert str(MAX_DECOMPOSITION_CELLS) in done.stderr
+
+
+def test_certify_against_deep_tau0_is_refused():
+    # tau0 swaps [0^40] and [1 0^39]: the decomposition it asks for
+    # refines the whole space to depth 43
+    tau0 = involution_from_partial(odometer(2), [OdometerPiece((0,) * 40, 1)])
+    done = cli("certify", "--tau0", format_element(tau0), "--alpha", ALPHA,
+               "--beta", BETA)
+    assert done.returncode == 2, done.stderr
+    assert f"over the limit of {MAX_DECOMPOSITION_CELLS}" in done.stderr

@@ -11,13 +11,13 @@ from .backends import (BackendId, Bisection, OdometerPiece, ShiftPiece,
                        compare_clopen, full_shift, odometer, source_range,
                        validate_bisection)
 from .certificates import (ConjugateFactor, ConjugateProduct, Environment,
-                           GroupWord, commutator_in_normal_closure,
-                           dump_certificate, expand_commutator_product,
-                           load_certificate, normality_certificate,
-                           simplicity_certificate, verify_certificate)
-from .clopen import ClopenSet, PointName
-from .decompose import (DecompositionResult, SplitResult,
-                        decompose_small_support, split_nontrivial_support)
+                           GroupWord, SplitResult,
+                           commutator_in_normal_closure, dump_certificate,
+                           expand_commutator_product, load_certificate,
+                           normality_certificate, simplicity_certificate,
+                           split_nontrivial_support, verify_certificate)
+from .clopen import ClopenSet, MeasureValue, PointName
+from .decompose import DecompositionResult, decompose_small_support
 from .elements import (DerivedWitness, GroupElement, apply_point,
                        check_measure_invariance, commutator, compose,
                        conjugate, element_from_pieces, equals, identity,
@@ -25,7 +25,6 @@ from .elements import (DerivedWitness, GroupElement, apply_point,
                        support)
 from .errors import (FullGroupError, MalformedInput, PostconditionError,
                      PreconditionError)
-from .measure import MeasureValue
 from .transfers import (GWState, TransferResult, commutator_transfer,
                         exact_swap_involution, full_group_transfer,
                         gw_intertwining)

@@ -85,7 +85,7 @@ class BackendId:
     def measure_equal(self, A: ClopenSet, B: ClopenSet) -> bool:
         """mu(A) = mu(B) for every invariant probability measure mu;
         vacuously true on the shift."""
-        return not self.is_odometer or A.measure() == B.measure()
+        return not self.is_odometer or A.volume() == B.volume()
 
 
 def odometer(base: int) -> BackendId:
@@ -324,7 +324,7 @@ def compare_clopen(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Bisection:
         return Bisection(backend, ())
     if not backend.measure_below(A, B):
         raise PreconditionError(
-            f"comparison unavailable: mu(A)={A.measure()} is not below mu(B)={B.measure()}")
+            f"comparison unavailable: mu(A)={A.volume()} is not below mu(B)={B.volume()}")
     if backend.is_odometer:
         pieces = pair_cylinders(backend, A, B)
     else:

@@ -6,13 +6,15 @@ prod_i g_i tau0^{s_i} g_i^-1 with each conjugator g_i a word over named
 elements of an Environment.  Certificates of this shape witness
 membership in the normal closure of tau0; the synthesizers below emit
 them for commutators and products of commutators, and
-`verify_certificate` replays them exactly.
+`verify_certificate` replays them exactly.  `split_nontrivial_support`
+writes any nontrivial element as a product of two elements with proper
+supports, with a two-conjugate certificate for the first factor.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
@@ -20,11 +22,13 @@ from .backends import BackendId
 from .clopen import ClopenSet
 from .decompose import decompose_small_support, displaced_set, separated_cylinder
 from .elements import (GroupElement, commutator, compose, conjugate, identity,
-                       image_of_clopen, inverse, support)
+                       image_of_clopen, involution_from_partial, inverse,
+                       restrict, support)
 from .encoding import (format_backend, format_clopen, format_element,
                        parse_backend, parse_element)
 from .errors import MalformedInput, PostconditionError, PreconditionError
-from .transfers import full_group_transfer, proper_subcylinder
+from .transfers import (commutator_transfer, full_group_transfer,
+                        proper_subcylinder)
 
 FORMAT_VERSION = 1
 
@@ -210,6 +214,92 @@ def _proper_support_factors(name: str, env: Environment,
             for factor, cbound in zip(dec.factors, dec.bounds)]
 
 
+@dataclass(frozen=True)
+class SplitResult:
+    tau1: GroupElement
+    tau2: GroupElement
+    certificate: ConjugateProduct
+    environment: Environment
+    trace: dict = field(compare=False)
+
+
+def split_nontrivial_support(tau: GroupElement) -> SplitResult:
+    """Split a nontrivial tau as tau1 * tau2 with both supports proper.
+
+    tau1 is produced as a commutator conjugate of tau and comes with the
+    two-conjugate certificate tau1 = (sigma gamma^-1) tau (sigma gamma^-1)^-1
+    * gamma^-1 tau^-1 gamma over explicitly synthesized derived-subgroup
+    elements sigma and gamma.
+    """
+    if tau.is_identity():
+        raise PreconditionError("cannot split the identity")
+    backend = tau.backend
+    base = tau.base
+    bound = Fraction(1, 16) if backend.is_odometer else Fraction(1, 4)
+    # shrink A until the three translates leave room for both the parked
+    # copy of tau(A) and the clearing region C
+    extra = 0
+    while True:
+        A = separated_cylinder(tau, volume_bound=bound, extra_depth=extra)
+        tau_A = image_of_clopen(tau, A)
+        tau_inv_A = image_of_clopen(inverse(tau), A)
+        budget = 1 - A.volume() - tau_A.volume() - tau_inv_A.volume()
+        if budget > 0:
+            break
+        extra += 1
+    # sigma0 moves tau(A) off A u tau(A); on the shift the target is a
+    # deepened cylinder so the union of the four sets stays proper
+    outside = (A | tau_A).complement()
+    if backend.is_odometer:
+        target = outside
+    else:
+        word = outside.pick()
+        while Fraction(1, base ** len(word)) >= budget:
+            word = word + (0,)
+        target = ClopenSet.from_words(base, [word])
+    sigma0 = full_group_transfer(backend, tau_A, target).element
+    B = image_of_clopen(sigma0, tau_A)
+    C = (A | tau_A | tau_inv_A | B).complement()
+    if C.is_empty():
+        raise PostconditionError("no room left for the clearing transfer")
+    A0 = proper_subcylinder(A)
+    tau_A0 = image_of_clopen(tau, A0)
+    sigma1 = involution_from_partial(
+        backend, [p for w in A0.words for p in restrict(tau, w)])
+    sigma2 = involution_from_partial(
+        backend, [p for w in tau_A0.words for p in restrict(sigma0, w)])
+    sigma = commutator(sigma2, sigma1)[0]
+    if not sigma == compose(sigma1, sigma2):
+        raise PostconditionError("three-cycle does not reduce to sigma1*sigma2")
+    gamma_result = commutator_transfer(backend, tau_A | B, C)
+    gamma = gamma_result.element
+    tau0 = commutator(compose(compose(gamma, sigma), inverse(gamma)), tau)[0]
+    tau1 = compose(compose(inverse(gamma), tau0), gamma)
+    tau2 = compose(inverse(tau1), tau)
+    if support(tau1).is_whole() or support(tau2).is_whole():
+        raise PostconditionError("split factors do not have proper support")
+    if not compose(tau1, tau2) == tau:
+        raise PostconditionError("split product does not reconstruct tau")
+    env = Environment(backend)
+    env.define("tau", tau)
+    env.define("sigma", sigma)
+    env.define("gamma", gamma)
+    certificate = ConjugateProduct("tau", (
+        ConjugateFactor(GroupWord((("sigma", 1), ("gamma", -1))), 1),
+        ConjugateFactor(GroupWord((("gamma", -1),)), -1),
+    ))
+    if not certificate.evaluate(env) == tau1:
+        raise PostconditionError("two-conjugate certificate does not evaluate to tau1")
+    trace = {
+        "separating": format_clopen(A),
+        "shrunk": format_clopen(A0),
+        "moved": format_clopen(tau_A),
+        "parked": format_clopen(B),
+        "cleared": format_clopen(C),
+    }
+    return SplitResult(tau1, tau2, certificate, env, trace)
+
+
 def normality_certificate(tau_name: str, alpha_name: str,
                           env: Environment,
                           trace: dict | None = None) -> tuple[GroupWord, dict]:
@@ -266,7 +356,7 @@ def _atomic_closure_factors(a_name: str, a_bound: ClopenSet,
                             b_name: str, b_bound: ClopenSet,
                             tau0_name: str, C: ClopenSet,
                             env: Environment,
-                            tags: set[str] | None = None) -> tuple[ConjugateFactor, ...]:
+                            tags: set[str]) -> tuple[ConjugateFactor, ...]:
     """The eight conjugate factors expressing [a, b] inside the normal
     closure of tau0, via gamma0 (moving supp a off supp b), sigma
     (parking everything inside C, a clopen set disjoint from tau0(C)) and
@@ -287,8 +377,7 @@ def _atomic_closure_factors(a_name: str, a_bound: ClopenSet,
         raise PostconditionError("parked region filled the whole space")
     parked = full_group_transfer(backend, D, C)
     sigma = parked.element
-    if tags is not None:
-        tags.update({moved.postcondition_tag, parked.postcondition_tag})
+    tags.update({moved.postcondition_tag, parked.postcondition_tag})
     g0 = env.fresh("gamma0", gamma0)
     sg = env.fresh("sigma", sigma)
     tau = compose(compose(inverse(sigma), tau0), sigma)
@@ -417,15 +506,22 @@ def verify_certificate(cp: ConjugateProduct, env: Environment,
 # -- certificate files -------------------------------------------------------
 
 
+def product_to_dict(cp: ConjugateProduct, env: Environment) -> dict:
+    """The generator, factors and environment of a certificate."""
+    return {
+        "generator": cp.generator,
+        "factors": [{"conjugator": [[n, e] for n, e in f.conjugator.tokens],
+                     "sign": f.sign} for f in cp.factors],
+        "environment": {name: format_element(elem) for name, elem in env.items()},
+    }
+
+
 def certificate_to_dict(cp: ConjugateProduct, env: Environment,
                         target: GroupElement, trace: dict | None = None) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "backend": format_backend(env.backend),
-        "environment": {name: format_element(elem) for name, elem in env.items()},
-        "generator": cp.generator,
-        "factors": [{"conjugator": [[n, e] for n, e in f.conjugator.tokens],
-                     "sign": f.sign} for f in cp.factors],
+        **product_to_dict(cp, env),
         "target": format_element(target),
         "trace": trace or {},
     }

@@ -19,8 +19,9 @@ from functools import reduce
 from .backends import compare_clopen, source_range
 from .certificates import (FORMAT_VERSION, Environment,
                            commutator_in_normal_closure, dump_certificate,
-                           load_certificate, verify_certificate)
-from .decompose import decompose_small_support, split_nontrivial_support
+                           load_certificate, product_to_dict,
+                           split_nontrivial_support, verify_certificate)
+from .decompose import decompose_small_support
 from .elements import commutator, compose, identity, image_of_clopen, support
 from .encoding import (format_bisection, format_clopen, format_element,
                        parse_backend, parse_clopen, parse_element)
@@ -164,12 +165,7 @@ def _cmd_split(args) -> None:
            "input": format_element(elem),
            "tau1": format_element(result.tau1),
            "tau2": format_element(result.tau2),
-           "certificate": {
-               "generator": result.certificate.generator,
-               "factors": [{"conjugator": [[n, e] for n, e in f.conjugator.tokens],
-                            "sign": f.sign} for f in result.certificate.factors],
-               "environment": {n: format_element(e) for n, e in result.environment.items()},
-           },
+           "certificate": product_to_dict(result.certificate, result.environment),
            "trace": result.trace},
           [f"split {format_element(elem)}",
            f"  tau1 {format_element(result.tau1)}",

@@ -7,6 +7,8 @@ equality of clopen sets a tuple comparison.
 
 Words are tuples of digits; index 0 is the first coordinate of the
 infinite sequence (for the odometer, the least-significant digit).
+Measures, diameter bounds and epsilons are exact `Fraction`s, never
+floats.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from fractions import Fraction
 from typing import Callable, Container, Iterable, Iterator, TypeVar
 
 from .errors import MalformedInput, PreconditionError
-from .measure import MeasureValue
 
 Word = tuple[int, ...]
 T = TypeVar("T")
@@ -122,6 +123,31 @@ def _itself(word: Word) -> Word:
 
 def _parent_word(parent: Word, family: list[Word]) -> Word:
     return parent
+
+
+def depth_for_measure_below(base: int, bound: Fraction) -> int:
+    """Smallest depth d with base**(-d) strictly below `bound`."""
+    if bound <= 0:
+        raise MalformedInput("bound must be positive")
+    d = 0
+    while Fraction(1, base ** d) >= bound:
+        d += 1
+    return d
+
+
+@dataclass(frozen=True, order=True)
+class MeasureValue:
+    """A Bernoulli measure value in [0, 1], as `ClopenSet.measure()`
+    returns it: ordered by and printed as its fraction."""
+
+    fraction: Fraction
+
+    def __post_init__(self):
+        if not 0 <= self.fraction <= 1:
+            raise MalformedInput(f"measure value {self.fraction} is not in [0, 1]")
+
+    def __str__(self):
+        return str(self.fraction)
 
 
 @dataclass(frozen=True)
@@ -236,16 +262,15 @@ class ClopenSet:
 
     # -- metric and measure ----------------------------------------------
 
-    def measure(self) -> MeasureValue:
-        """Bernoulli measure: each cylinder weighs base**(-depth)."""
-        if self.is_empty():
-            return MeasureValue.zero(self.base)
-        e = max(len(w) for w in self.words)
-        num = sum(self.base ** (e - len(w)) for w in self.words)
-        return MeasureValue(self.base, num, e)
-
     def volume(self) -> Fraction:
-        return self.measure().fraction
+        """Bernoulli measure: each cylinder weighs base**(-depth)."""
+        e = self.max_depth()
+        return Fraction(sum(self.base ** (e - len(w)) for w in self.words),
+                        self.base ** e)
+
+    def measure(self) -> MeasureValue:
+        """The volume as a `MeasureValue`."""
+        return MeasureValue(self.volume())
 
     def common_prefix(self) -> Word:
         if self.is_empty():
@@ -258,10 +283,10 @@ class ClopenSet:
             k -= 1
         return ()
 
-    def diameter_bound(self) -> MeasureValue:
+    def diameter_bound(self) -> Fraction:
         """2**(-l) where l is the common prefix length; an upper bound on
         the diameter in the metric d(x,y) = 2**(-first differing index)."""
-        return MeasureValue(2, 1, len(self.common_prefix()))
+        return Fraction(1, 2 ** len(self.common_prefix()))
 
     def max_depth(self) -> int:
         return max((len(w) for w in self.words), default=0)

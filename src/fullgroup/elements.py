@@ -234,5 +234,5 @@ def check_measure_invariance(f: GroupElement,
     if not f.backend.is_odometer:
         return InvarianceReport(passed=True, vacuous=True, failures=())
     bad = tuple(A for A in trials
-                if image_of_clopen(f, A).measure() != A.measure())
+                if image_of_clopen(f, A).volume() != A.volume())
     return InvarianceReport(passed=not bad, vacuous=False, failures=bad)

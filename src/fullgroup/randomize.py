@@ -41,10 +41,9 @@ def random_clopen(rng: random.Random, base: int, max_depth: int, *,
 
 
 def equal_measure_pair(rng: random.Random, base: int, max_depth: int, *,
-                       disjoint: bool = False,
                        region: ClopenSet | None = None) -> tuple[ClopenSet, ClopenSet]:
     """Two distinct equal-measure clopen sets (equal cylinder counts at a
-    common depth), optionally disjoint and/or inside a given region."""
+    common depth), optionally inside a given region."""
     lo = 2 if region is None else max(2, region.max_depth())
     while True:
         depth = rng.randint(lo, max(lo, max_depth))
@@ -55,14 +54,8 @@ def equal_measure_pair(rng: random.Random, base: int, max_depth: int, *,
         if len(pool) < 2:
             continue
         k = rng.randint(1, max(1, min(3, len(pool) // 2)))
-        if disjoint:
-            if 2 * k > len(pool):
-                continue
-            both = rng.sample(pool, 2 * k)
-            aw, bw = both[:k], both[k:]
-        else:
-            aw = rng.sample(pool, k)
-            bw = rng.sample(pool, k)
+        aw = rng.sample(pool, k)
+        bw = rng.sample(pool, k)
         A = ClopenSet.from_words(base, aw)
         B = ClopenSet.from_words(base, bw)
         if set(aw) == set(bw):

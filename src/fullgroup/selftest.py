@@ -16,9 +16,10 @@ from .backends import BackendId, compare_clopen, source_range, validate_bisectio
 from .certificates import (FORMAT_VERSION, Environment,
                            commutator_in_normal_closure,
                            expand_commutator_product, normality_certificate,
-                           scan_conjugate_form, verify_certificate)
+                           scan_conjugate_form, split_nontrivial_support,
+                           verify_certificate)
 from .clopen import ClopenSet
-from .decompose import decompose_small_support, split_nontrivial_support
+from .decompose import decompose_small_support
 from .elements import (check_measure_invariance, commutator, compose,
                        conjugate, equals, identity, image_of_clopen,
                        inverse, support)
@@ -92,15 +93,14 @@ def _suite_clopen(config: RunConfig, suite: _Suite) -> None:
         suite.check("difference", (A - B) == A & B.complement(), detail)
         disjoint = A - B
         suite.check("additivity",
-                    (disjoint | B).measure().fraction
-                    == disjoint.measure().fraction + B.measure().fraction
+                    (disjoint | B).volume() == disjoint.volume() + B.volume()
                     if disjoint.intersect(B).is_empty() else True, detail)
         if not A.is_empty():
             depth_bound = Fraction(1, base ** len(A.common_prefix()))
             suite.check("small-diameter-small-measure",
-                        A.measure().fraction <= depth_bound, detail)
+                        A.volume() <= depth_bound, detail)
             suite.check("positive-measure",
-                        A.measure().fraction >= Fraction(1, base ** A.max_depth()), detail)
+                        A.volume() >= Fraction(1, base ** A.max_depth()), detail)
 
 
 def _suite_group_axioms(config: RunConfig, suite: _Suite) -> None:
@@ -214,7 +214,7 @@ def _suite_gw(config: RunConfig, suite: _Suite) -> None:
         ok_diam = ok_annulus = ok_support = ok_nested = True
         for n in range(1, rounds + 1):
             state = gw_intertwining(config.backend, A, B, n)
-            ok_diam &= state.residual_a.diameter_bound().fraction < Fraction(2) ** (1 - n)
+            ok_diam &= state.residual_a.diameter_bound() < Fraction(2) ** (1 - n)
             ok_nested &= (state.residual_a.is_subset(prev.residual_a)
                           and state.residual_b.is_subset(prev.residual_b)
                           and state.residual_a.contains_point(state.anchor_a)

@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .backends import BackendId, Piece, compare_clopen, pair_cylinders
-from .clopen import ClopenSet, PointName, Word, word_key
+from .clopen import (ClopenSet, PointName, Word, depth_for_measure_below,
+                     word_key)
 from .elements import (DerivedWitness, GroupElement, commutator, compose,
                        identity, image_of_clopen, involution_from_partial,
                        support)
 from .errors import PostconditionError, PreconditionError
-from .measure import depth_for_measure_below
 
 INVOLUTION_SMALL_SUPPORT = "InvolutionSmallSupport"
 INSIDE_CASE_SUPPORT_BOUND = "InsideCaseSupportBound"
@@ -61,7 +61,7 @@ def matching_pieces(backend: BackendId, S: ClopenSet, T: ClopenSet) -> list[Piec
         raise PreconditionError("cannot match a nonempty set with an empty one")
     if not backend.measure_equal(S, T):
         raise PreconditionError(
-            f"exact matching needs equal measures, got {S.measure()} vs {T.measure()}")
+            f"exact matching needs equal measures, got {S.volume()} vs {T.volume()}")
     if backend.is_odometer:
         return pair_cylinders(backend, S, T, onto=True)
     src = list(S.words)
@@ -91,7 +91,7 @@ def exact_swap_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Gro
     backend.check_sets(A, B)
     if not backend.measure_equal(A, B):
         raise PreconditionError(
-            f"exact swap needs equal measures, got {A.measure()} vs {B.measure()}")
+            f"exact swap needs equal measures, got {A.volume()} vs {B.volume()}")
     A1 = A - B
     B1 = B - A
     if A1.is_empty() and B1.is_empty():
@@ -121,7 +121,7 @@ def full_group_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
         raise PreconditionError("transfer target must be nonempty")
     if not backend.measure_below(A, B):
         raise PreconditionError(
-            f"transfer unavailable: mu(A)={A.measure()} is not below mu(B)={B.measure()}")
+            f"transfer unavailable: mu(A)={A.volume()} is not below mu(B)={B.volume()}")
     if A.is_subset(B):
         return TransferResult(identity(backend), None, INVOLUTION_SMALL_SUPPORT)
     if not B.is_subset(A):
@@ -170,7 +170,7 @@ def commutator_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
         raise PreconditionError("transfer target must be nonempty")
     if not backend.measure_below(A, B, factor=3):
         raise PreconditionError(
-            f"commutator transfer needs 3*mu(A) < mu(B), got {A.measure()} vs {B.measure()}")
+            f"commutator transfer needs 3*mu(A) < mu(B), got {A.volume()} vs {B.volume()}")
     A1 = A - B
     if A1.is_empty():
         return TransferResult(identity(backend), DerivedWitness(()), COMMUTATOR_CYCLIC)
@@ -286,6 +286,6 @@ def gw_intertwining(backend: BackendId, A: ClopenSet, B: ClopenSet,
         state = GWState(n, partial, res_a, res_b, anchor_a, anchor_b)
         _require(res_a.contains_point(anchor_a) and res_b.contains_point(anchor_b),
                  "anchors escaped their residuals")
-        _require(state.residual_a.diameter_bound().fraction < Fraction(2) ** (1 - n),
+        _require(state.residual_a.diameter_bound() < Fraction(2) ** (1 - n),
                  "residual diameter bound violated")
     return state

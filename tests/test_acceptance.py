@@ -13,9 +13,11 @@ from functools import reduce
 from fullgroup.backends import full_shift, odometer
 from fullgroup.certificates import (ConjugateFactor, ConjugateProduct,
                                     Environment, commutator_in_normal_closure,
-                                    scan_conjugate_form, verify_certificate)
+                                    scan_conjugate_form,
+                                    split_nontrivial_support,
+                                    verify_certificate)
 from fullgroup.clopen import ClopenSet
-from fullgroup.decompose import decompose_small_support, split_nontrivial_support
+from fullgroup.decompose import decompose_small_support
 from fullgroup.elements import (check_measure_invariance, commutator, compose,
                                 conjugate, equals, identity, image_of_clopen,
                                 inverse, support)
@@ -184,8 +186,7 @@ def test_criterion_06_swap_and_intertwining():
                 prev = gw_intertwining(backend, A, B, 0)
                 for n in range(1, 9):
                     state = gw_intertwining(backend, A, B, n)
-                    assert state.residual_a.diameter_bound().fraction \
-                        < Fraction(2) ** (1 - n)
+                    assert state.residual_a.diameter_bound() < Fraction(2) ** (1 - n)
                     step = compose(state.partial, inverse(prev.partial))
                     ann_a = prev.residual_a - state.residual_a
                     ann_b = prev.residual_b - state.residual_b

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fullgroup.clopen import ClopenSet, PointName, expand_word
+from fullgroup.clopen import (ClopenSet, MeasureValue, PointName,
+                             depth_for_measure_below, expand_word)
 from fullgroup.errors import MalformedInput, PreconditionError
-from fullgroup.measure import MeasureValue, depth_for_measure_below
 from fullgroup.randomize import random_clopen
 
 from conftest import clopen_bitmap, same_set
@@ -123,6 +123,7 @@ def test_ops_match_bitmap_oracle(case):
     assert clopen_bitmap(A.complement(), depth) == clopen_bitmap(
         ClopenSet.whole(base), depth) - am
     assert A.is_subset(B) == (am <= bm)
+    assert A.volume() == Fraction(len(am), base ** depth)
 
 
 def pairwise_intersect(A, B):
@@ -182,7 +183,7 @@ def test_measure_additive_on_disjoint(case):
 
 class TestMeasure:
     def test_cylinder(self):
-        assert cs(2, (0, 1)).measure() == MeasureValue(2, 1, 2)
+        assert cs(2, (0, 1)).measure() == MeasureValue(Fraction(1, 4))
 
     def test_sum(self):
         assert cs(2, (0,), (1, 0)).measure().fraction == Fraction(3, 4)
@@ -191,9 +192,15 @@ class TestMeasure:
         assert ClopenSet.whole(2).measure().fraction == 1
         assert ClopenSet.empty(2).measure().fraction == 0
 
-    def test_reduction(self):
-        v = MeasureValue(2, 2, 2)
-        assert (v.numerator, v.exponent) == (1, 1)
+    def test_measure_box(self):
+        # the value bench/workloads.py reads: .fraction, <, == and str
+        A, B = cs(3, (0,), (1, 2)), cs(3, (2,))
+        assert A.measure().fraction == A.volume() == Fraction(4, 9)
+        assert B.measure() < A.measure()
+        assert not A.measure() < B.measure()
+        assert str(A.measure()) == str(A.volume()) == "4/9"
+        with pytest.raises(MalformedInput):
+            MeasureValue(Fraction(3, 2))
 
     def test_depth_search(self):
         assert depth_for_measure_below(2, Fraction(3, 16)) == 3
@@ -202,13 +209,13 @@ class TestMeasure:
 
 class TestDiameter:
     def test_single_cylinder(self):
-        assert cs(2, (0, 1)).diameter_bound().fraction == Fraction(1, 4)
+        assert cs(2, (0, 1)).diameter_bound() == Fraction(1, 4)
 
     def test_whole(self):
-        assert ClopenSet.whole(2).diameter_bound().fraction == 1
+        assert ClopenSet.whole(2).diameter_bound() == 1
 
     def test_common_prefix(self):
-        assert cs(2, (0, 0, 0), (0, 0, 1)).diameter_bound().fraction == Fraction(1, 4)
+        assert cs(2, (0, 0, 0), (0, 0, 1)).diameter_bound() == Fraction(1, 4)
 
     def test_empty_raises(self):
         with pytest.raises(PreconditionError):

@@ -7,8 +7,9 @@ import pytest
 
 from fullgroup.backends import OdometerPiece, ShiftPiece, full_shift, odometer
 from fullgroup.clopen import ClopenSet
+from fullgroup.certificates import split_nontrivial_support
 from fullgroup.decompose import (decompose_small_support, displaced_set,
-                                 separated_cylinder, split_nontrivial_support)
+                                 separated_cylinder)
 from fullgroup.elements import (compose, element_from_pieces, equals,
                                 identity, image_of_clopen, inverse, support)
 from fullgroup.encoding import parse_clopen
@@ -146,8 +147,7 @@ class TestDecompose:
             decompose_small_support(odo_flip(), Fraction(0))
 
     def test_measure_value_epsilon_accepted(self):
-        from fullgroup.measure import MeasureValue
-        res = decompose_small_support(odo_flip(), MeasureValue(2, 1, 2))
+        res = decompose_small_support(odo_flip(), Fraction(1, 4))
         assert res.epsilon == Fraction(1, 4)
 
     def test_residual_telescoping(self):

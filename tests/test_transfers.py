@@ -206,7 +206,7 @@ class TestIntertwining:
     def test_three_rounds_odometer(self):
         A, B = cs(2, (0, 0)), cs(2, (1, 0))
         state = gw_intertwining(odometer(2), A, B, 3)
-        assert state.residual_a.diameter_bound().fraction < Fraction(1, 4)
+        assert state.residual_a.diameter_bound() < Fraction(1, 4)
         assert state.residual_a.contains_point(state.anchor_a)
         assert state.residual_b.contains_point(state.anchor_b)
         # the partial involution swaps the settled regions exactly
@@ -252,7 +252,7 @@ class TestIntertwining:
                 prev = gw_intertwining(backend, A, B, 0)
                 for n in range(1, 5):
                     state = gw_intertwining(backend, A, B, n)
-                    bound = state.residual_a.diameter_bound().fraction
+                    bound = state.residual_a.diameter_bound()
                     assert bound < Fraction(2) ** (1 - n)
                     step = compose(state.partial, inverse(prev.partial))
                     ann_a = prev.residual_a - state.residual_a

@@ -290,9 +290,8 @@ def pair_cylinders(backend: BackendId, S: ClopenSet, T: ClopenSet, *,
     base = backend.base
     depth = max(S.max_depth(), T.max_depth())
     src = S.refine_to(depth)
-    # the cylinders of a sorted antichain, each expanded in order, are in
-    # the sorted order of T.refine_to(depth)
-    dst = (v for w in sorted(T.words) for v in expand_word(w, base, depth))
+    # T.words is sorted, so expanding each word in order gives T.refine_to(depth)
+    dst = (v for w in T.words for v in expand_word(w, base, depth))
     if onto and len(src) != sum(base ** (depth - len(w)) for w in T.words):
         raise PostconditionError("equal measures must refine to equal counts")
     return [backend.piece_between(u, v) for u, v in zip(src, dst)]
@@ -329,7 +328,7 @@ def compare_clopen(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Bisection:
         pieces = pair_cylinders(backend, A, B)
     else:
         v = B.pick()
-        sources = sorted(A.words)
+        sources = A.words
         width = _suffix_length(len(sources), backend.base)
         pieces = [backend.piece_between(u, v + value_word(i, width, backend.base)[::-1])
                   for i, u in enumerate(sources)]

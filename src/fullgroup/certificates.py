@@ -301,8 +301,7 @@ def split_nontrivial_support(tau: GroupElement) -> SplitResult:
 
 
 def normality_certificate(tau_name: str, alpha_name: str,
-                          env: Environment,
-                          trace: dict | None = None) -> tuple[GroupWord, dict]:
+                          env: Environment) -> GroupWord:
     """A derived-subgroup conjugator word w with
     alpha tau alpha^-1 = w tau w^-1 exactly.
 
@@ -319,11 +318,10 @@ def normality_certificate(tau_name: str, alpha_name: str,
         raise PreconditionError(
             "supp(tau) is the whole space; apply split_nontrivial_support first")
     if alpha.is_identity() or tau.is_identity():
-        return GroupWord(), {"factors": []}
+        return GroupWord()
     epsilon = B.complement().volume() if backend.is_odometer else None
     factors = _proper_support_factors(alpha_name, env, epsilon)
     word = GroupWord()
-    steps = []
     current = tau
     for fname, fbound in reversed(factors):
         felem = env.get(fname)
@@ -339,17 +337,12 @@ def normality_certificate(tau_name: str, alpha_name: str,
         g_i = w_i.evaluate(env)
         if not conjugate(g_i, current) == conj:
             raise PostconditionError("normality conjugator failed its identity")
-        steps.append({"factor": fname, "gamma": gname,
-                      "bound": format_clopen(fbound)})
         current = conj
         word = w_i * word
     final = word.evaluate(env)
     if not conjugate(final, tau) == conjugate(alpha, tau):
         raise PostconditionError("normality certificate failed its identity")
-    info = {"factors": steps[::-1]}
-    if trace is not None:
-        trace.update(info)
-    return word, info
+    return word
 
 
 def _atomic_closure_factors(a_name: str, a_bound: ClopenSet,
@@ -458,8 +451,7 @@ def commutator_in_normal_closure(alpha_name: str, beta_name: str,
 
 def simplicity_certificate(tau0_name: str,
                            targets: list[tuple[str, str]],
-                           env: Environment,
-                           trace: dict | None = None) -> ConjugateProduct:
+                           env: Environment) -> ConjugateProduct:
     """Concatenated closure certificates: the normal closure of any
     nontrivial tau0 swallows any product of commutators."""
     tau0 = env.get(tau0_name)
@@ -468,13 +460,9 @@ def simplicity_certificate(tau0_name: str,
     cert = ConjugateProduct(tau0_name, ())
     product = identity(env.backend)
     for alpha_name, beta_name in targets:
-        sub_trace: dict = {}
-        cert = cert * commutator_in_normal_closure(alpha_name, beta_name,
-                                                   tau0_name, env, sub_trace)
+        cert = cert * commutator_in_normal_closure(alpha_name, beta_name, tau0_name, env)
         alpha, beta = env.get(alpha_name), env.get(beta_name)
         product = compose(product, commutator(alpha, beta)[0])
-        if trace is not None:
-            trace.setdefault("targets", []).append(sub_trace)
     if not cert.evaluate(env) == product:
         raise PostconditionError("concatenated certificate does not evaluate to the product")
     return cert
@@ -527,19 +515,32 @@ def certificate_to_dict(cp: ConjugateProduct, env: Environment,
     }
 
 
+_JSON_TYPES = {dict: "object", str: "string"}
+
+
+def _typed(value, kind: type, what: str):
+    """`value` if it has the JSON type `kind`, else malformed input: a
+    payload field of the wrong type must not reach code assuming one."""
+    if not isinstance(value, kind):
+        raise MalformedInput(f"bad certificate payload: {what} is not a JSON {_JSON_TYPES[kind]}")
+    return value
+
+
 def certificate_from_dict(data: dict) -> tuple[ConjugateProduct, Environment, GroupElement]:
     try:
         if data["format_version"] != FORMAT_VERSION:
             raise MalformedInput(f"unsupported format_version {data['format_version']!r}")
-        backend = parse_backend(data["backend"])
-        env = Environment(backend, {name: parse_element(enc)
-                                    for name, enc in data["environment"].items()})
+        backend = parse_backend(_typed(data["backend"], str, "backend"))
+        env = Environment(backend, {
+            name: parse_element(_typed(enc, str, f"element {name!r}"))
+            for name, enc in _typed(data["environment"], dict, "environment").items()})
         factors = tuple(
-            ConjugateFactor(GroupWord(tuple((n, int(e)) for n, e in f["conjugator"])),
+            ConjugateFactor(GroupWord(tuple((_typed(n, str, "a conjugator name"), int(e))
+                                            for n, e in f["conjugator"])),
                             int(f["sign"]))
             for f in data["factors"])
-        cp = ConjugateProduct(data["generator"], factors)
-        target = parse_element(data["target"])
+        cp = ConjugateProduct(_typed(data["generator"], str, "generator"), factors)
+        target = parse_element(_typed(data["target"], str, "target"))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad certificate payload: {exc}") from exc
     return cp, env, target
@@ -554,6 +555,6 @@ def dump_certificate(cp: ConjugateProduct, env: Environment,
 def load_certificate(text: str) -> tuple[ConjugateProduct, Environment, GroupElement]:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # a JSONDecodeError is a ValueError
         raise MalformedInput(f"certificate is not valid JSON: {exc}") from exc
     return certificate_from_dict(data)

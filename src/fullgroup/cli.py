@@ -199,8 +199,11 @@ def _cmd_certify(args) -> None:
 
 
 def _cmd_verify(args) -> None:
-    with open(args.certfile, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args.certfile, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"certificate is not UTF-8 text: {exc}") from exc
     cert, env, target = load_certificate(text)
     ok = verify_certificate(cert, env, target)
     print(f"verify {args.certfile}: {'PASS' if ok else 'FAIL'}")

@@ -1,9 +1,11 @@
 """Exact Boolean algebra of clopen subsets of the Cantor space {0,..,b-1}^N.
 
-A clopen set is stored as the canonical antichain of cylinder prefixes:
-no prefix extends another, and no complete family of b siblings is ever
-present (such a family merges into its parent).  Canonical forms make
-equality of clopen sets a tuple comparison.
+A clopen set is stored as the canonical antichain of cylinder prefixes,
+in lexicographic order: no prefix extends another, and no complete
+family of b siblings is ever present (such a family merges into its
+parent).  Canonical forms make equality of clopen sets a tuple
+comparison, and the order makes "which word covers u" one binary search
+(`covering`).
 
 Words are tuples of digits; index 0 is the first coordinate of the
 infinite sequence (for the odometer, the least-significant digit).
@@ -14,9 +16,10 @@ floats.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Container, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import MalformedInput, PreconditionError
 
@@ -49,20 +52,19 @@ def overlapping_pair(words: Iterable[Word]) -> tuple[Word, Word] | None:
     return None
 
 
-def word_depths(words: Iterable[Word]) -> list[int]:
-    """The distinct lengths of the words, longest first."""
-    return sorted({len(w) for w in words}, reverse=True)
-
-
-def prefix_in(word: Word, table: Container[Word], depths: list[int]) -> Word | None:
-    """The longest prefix of `word` (itself included) in `table`, or None,
-    probing only `depths`, the `word_depths` of the table.  For a canonical
+def covering(items: Sequence[T], word: Word,
+             key: Callable[[T], Word] | None = None) -> int | None:
+    """The index of the item whose word (`key` of it, or the item itself)
+    is a prefix of `word`, itself included, or None.  `items` must be a
+    lexicographically sorted antichain: the words that extend a prefix p
+    of `word` are exactly those sorting between p and `word`, so only the
+    last item not after `word` can be its prefix.  For a canonical
     antichain S, [u] lies inside S exactly when u has a prefix in S: else
     the words of S covering [u] extend u, and the deepest one's complete
     sibling family is in S, which canonical form merges."""
-    for k in depths:
-        if k <= len(word) and word[:k] in table:
-            return word[:k]
+    i = bisect_right(items, word, key=key)
+    if i and is_prefix(items[i - 1] if key is None else key(items[i - 1]), word):
+        return i - 1
     return None
 
 
@@ -113,8 +115,8 @@ def canonical_words(words: Iterable[Word], base: int) -> tuple[Word, ...]:
     for w in sorted(words):
         if not kept or not is_prefix(kept[-1], w):
             kept.append(w)
-    merged = merge_families(kept, base, _itself, _parent_word)
-    return tuple(sorted(merged, key=word_key))
+    # merging a family into its parent keeps the stack sorted
+    return tuple(merge_families(kept, base, _itself, _parent_word))
 
 
 def _itself(word: Word) -> Word:
@@ -206,7 +208,7 @@ class ClopenSet:
         if self.is_empty():
             return ClopenSet.whole(self.base)
         base = self.base
-        words = sorted(self.words)
+        words = self.words
         out: list[Word] = []
 
         def after(u: Word, k: int) -> None:
@@ -230,9 +232,7 @@ class ClopenSet:
 
     def _inside(self, other: "ClopenSet") -> list[Word]:
         """The words of self whose cylinder lies inside other."""
-        theirs = set(other.words)
-        depths = word_depths(theirs)
-        return [u for u in self.words if prefix_in(u, theirs, depths) is not None]
+        return [u for u in self.words if covering(other.words, u) is not None]
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
         """The words of either operand lying inside the other: two
@@ -273,15 +273,14 @@ class ClopenSet:
         return MeasureValue(self.volume())
 
     def common_prefix(self) -> Word:
+        """Of all the words: in lexicographic order, of the first and last."""
         if self.is_empty():
             raise PreconditionError("empty set has no common prefix")
-        first = self.words[0]
-        k = min(len(w) for w in self.words)
-        while k > 0:
-            if all(w[:k] == first[:k] for w in self.words):
-                return first[:k]
-            k -= 1
-        return ()
+        first, last = self.words[0], self.words[-1]
+        k = 0
+        while k < min(len(first), len(last)) and first[k] == last[k]:
+            k += 1
+        return first[:k]
 
     def diameter_bound(self) -> Fraction:
         """2**(-l) where l is the common prefix length; an upper bound on
@@ -298,21 +297,17 @@ class ClopenSet:
         then lexicographically least."""
         if self.is_empty():
             raise PreconditionError("cannot pick a cylinder from the empty set")
-        return self.words[0]
+        return min(self.words, key=word_key)
 
     def refine_to(self, depth: int) -> tuple[Word, ...]:
-        """All cylinder words of the set at exactly `depth` >= max_depth()."""
-        out = []
-        for w in self.words:
-            out.extend(expand_word(w, self.base, depth))
-        return tuple(sorted(out))
+        """All cylinder words of the set at exactly `depth` >= max_depth(),
+        in lexicographic order."""
+        return tuple(v for w in self.words for v in expand_word(w, self.base, depth))
 
     def word_containing(self, point: "PointName") -> Word | None:
         """The word of the set whose cylinder contains the point, if any."""
-        for w in self.words:
-            if point.prefix(len(w)) == w:
-                return w
-        return None
+        i = covering(self.words, point.prefix(self.max_depth()))
+        return None if i is None else self.words[i]
 
     def contains_point(self, point: "PointName") -> bool:
         return self.word_containing(point) is not None

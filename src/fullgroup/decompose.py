@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clopen import ClopenSet, depth_for_measure_below, expand_word
+from .clopen import ClopenSet, depth_for_measure_below, expand_word, word_key
 from .elements import (GroupElement, compose, element_from_pieces,
                        image_of_clopen, inverse, involution_from_partial,
                        restrict, support)
@@ -78,10 +78,10 @@ def displaced_set(tau: GroupElement) -> ClopenSet:
     tau_inv = inverse(tau)
     used = C | image_of_clopen(tau, C)
     blocked = used | image_of_clopen(tau_inv, C)
-    supp = support(tau)
+    supp = sorted(support(tau).words, key=word_key)   # coarsest first
     max_depth = C.max_depth() + 3
     for level in range(1, 4):
-        for word in (x for w in supp.words if len(w) + level <= max_depth
+        for word in (x for w in supp if len(w) + level <= max_depth
                      for x in expand_word(w, tau.base, len(w) + level)):
             W = ClopenSet.from_words(tau.base, [word])
             if not W.intersect(blocked).is_empty():

@@ -21,8 +21,8 @@ from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .backends import BackendId, Piece
-from .clopen import (ClopenSet, PointName, Word, canonical_words, is_prefix,
-                     merge_families, overlapping_pair, prefix_in, word_depths)
+from .clopen import (ClopenSet, PointName, Word, canonical_words, covering,
+                     is_prefix, merge_families, overlapping_pair)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 _source = attrgetter("source")
@@ -123,17 +123,15 @@ def compose(f: GroupElement, g: GroupElement) -> GroupElement:
     """The element x -> f(g(x))."""
     f._check_backend(g)
     base = f.base
-    by_source = {p.source: p for p in f.pieces}
-    depths = word_depths(by_source)
     out: list[Piece] = []
     stack = list(g.pieces)
     while stack:
         p = stack.pop()
-        hit = prefix_in(p.range_word(base), by_source, depths)
-        if hit is None:
+        i = covering(f.pieces, p.range_word(base), _source)
+        if i is None:
             stack.extend(p.restrict((a,)) for a in range(base))
             continue
-        out.append(by_source[hit].after(p))
+        out.append(f.pieces[i].after(p))
     return GroupElement._trusted(f.backend, out)
 
 
@@ -160,14 +158,14 @@ def support(f: GroupElement) -> ClopenSet:
 def restrict(f: GroupElement, w: Word) -> list[Piece]:
     """The pieces of f on the cylinder [w]: the piece whose source
     contains [w], restricted to [w], or else the pieces whose sources
-    lie inside [w].  Pieces are sorted by source, so one binary search
-    finds either."""
+    lie inside [w]: sources are sorted, so the latter are the run that
+    starts where w sorts."""
     pieces = f.pieces
-    i = bisect_right(pieces, w, key=_source)
-    if i and is_prefix(pieces[i - 1].source, w):
-        p = pieces[i - 1]
+    i = covering(pieces, w, _source)
+    if i is not None:
+        p = pieces[i]
         return [p.restrict(w[len(p.source):])]
-    j = i
+    i = j = bisect_right(pieces, w, key=_source)
     while j < len(pieces) and is_prefix(w, pieces[j].source):
         j += 1
     return list(pieces[i:j])
@@ -183,10 +181,11 @@ def image_of_clopen(f: GroupElement, A: ClopenSet) -> ClopenSet:
 def apply_point(f: GroupElement, point: PointName) -> PointName:
     if point.base != f.base:
         raise MalformedInput("base mismatch between element and point")
-    for p in f.pieces:
-        if point.prefix(len(p.source)) == p.source:
-            return p.image_point(point, f.base)
-    raise PostconditionError("element sources do not cover the point")
+    depth = max(len(p.source) for p in f.pieces)
+    i = covering(f.pieces, point.prefix(depth), _source)
+    if i is None:
+        raise PostconditionError("element sources do not cover the point")
+    return f.pieces[i].image_point(point, f.base)
 
 
 def commutator(f: GroupElement, g: GroupElement) -> tuple[GroupElement, "DerivedWitness"]:
@@ -208,10 +207,8 @@ class DerivedWitness:
 
     factors: tuple[tuple[GroupElement, GroupElement], ...]
 
-    def evaluate(self, backend: BackendId | None = None) -> GroupElement:
+    def evaluate(self, backend: BackendId) -> GroupElement:
         if not self.factors:
-            if backend is None:
-                raise MalformedInput("empty witness needs an explicit backend")
             return identity(backend)
         leaves = [commutator(f, g)[0] for f, g in self.factors]
         return reduce(compose, leaves)

@@ -2,7 +2,8 @@
 
 Formats (digits restricted to bases 2..10):
 
-* clopen set   ``b2:{00,01,1}``, empty ``b2:{}``, whole space ``b2:{ε}``
+* clopen set   ``b2:{00,01,1}``, empty ``b2:{}``, whole space ``b2:{ε}``;
+  printed depth first, then lexicographic: ``b2:{1,00}``
 * odometer piece ``(u;+n)``, shift piece ``(u>v)``
 * bisection    ``odo2:[(00;+1)]``, ``shift2:[(0>11),(11>0),(10>10)]``;
   pieces are separated by single commas (whitespace allowed around them)
@@ -15,7 +16,7 @@ import re
 
 from .backends import (FULL_SHIFT, ODOMETER, BackendId, Bisection,
                        OdometerPiece, Piece, ShiftPiece)
-from .clopen import ClopenSet, Word
+from .clopen import ClopenSet, Word, word_key
 from .elements import GroupElement
 from .errors import MalformedInput
 
@@ -50,7 +51,8 @@ def parse_word(text: str, base: int) -> Word:
 
 def format_clopen(A: ClopenSet) -> str:
     _check_encodable(A.base)
-    return f"b{A.base}:{{{','.join(format_word(w) for w in A.words)}}}"
+    words = sorted(A.words, key=word_key)
+    return f"b{A.base}:{{{','.join(format_word(w) for w in words)}}}"
 
 
 def parse_clopen(text: str) -> ClopenSet:

@@ -281,7 +281,7 @@ def _suite_certificates(config: RunConfig, suite: _Suite) -> None:
         alpha = rz.random_element(rng, config.backend, 3, nontrivial=True,
                                   proper_support=True, moves=1)
         env2 = Environment(config.backend, {"tau": tau, "alpha": alpha})
-        word, _ = normality_certificate("tau", "alpha", env2)
+        word = normality_certificate("tau", "alpha", env2)
         w = word.evaluate(env2)
         suite.check("normality-identity",
                     equals(conjugate(alpha, tau), conjugate(w, tau)),

@@ -45,14 +45,14 @@ def _require(cond: bool, message: str) -> None:
 
 
 def matching_pieces(backend: BackendId, S: ClopenSet, T: ClopenSet) -> list[Piece]:
-    """Pieces realizing a bijection from S onto T, pairing cylinders in
-    canonical order.
+    """Pieces realizing a bijection from S onto T.
 
     Odometer: S and T must have equal measure; both refine to a common
-    depth with equal cylinder counts and are paired by carry-free
-    translations.  Full shift: cylinder counts must agree modulo
-    base - 1 (splitting one cylinder into its children adds base - 1);
-    the smaller list is split until the counts match.
+    depth with equal cylinder counts and are paired in lexicographic
+    order by carry-free translations.  Full shift: cylinder counts must
+    agree modulo base - 1 (splitting one cylinder into its children adds
+    base - 1); the smaller list, depth first, is split until the counts
+    match, and the lists are paired depth first.
     """
     base = backend.base
     if S.is_empty() and T.is_empty():
@@ -64,8 +64,8 @@ def matching_pieces(backend: BackendId, S: ClopenSet, T: ClopenSet) -> list[Piec
             f"exact matching needs equal measures, got {S.volume()} vs {T.volume()}")
     if backend.is_odometer:
         return pair_cylinders(backend, S, T, onto=True)
-    src = list(S.words)
-    dst = list(T.words)
+    src = sorted(S.words, key=word_key)
+    dst = sorted(T.words, key=word_key)
     if (len(src) - len(dst)) % (base - 1) != 0:
         raise PreconditionError(
             "clopen sets are not prefix-exchange equivalent: cylinder counts "

@@ -120,6 +120,10 @@ class TestDecomposeSplit:
 
 ALPHA_ODO = "elem:odo2:[(00;+1),(01;+0),(10;-1),(11;+0)]"
 BETA_ODO = "elem:odo2:[(00;+2),(01;-2),(10;+0),(11;+0)]"
+# a certificate that verifies: the empty product is the identity
+VALID_CERT = {"format_version": 1, "backend": "odo2", "generator": "tau0", "factors": [],
+              "environment": {"tau0": "elem:odo2:[(ε;+1)]"},
+              "target": "elem:odo2:[(ε;+0)]", "trace": {}}
 
 
 class TestCertifyVerify:
@@ -164,6 +168,23 @@ class TestCertifyVerify:
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "verify", "/nonexistent/cert.json")
         assert code == 2
+
+    @pytest.mark.parametrize("payload", [
+        json.dumps({**VALID_CERT, "environment": [ALPHA_ODO]}).encode(),
+        json.dumps({**VALID_CERT, "backend": 2}).encode(),
+        json.dumps({**VALID_CERT, "environment": {"tau0": 5}}).encode(),
+        json.dumps({**VALID_CERT, "target": 0}).encode(),
+        b'{"format_version": 1, "backend": "odo\xff2"}',
+        b"[" * 100000 + b"]" * 100000,
+    ], ids=["environment-list", "backend-number", "element-number", "target-number",
+            "not-utf8", "deep-nesting"])
+    def test_malformed_certificate_file(self, capsys, tmp_path, payload):
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_bytes(payload)
+        code, out, err = run(capsys, "verify", str(cert_file))
+        assert code == 2
+        assert not out
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     @pytest.mark.parametrize("pair,code_want", [("ghost", 2), ("alpha", 0)])
     def test_inserted_cancelling_pair(self, capsys, tmp_path, pair, code_want):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fullgroup.clopen import (ClopenSet, MeasureValue, PointName,
+from fullgroup.clopen import (ClopenSet, MeasureValue, PointName, covering,
                              depth_for_measure_below, expand_word)
 from fullgroup.errors import MalformedInput, PreconditionError
 from fullgroup.randomize import random_clopen
@@ -93,7 +93,7 @@ class TestBooleanOps:
     def test_complement_of_deep_word(self):
         A = cs(2, (0,) * 5000)
         C = A.complement()
-        assert C.words == tuple((0,) * i + (1,) for i in range(5000))
+        assert C.words == tuple((0,) * i + (1,) for i in reversed(range(5000)))
         assert C.complement() == A
 
 
@@ -144,7 +144,9 @@ def pairwise_intersect(A, B):
 def test_prefix_lookup_matches_pairwise_scan(base, data):
     """B has up to 40 words of up to 12 digits, deeper than bitmaps
     reach; A has up to 40 extensions of B's words (cut to 12 digits), so
-    containment and nesting are common, plus up to 2 free words."""
+    containment and nesting are common, plus up to 2 free words.  Each
+    operand is stored in lexicographic order, and `covering` finds the
+    one word prefixing a probe exactly when a linear scan does."""
     word = st.integers(0, 12).flatmap(
         lambda n: st.tuples(*[st.integers(0, base - 1)] * n))
     def some(words, most):
@@ -153,10 +155,16 @@ def test_prefix_lookup_matches_pairwise_scan(base, data):
     bw = data.draw(some(word, 40))
     grown = (st.tuples(st.sampled_from(bw), word).map(lambda wt: (wt[0] + wt[1])[:12])
              if bw else word)
-    aw = data.draw(some(grown, 40)) + data.draw(some(word, 2))
-    A = ClopenSet.from_words(base, aw)
+    aw = data.draw(some(grown, 40))
+    free = data.draw(some(word, 2))
+    A = ClopenSet.from_words(base, aw + free)
     B = ClopenSet.from_words(base, bw)
     for X, Y in ((A, B), (B, A)):
+        assert X.words == tuple(sorted(X.words))
+        for u in Y.words + tuple(free):
+            i = covering(X.words, u)
+            scan = [j for j, w in enumerate(X.words) if u[:len(w)] == w]
+            assert scan == ([] if i is None else [i])
         assert X & Y == pairwise_intersect(X, Y)
         assert X - Y == pairwise_intersect(X, Y.complement())
         assert X.is_subset(Y) == pairwise_intersect(X, Y.complement()).is_empty()

@@ -18,6 +18,8 @@ class TestClopenCodec:
     def test_roundtrip(self, text):
         A = parse_clopen(text)
         assert parse_clopen(format_clopen(A)) == A
+        # stored lexicographically, printed depth first
+        assert format_clopen(ClopenSet.from_words(2, [(0, 0), (1,)])) == "b2:{1,00}"
 
     def test_canonical_output(self):
         assert format_clopen(parse_clopen("b2:{00,01,1}")) == "b2:{ε}"

@@ -86,7 +86,9 @@ def merge_families(items: Iterable[T], base: int, word_of: Callable[[T], Word],
     `join(parent, family)` returns an item (None rejects the family),
     they are replaced by it.  A family is complete only once its last
     child is on top, and every deeper merge inside it has happened by
-    then, so the result is the fixpoint of merging in any order.
+    then, so the result is the fixpoint of merging in any order.  The
+    top `base` words increase strictly, so they are that family exactly
+    when the first is parent.0 and all have one depth.
     """
     stack: list[T] = []
     for item in items:
@@ -96,9 +98,10 @@ def merge_families(items: Iterable[T], base: int, word_of: Callable[[T], Word],
             if not word or word[-1] != base - 1:
                 break
             parent = word[:-1]
-            family = stack[-base:]
-            if any(word_of(x) != parent + (a,) for a, x in enumerate(family)):
+            if word_of(stack[-base]) != parent + (0,) or (base > 2 and any(
+                    len(word_of(x)) != len(word) for x in stack[1 - base:-1])):
                 break
+            family = stack[-base:]
             joined = join(parent, family)
             if joined is None:
                 break
@@ -125,6 +128,45 @@ def _itself(word: Word) -> Word:
 
 def _parent_word(parent: Word, family: list[Word]) -> Word:
     return parent
+
+
+def _gaps(words: Sequence[Word], base: int, k: int) -> list[Word]:
+    """The cylinders inside [p] that miss every word, for a nonempty
+    sorted antichain of words that share the prefix p of length k, in
+    lexicographic order: between consecutive words, the cylinders
+    branching off their two paths below the first differing digit.
+    Each gap's parent prefixes a word, so no gap's parent lies in the
+    gaps: the output is the canonical antichain of [p] minus the words.
+    Iterative and linear in the output, so arbitrarily deep words are
+    fine."""
+    out: list[Word] = []
+
+    def after(u: Word, k: int) -> None:
+        """The cylinders of [u[:k]] that lie after [u]; a level whose
+        digit is base - 1 adds none."""
+        for i in range(len(u) - 1, k - 1, -1):
+            if u[i] < base - 1:
+                p = u[:i]
+                out.extend([p + (d,) for d in range(u[i] + 1, base)])
+
+    def before(v: Word, k: int) -> None:
+        """The cylinders of [v[:k]] that lie before [v]; a level whose
+        digit is 0 adds none."""
+        for i in range(k, len(v)):
+            if v[i]:
+                p = v[:i]
+                out.extend([p + (d,) for d in range(v[i])])
+
+    before(words[0], k)
+    for u, v in zip(words, words[1:]):
+        j = k  # distinct words of an antichain differ below both lengths
+        while u[j] == v[j]:
+            j += 1
+        after(u, j + 1)
+        out.extend([u[:j] + (d,) for d in range(u[j] + 1, v[j])])
+        before(v, j + 1)
+    after(words[-1], k)
+    return out
 
 
 def depth_for_measure_below(base: int, bound: Fraction) -> int:
@@ -182,6 +224,16 @@ class ClopenSet:
             check_word(w, base)
         return cls(base, words)
 
+    @classmethod
+    def _trusted(cls, base: int, words: tuple[Word, ...]) -> "ClopenSet":
+        """A set from words already in canonical form, without
+        canonicalizing them again; each caller states why its words are
+        canonical."""
+        A = object.__new__(cls)
+        object.__setattr__(A, "base", base)
+        object.__setattr__(A, "words", words)
+        return A
+
     # -- predicates -----------------------------------------------------
 
     def is_empty(self) -> bool:
@@ -201,34 +253,11 @@ class ClopenSet:
     # -- Boolean algebra -------------------------------------------------
 
     def complement(self) -> "ClopenSet":
-        """The gaps between lexicographically consecutive words: each gap
-        is cut into the cylinders branching off the two words' paths
-        below their first differing digit.  Iterative and linear in the
-        output, so arbitrarily deep words are fine."""
+        """The gaps the words leave in the whole space (`_gaps`): sorted
+        and maximal, hence canonical."""
         if self.is_empty():
             return ClopenSet.whole(self.base)
-        base = self.base
-        words = self.words
-        out: list[Word] = []
-
-        def after(u: Word, k: int) -> None:
-            """The cylinders of [u[:k]] that lie after [u]."""
-            for i in range(len(u) - 1, k - 1, -1):
-                out.extend(u[:i] + (d,) for d in range(u[i] + 1, base))
-
-        def before(v: Word, k: int) -> None:
-            """The cylinders of [v[:k]] that lie before [v]."""
-            for i in range(k, len(v)):
-                out.extend(v[:i] + (d,) for d in range(v[i]))
-
-        before(words[0], 0)
-        for u, v in zip(words, words[1:]):
-            k = next(i for i, (a, b) in enumerate(zip(u, v)) if a != b)
-            after(u, k + 1)
-            out.extend(u[:k] + (d,) for d in range(u[k] + 1, v[k]))
-            before(v, k + 1)
-        after(words[-1], 0)
-        return ClopenSet(base, tuple(out))
+        return ClopenSet._trusted(self.base, tuple(_gaps(self.words, self.base, 0)))
 
     def _inside(self, other: "ClopenSet") -> list[Word]:
         """The words of self whose cylinder lies inside other."""
@@ -236,16 +265,39 @@ class ClopenSet:
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
         """The words of either operand lying inside the other: two
-        cylinders meet only when one word prefixes the other."""
+        cylinders meet only when one word prefixes the other.  Canonical:
+        a word of self inside other is maximal in self, so its parent is
+        not inside self & other, and likewise for other; both lists are
+        sorted, and a word in both is kept once."""
         self._check_base(other)
-        return ClopenSet(self.base, tuple(self._inside(other) + other._inside(self)))
+        words = sorted(self._inside(other) + other._inside(self))
+        return ClopenSet._trusted(self.base, tuple(dict.fromkeys(words)))
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         self._check_base(other)
         return ClopenSet(self.base, self.words + other.words)
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
-        return self.intersect(other.complement())
+        """One pass over self: a word that other covers is dropped, a
+        word that no word of other extends is kept, and any other word u
+        is replaced by the gaps the run of other's words extending u
+        leaves inside [u].  Canonical: a kept word is maximal in self, and
+        each gap is maximal in [u] minus other (`_gaps`); the output
+        follows self's order, and each gap run is sorted inside [u]."""
+        self._check_base(other)
+        theirs = other.words
+        out: list[Word] = []
+        for u in self.words:
+            if covering(theirs, u) is not None:
+                continue
+            i = j = bisect_right(theirs, u)
+            while j < len(theirs) and is_prefix(u, theirs[j]):
+                j += 1
+            if i == j:
+                out.append(u)
+            else:
+                out.extend(_gaps(theirs[i:j], self.base, len(u)))
+        return ClopenSet._trusted(self.base, tuple(out))
 
     def is_subset(self, other: "ClopenSet") -> bool:
         self._check_base(other)

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .backends import BackendId, Piece
 from .clopen import (ClopenSet, PointName, Word, canonical_words, covering,
@@ -65,13 +65,13 @@ class GroupElement:
         _check_partition([p.range_word(base) for p in canon], base, "range")
 
     @classmethod
-    def _trusted(cls, backend: BackendId, pieces: Iterable[Piece]) -> "GroupElement":
-        """Canonicalize without piece-class and partition checks.  Only for
-        pieces coming out of compose/inverse, which preserve validity by
-        construction."""
+    def _trusted(cls, backend: BackendId, pieces: tuple[Piece, ...]) -> "GroupElement":
+        """An element from pieces already in canonical form, without
+        piece-class, partition or merge work; each caller states why its
+        pieces are valid and canonical."""
         elem = object.__new__(cls)
         object.__setattr__(elem, "backend", backend)
-        object.__setattr__(elem, "pieces", _merge_pieces(pieces, backend.base))
+        object.__setattr__(elem, "pieces", pieces)
         return elem
 
     @property
@@ -120,25 +120,43 @@ def involution_from_partial(backend: BackendId, pieces: Iterable[Piece]) -> Grou
 
 
 def compose(f: GroupElement, g: GroupElement) -> GroupElement:
-    """The element x -> f(g(x))."""
+    """The element x -> f(g(x)).  g's pieces are visited in source order
+    and split depth first in digit order until f's sources cover their
+    ranges, so the pieces come out with strictly increasing sources and
+    go straight onto the sibling-merge stack: no sort is needed, and the
+    result is the canonical merge of the pieces of f * g (valid, since
+    the split sources partition the space and f and g are bijections)."""
     f._check_backend(g)
+    return GroupElement._trusted(f.backend, tuple(merge_families(
+        _composed_pieces(f, g), f.base, _source, _join)))
+
+
+def _composed_pieces(f: GroupElement, g: GroupElement) -> Iterator[Piece]:
     base = f.base
-    out: list[Piece] = []
-    stack = list(g.pieces)
+    stack = list(reversed(g.pieces))
     while stack:
         p = stack.pop()
         i = covering(f.pieces, p.range_word(base), _source)
         if i is None:
-            stack.extend(p.restrict((a,)) for a in range(base))
+            stack.extend(p.restrict((a,)) for a in reversed(range(base)))
             continue
-        out.append(f.pieces[i].after(p))
-    return GroupElement._trusted(f.backend, out)
+        yield f.pieces[i].after(p)
 
 
 def inverse(f: GroupElement) -> GroupElement:
+    """The inverse pieces sorted by source, with no merge: a complete
+    sibling family of them that merged would be the inverse of a
+    mergeable family of f, which f's canonical form excludes.
+    Odometer: if the pieces (parent.a, -n) merge, their inverses
+    (s_a, n) have s_a = value(parent.a) - n mod b^d for d = |parent| + 1,
+    which are the values s_0 + a*b^(d-1) mod b^d: the complete family of
+    s_0's parent, all with power n.  Shift: if the pieces parent.a ->
+    stem.a merge, their inverses stem.a -> parent.a are the complete
+    family of stem, with targets ending in their sources' last digits
+    after the common stem parent."""
     base = f.base
     return GroupElement._trusted(
-        f.backend, [p.inverse(base) for p in f.pieces])
+        f.backend, tuple(sorted((p.inverse(base) for p in f.pieces), key=_source)))
 
 
 def equals(f: GroupElement, g: GroupElement) -> bool:

@@ -97,7 +97,12 @@ def parse_piece(text: str, backend: BackendId) -> Piece:
         m = _ODO_PIECE_RE.match(text)
         if not m:
             raise MalformedInput(f"bad odometer piece {text!r}")
-        return OdometerPiece(parse_word(m.group(1), backend.base), int(m.group(2)))
+        try:
+            power = int(m.group(2))
+        except ValueError:  # over the interpreter's integer-conversion limit
+            raise MalformedInput(
+                f"odometer power of {len(m.group(2))} characters is too long") from None
+        return OdometerPiece(parse_word(m.group(1), backend.base), power)
     m = _SHIFT_PIECE_RE.match(text)
     if not m:
         raise MalformedInput(f"bad shift piece {text!r}")

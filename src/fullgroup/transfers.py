@@ -17,12 +17,16 @@ from .clopen import (ClopenSet, PointName, Word, depth_for_measure_below,
 from .elements import (DerivedWitness, GroupElement, commutator, compose,
                        identity, image_of_clopen, involution_from_partial,
                        support)
-from .errors import PostconditionError, PreconditionError
+from .errors import MalformedInput, PostconditionError, PreconditionError
 
 INVOLUTION_SMALL_SUPPORT = "InvolutionSmallSupport"
 INSIDE_CASE_SUPPORT_BOUND = "InsideCaseSupportBound"
 COMMUTATOR_CYCLIC = "CommutatorCyclic"
 COMMUTATOR_INSIDE_CASE = "CommutatorInsideCase"
+
+# Each round refines deeper than the last and costs more, so
+# `gw_intertwining` refuses more rounds than this before running any.
+MAX_GW_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -247,6 +251,9 @@ def gw_intertwining(backend: BackendId, A: ClopenSet, B: ClopenSet,
     backend.check_sets(A, B)
     if rounds < 0:
         raise PreconditionError("rounds must be nonnegative")
+    if rounds > MAX_GW_ROUNDS:
+        raise MalformedInput(
+            f"{rounds} intertwining rounds are over the limit of {MAX_GW_ROUNDS}")
     if not backend.measure_equal(A, B):
         raise PreconditionError("intertwining needs exactly equal measures")
     At = A - B

@@ -117,6 +117,13 @@ class TestDecomposeSplit:
         assert code == 2
         assert "error" in err and not out
 
+    def test_overlong_power_exit_code(self, capsys):
+        # 5000 digits is over the interpreter's integer-conversion limit
+        code, out, err = run(capsys, "decompose",
+                             "elem:odo2:[(ε;+" + "1" * 5000 + ")]")
+        assert code == 2
+        assert "error: odometer power" in err and not out
+
 
 ALPHA_ODO = "elem:odo2:[(00;+1),(01;+0),(10;-1),(11;+0)]"
 BETA_ODO = "elem:odo2:[(00;+2),(01;-2),(10;+0),(11;+0)]"

@@ -124,6 +124,10 @@ def test_ops_match_bitmap_oracle(case):
         ClopenSet.whole(base), depth) - am
     assert A.is_subset(B) == (am <= bm)
     assert A.volume() == Fraction(len(am), base ** depth)
+    # these three build their words in canonical form without the
+    # canonicalizing constructor; passing through it changes nothing
+    for X in (A.complement(), A & B, A - B):
+        assert ClopenSet(base, X.words).words == X.words
 
 
 def pairwise_intersect(A, B):

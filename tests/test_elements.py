@@ -81,13 +81,15 @@ class TestConstructor:
             GroupElement(full_shift(2), (OdometerPiece((), 0),))
 
     def test_trusted_results_pass_the_checked_constructor(self, backend):
-        # compose and inverse skip the checks; rebuilding their results
-        # through the checked constructor must neither reject nor change them
+        # compose and inverse skip the checks and build canonical pieces
+        # directly; rebuilding their results through the checked
+        # constructor must neither reject nor change them
         rng = substream(4245, f"trusted:{backend.tag}")
         for _ in range(30):
             f = random_element(rng, backend, 4)
             g = random_element(rng, backend, 4)
-            for x in (compose(f, g), inverse(f)):
+            for x in (compose(f, g), inverse(f), conjugate(g, f),
+                      inverse(compose(f, g))):
                 assert GroupElement(x.backend, x.pieces) == x
 
 

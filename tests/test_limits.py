@@ -13,6 +13,7 @@ from fullgroup.backends import OdometerPiece, odometer
 from fullgroup.decompose import MAX_DECOMPOSITION_CELLS
 from fullgroup.elements import involution_from_partial
 from fullgroup.encoding import format_element
+from fullgroup.transfers import MAX_GW_ROUNDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ADDRESS_SPACE = 1 << 30
@@ -73,3 +74,10 @@ def test_certify_against_deep_tau0_is_refused():
                "--beta", BETA)
     assert done.returncode == 2, done.stderr
     assert f"over the limit of {MAX_DECOMPOSITION_CELLS}" in done.stderr
+
+
+def test_too_many_gw_rounds_are_refused():
+    done = cli("gw", cells("0"), cells("1"), "--backend", "odo2",
+               "--rounds", "100000000")
+    assert done.returncode == 2, done.stderr
+    assert f"over the limit of {MAX_GW_ROUNDS}" in done.stderr

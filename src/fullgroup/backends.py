@@ -11,21 +11,31 @@
   |u| - |v|.  No invariant probability measure exists, so comparison of
   clopen sets is unconditional.
 
-Every rule that differs between the two models lives here: the piece
-classes carry the per-piece rules (range, restriction, inverse,
-composition, sibling merge, action on points), and `BackendId` builds
-pieces, checks their class and states the comparison hypothesis.  Both
-models are minimal and second countable; this is a documented fact
-about the models, not a runtime check.
+This module answers the model questions.  The piece classes carry the
+per-piece rules (range, restriction, inverse, composition, sibling
+merge, action on points, a separated sub-cylinder).  `BackendId` builds
+pieces and checks their class, states the comparison hypothesis
+(`measure_below`, `measure_equal`: vacuous on the shift), gives the
+depth below which cylinders have small measure (`measure_depth`) and
+the cylinder a transfer keeps free (`reserved_cylinder`).
+`compare_clopen`, `pair_cylinders` and `matching_pieces` pair
+cylinders.  The algorithm choices that still ask `is_odometer` live
+with their algorithms: the small-support decomposition
+(`decompose`), the split bound and target and the closure parking set
+(`certificates`), the vacuous measure-invariance check (`elements`),
+piece syntax (`encoding`) and the samplers (`randomize`).  Both models
+are minimal and second countable; this is a documented fact about the
+models, not a runtime check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .clopen import (ClopenSet, PointName, Word, expand_word, is_prefix,
-                     overlapping_pair)
+from .clopen import (ClopenSet, PointName, Word, depth_for_measure_below,
+                     expand_word, is_prefix, overlapping_pair, word_key)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 ODOMETER = "odometer"
@@ -77,15 +87,33 @@ class BackendId:
         if A.base != self.base or B.base != self.base:
             raise MalformedInput("clopen sets do not match the backend base")
 
-    def measure_below(self, A: ClopenSet, B: ClopenSet, factor: int = 1) -> bool:
+    def measure_below(self, A: ClopenSet, B: ClopenSet | Fraction,
+                      factor: int = 1) -> bool:
         """The comparison hypothesis factor * mu(A) < mu(B) for every
-        invariant probability measure mu; vacuously true on the shift."""
-        return not self.is_odometer or factor * A.volume() < B.volume()
+        invariant probability measure mu, where B is a clopen set or an
+        exact bound; vacuously true on the shift."""
+        if not self.is_odometer:
+            return True
+        bound = B.volume() if isinstance(B, ClopenSet) else B
+        return factor * A.volume() < bound
 
     def measure_equal(self, A: ClopenSet, B: ClopenSet) -> bool:
         """mu(A) = mu(B) for every invariant probability measure mu;
         vacuously true on the shift."""
         return not self.is_odometer or A.volume() == B.volume()
+
+    def measure_depth(self, bound: Fraction) -> int:
+        """Smallest depth whose cylinders have measure below `bound` for
+        every invariant probability measure: 0 on the shift."""
+        return depth_for_measure_below(self.base, bound) if self.is_odometer else 0
+
+    def reserved_cylinder(self, S: ClopenSet) -> ClopenSet:
+        """The part of S a transfer into S keeps free for what is built
+        after it: `proper_subcylinder(S)` on the shift; empty on the
+        odometer, where measure leaves the room, and when S is empty."""
+        if self.is_odometer or S.is_empty():
+            return ClopenSet.empty(self.base)
+        return proper_subcylinder(S)
 
 
 def odometer(base: int) -> BackendId:
@@ -294,6 +322,47 @@ def pair_cylinders(backend: BackendId, S: ClopenSet, T: ClopenSet, *,
     dst = (v for w in T.words for v in expand_word(w, base, depth))
     if onto and len(src) != sum(base ** (depth - len(w)) for w in T.words):
         raise PostconditionError("equal measures must refine to equal counts")
+    return [backend.piece_between(u, v) for u, v in zip(src, dst)]
+
+
+def proper_subcylinder(S: ClopenSet) -> ClopenSet:
+    """A deterministic nonempty clopen set properly inside S: the first
+    child of the picked cylinder."""
+    w = S.pick()
+    return ClopenSet.from_words(S.base, [w + (0,)])
+
+
+def matching_pieces(backend: BackendId, S: ClopenSet, T: ClopenSet) -> list[Piece]:
+    """Pieces realizing a bijection from S onto T.
+
+    Odometer: S and T must have equal measure; both refine to a common
+    depth with equal cylinder counts and are paired in lexicographic
+    order by carry-free translations.  Full shift: cylinder counts must
+    agree modulo base - 1 (splitting one cylinder into its children adds
+    base - 1); the smaller list, depth first, is split until the counts
+    match, and the lists are paired depth first.
+    """
+    base = backend.base
+    if S.is_empty() and T.is_empty():
+        return []
+    if S.is_empty() or T.is_empty():
+        raise PreconditionError("cannot match a nonempty set with an empty one")
+    if not backend.measure_equal(S, T):
+        raise PreconditionError(
+            f"exact matching needs equal measures, got {S.volume()} vs {T.volume()}")
+    if backend.is_odometer:
+        return pair_cylinders(backend, S, T, onto=True)
+    src = sorted(S.words, key=word_key)
+    dst = sorted(T.words, key=word_key)
+    if (len(src) - len(dst)) % (base - 1) != 0:
+        raise PreconditionError(
+            "clopen sets are not prefix-exchange equivalent: cylinder counts "
+            f"{len(src)} and {len(dst)} differ modulo base-1 = {base - 1}")
+    while len(src) != len(dst):
+        words = src if len(src) < len(dst) else dst
+        w = words.pop(0)
+        words.extend(w + (a,) for a in range(base))
+        words.sort(key=word_key)
     return [backend.piece_between(u, v) for u, v in zip(src, dst)]
 
 

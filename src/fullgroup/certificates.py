@@ -17,8 +17,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
+from operator import add
 
-from .backends import BackendId
+from .backends import BackendId, proper_subcylinder
 from .clopen import ClopenSet
 from .decompose import decompose_small_support, displaced_set, separated_cylinder
 from .elements import (GroupElement, commutator, compose, conjugate, identity,
@@ -27,8 +29,7 @@ from .elements import (GroupElement, commutator, compose, conjugate, identity,
 from .encoding import (format_backend, format_clopen, format_element,
                        parse_backend, parse_element)
 from .errors import MalformedInput, PostconditionError, PreconditionError
-from .transfers import (commutator_transfer, full_group_transfer,
-                        proper_subcylinder)
+from .transfers import commutator_transfer, full_group_transfer
 
 FORMAT_VERSION = 1
 
@@ -167,19 +168,14 @@ class CommutatorExpansion:
 
 
 def _expand_pairs(gs: list[str], hs: list[str]) -> list[tuple[GroupWord, str, str]]:
-    if len(gs) == 1:
-        g = gs[0]
-        if len(hs) == 1:
-            return [(GroupWord(), g, hs[0])]
-        h1, rest = hs[0], hs[1:]
-        # [g, h1 R] = [g, h1] * h1 [g, R] h1^-1
-        tail = _expand_pairs([g], rest)
-        return [(GroupWord(), g, h1)] + [(GroupWord.gen(h1) * c, a, b) for c, a, b in tail]
-    g1, rest = gs[0], gs[1:]
-    # [g1 R, H] = g1 [R, H] g1^-1 * [g1, H]
-    head = _expand_pairs(rest, hs)
-    return ([(GroupWord.gen(g1) * c, a, b) for c, a, b in head]
-            + _expand_pairs([g1], hs))
+    """The conjugated atomic pairs of [g1..gn, h1..hm], from the
+    identities [g1 R, H] = g1 [R, H] g1^-1 * [g1, H] and
+    [g, h1 R] = [g, h1] * h1 [g, R] h1^-1: the pair (g_i, h_j) comes with
+    conjugator g1..g_{i-1} h1..h_{j-1}, i descending, then j ascending."""
+    g_prefix = list(accumulate((((g, 1),) for g in gs[:-1]), add, initial=()))
+    h_prefix = list(accumulate((((h, 1),) for h in hs[:-1]), add, initial=()))
+    return [(GroupWord(g_prefix[i] + h_prefix[j]), gs[i], hs[j])
+            for i in reversed(range(len(gs))) for j in range(len(hs))]
 
 
 def expand_commutator_product(gs: list[str], hs: list[str]) -> CommutatorExpansion:
@@ -188,28 +184,24 @@ def expand_commutator_product(gs: list[str], hs: list[str]) -> CommutatorExpansi
     if not gs or not hs:
         raise MalformedInput("commutator expansion needs nonempty name lists")
     pairs = tuple(_expand_pairs(list(gs), list(hs)))
-    gw = reduce(lambda a, b: a * b, (GroupWord.gen(n) for n in gs))
-    hw = reduce(lambda a, b: a * b, (GroupWord.gen(n) for n in hs))
+    gw = GroupWord(tuple((n, 1) for n in gs))
+    hw = GroupWord(tuple((n, 1) for n in hs))
     lhs = gw * hw * gw.inverse() * hw.inverse()
-    rhs = GroupWord()
-    for conj, a, b in pairs:
-        rhs = rhs * conj * commutator_word(a, b) * conj.inverse()
-    return CommutatorExpansion(lhs, rhs, pairs)
+    rhs = [token for conj, a, b in pairs
+           for token in (conj * commutator_word(a, b) * conj.inverse()).tokens]
+    return CommutatorExpansion(lhs, GroupWord(tuple(rhs)), pairs)
 
 
 def _proper_support_factors(name: str, env: Environment,
-                            epsilon: Fraction | None) -> list[tuple[str, ClopenSet]]:
+                            epsilon: Fraction) -> list[tuple[str, ClopenSet]]:
     """Factor the named element so every factor has a proper clopen
-    support bound (measure below epsilon on the odometer when given);
+    support bound of measure below epsilon for every invariant measure;
     returns (name, bound) pairs, factors registered in the environment."""
     elem = env.get(name)
     bound = support(elem)
-    needs_split = bound.is_whole()
-    if not needs_split and epsilon is not None and not bound.volume() < epsilon:
-        needs_split = True
-    if not needs_split:
+    if not bound.is_whole() and env.backend.measure_below(bound, epsilon):
         return [(name, bound)]
-    dec = decompose_small_support(elem, epsilon if epsilon is not None else Fraction(1, 2))
+    dec = decompose_small_support(elem, epsilon)
     return [(env.fresh(f"{name}.f", factor), cbound)
             for factor, cbound in zip(dec.factors, dec.bounds)]
 
@@ -319,8 +311,7 @@ def normality_certificate(tau_name: str, alpha_name: str,
             "supp(tau) is the whole space; apply split_nontrivial_support first")
     if alpha.is_identity() or tau.is_identity():
         return GroupWord()
-    epsilon = B.complement().volume() if backend.is_odometer else None
-    factors = _proper_support_factors(alpha_name, env, epsilon)
+    factors = _proper_support_factors(alpha_name, env, B.complement().volume())
     word = GroupWord()
     current = tau
     for fname, fbound in reversed(factors):
@@ -357,13 +348,9 @@ def _atomic_closure_factors(a_name: str, a_bound: ClopenSet,
     backend = env.backend
     tau0 = env.get(tau0_name)
     not_b = b_bound.complement()
-    if backend.is_odometer or not_b.is_subset(a_bound):
-        moved = full_group_transfer(backend, a_bound, not_b)
-    else:
-        # reserve a cylinder outside supp(a) so the parked region D stays proper
-        free = not_b - a_bound
-        reserved = proper_subcylinder(free)
-        moved = full_group_transfer(backend, a_bound, not_b - reserved)
+    # reserve a cylinder outside supp(a) so the parked region D stays proper
+    reserved = backend.reserved_cylinder(not_b - a_bound)
+    moved = full_group_transfer(backend, a_bound, not_b - reserved)
     gamma0 = moved.element
     D = a_bound | support(gamma0)
     if D.is_whole():
@@ -413,15 +400,10 @@ def commutator_in_normal_closure(alpha_name: str, beta_name: str,
     target = commutator(alpha, beta)[0]
     if target.is_identity():
         return ConjugateProduct(tau0_name, ())
-    if backend.is_odometer:
-        C = displaced_set(tau0)
-        b_factors = _proper_support_factors(beta_name, env, Fraction(1, 2))
-        eta = min(min(b.complement().volume() for _, b in b_factors), C.volume())
-        a_factors = _proper_support_factors(alpha_name, env, eta / 2)
-    else:
-        C = separated_cylinder(tau0)
-        b_factors = _proper_support_factors(beta_name, env, None)
-        a_factors = _proper_support_factors(alpha_name, env, None)
+    C = displaced_set(tau0) if backend.is_odometer else separated_cylinder(tau0)
+    b_factors = _proper_support_factors(beta_name, env, Fraction(1, 2))
+    eta = min(min(b.complement().volume() for _, b in b_factors), C.volume())
+    a_factors = _proper_support_factors(alpha_name, env, eta / 2)
     a_bounds = dict(a_factors)
     b_bounds = dict(b_factors)
     expansion = _expand_pairs([n for n, _ in a_factors], [n for n, _ in b_factors])

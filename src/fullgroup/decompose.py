@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .backends import matching_pieces
 from .clopen import ClopenSet, depth_for_measure_below, expand_word, word_key
 from .elements import (GroupElement, compose, element_from_pieces,
                        image_of_clopen, inverse, involution_from_partial,
                        restrict, support)
 from .errors import MalformedInput, PostconditionError, PreconditionError
-from .transfers import matching_pieces
 
 
 # The most cells an odometer decomposition may refine the space into:
@@ -109,8 +109,8 @@ def decompose_small_support(alpha: GroupElement,
     strictly below epsilon.
 
     On the full shift epsilon is ignored (there is no invariant
-    measure) and a two-factor decomposition through a moved cylinder is
-    returned.
+    measure): a two-factor decomposition through a moved cylinder is
+    returned, and its epsilon is None.
     """
     eps = None if epsilon is None else Fraction(epsilon)
     if alpha.is_identity():

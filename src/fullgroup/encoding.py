@@ -5,8 +5,9 @@ Formats (digits restricted to bases 2..10):
 * clopen set   ``b2:{00,01,1}``, empty ``b2:{}``, whole space ``b2:{ε}``;
   printed depth first, then lexicographic: ``b2:{1,00}``
 * odometer piece ``(u;+n)``, shift piece ``(u>v)``
-* bisection    ``odo2:[(00;+1)]``, ``shift2:[(0>11),(11>0),(10>10)]``;
-  pieces are separated by single commas (whitespace allowed around them)
+* bisection    ``odo2:[(00;+1)]``, ``shift2:[(0>11),(11>0),(10>10)]``
+  (written, never read); pieces are separated by single commas
+  (whitespace allowed around them)
 * element      bisection encoding with an ``elem:`` header
 """
 
@@ -131,10 +132,6 @@ def _parse_pieces(text: str) -> tuple[BackendId, tuple[Piece, ...]]:
 
 def format_bisection(bis: Bisection) -> str:
     return _format_pieces(bis.backend, bis.pieces)
-
-
-def parse_bisection(text: str) -> Bisection:
-    return Bisection(*_parse_pieces(text))
 
 
 def format_element(elem: GroupElement) -> str:

@@ -246,7 +246,7 @@ def _suite_decompose(config: RunConfig, suite: _Suite) -> None:
         suite.check("decompose-supports",
                     all(support(g).is_subset(b)
                         for g, b in zip(res.factors, res.bounds)), detail)
-        if config.backend.is_odometer:
+        if res.epsilon is not None:
             suite.check("decompose-small-measure",
                         all(b.volume() < eps for b in res.bounds), detail)
 

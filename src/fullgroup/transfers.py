@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backends import BackendId, Piece, compare_clopen, pair_cylinders
-from .clopen import (ClopenSet, PointName, Word, depth_for_measure_below,
-                     word_key)
+from .backends import BackendId, compare_clopen, matching_pieces
+from .clopen import ClopenSet, PointName
 from .elements import (DerivedWitness, GroupElement, commutator, compose,
                        identity, image_of_clopen, involution_from_partial,
                        support)
@@ -36,53 +35,9 @@ class TransferResult:
     postcondition_tag: str
 
 
-def proper_subcylinder(S: ClopenSet) -> ClopenSet:
-    """A deterministic nonempty clopen set properly inside S: the first
-    child of the picked cylinder."""
-    w = S.pick()
-    return ClopenSet.from_words(S.base, [w + (0,)])
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise PostconditionError(message)
-
-
-def matching_pieces(backend: BackendId, S: ClopenSet, T: ClopenSet) -> list[Piece]:
-    """Pieces realizing a bijection from S onto T.
-
-    Odometer: S and T must have equal measure; both refine to a common
-    depth with equal cylinder counts and are paired in lexicographic
-    order by carry-free translations.  Full shift: cylinder counts must
-    agree modulo base - 1 (splitting one cylinder into its children adds
-    base - 1); the smaller list, depth first, is split until the counts
-    match, and the lists are paired depth first.
-    """
-    base = backend.base
-    if S.is_empty() and T.is_empty():
-        return []
-    if S.is_empty() or T.is_empty():
-        raise PreconditionError("cannot match a nonempty set with an empty one")
-    if not backend.measure_equal(S, T):
-        raise PreconditionError(
-            f"exact matching needs equal measures, got {S.volume()} vs {T.volume()}")
-    if backend.is_odometer:
-        return pair_cylinders(backend, S, T, onto=True)
-    src = sorted(S.words, key=word_key)
-    dst = sorted(T.words, key=word_key)
-    if (len(src) - len(dst)) % (base - 1) != 0:
-        raise PreconditionError(
-            "clopen sets are not prefix-exchange equivalent: cylinder counts "
-            f"{len(src)} and {len(dst)} differ modulo base-1 = {base - 1}")
-    def grow(words: list[Word]) -> None:
-        w = words.pop(0)
-        words.extend(w + (a,) for a in range(base))
-        words.sort(key=word_key)
-    while len(src) < len(dst):
-        grow(src)
-    while len(dst) < len(src):
-        grow(dst)
-    return [backend.piece_between(u, v) for u, v in zip(src, dst)]
 
 
 def exact_swap_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> GroupElement:
@@ -136,8 +91,7 @@ def full_group_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
         _require(support(alpha).is_subset(A | image), "transfer support too large")
         return TransferResult(alpha, None, INVOLUTION_SMALL_SUPPORT)
     # inside case: B properly contained in A (full shift only)
-    reserved = proper_subcylinder(A.complement())
-    outside = A.complement() - reserved
+    outside = A.complement() - backend.reserved_cylinder(A.complement())
     alpha2 = _transfer_involution(backend, A, outside)
     alpha1 = _transfer_involution(backend, outside, B)
     alpha = compose(alpha1, alpha2)
@@ -180,11 +134,9 @@ def commutator_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
         return TransferResult(identity(backend), DerivedWitness(()), COMMUTATOR_CYCLIC)
     if not B.is_subset(A):
         B1 = B - A
-        target = B1
-        if not backend.is_odometer:
-            # keep part of the target free so beta has room
-            target = B1 - proper_subcylinder(B1)
-        alpha = full_group_transfer(backend, A1, target).element
+        # keep part of the target free so beta has room
+        alpha = full_group_transfer(backend, A1,
+                                    B1 - backend.reserved_cylinder(B1)).element
         beta = full_group_transfer(backend, A1, B1 - image_of_clopen(alpha, A1)).element
         gamma, witness = commutator(alpha, beta)
         _require(gamma == compose(beta, alpha), "commutator does not reduce to beta*alpha")
@@ -198,7 +150,7 @@ def commutator_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
     alpha = first.element
     A2 = A | support(alpha)
     _require(not A2.is_whole(), "inside-case transfer support filled the space")
-    reserved = proper_subcylinder(A2.complement())
+    reserved = backend.reserved_cylinder(A2.complement())
     beta = _transfer_involution(backend, A2, A2.complement() - reserved)
     gamma, witness = commutator(alpha, beta)
     _require(image_of_clopen(gamma, A).is_subset(B), "inside-case commutator escapes B")
@@ -223,18 +175,15 @@ class GWState:
 def _anchor_depth(backend: BackendId, res: ClopenSet, anchor: PointName,
                   n: int, below: Fraction) -> int:
     """Depth of a round-n anchor cylinder: one level deeper than the
-    diameter requirement, properly inside the residual, and (on the
-    odometer) of measure strictly below `below`.  Used for the kept
+    diameter requirement, properly inside the residual, and of measure
+    strictly below `below` for every invariant measure.  Used for the kept
     neighbourhood (below half the residual measure) and for the
     opposite-anchor cylinder excluded from the transfer target (below
     the measure of the kept neighbourhood)."""
     fit = res.word_containing(anchor)
     if fit is None:
         raise PreconditionError("anchor escaped its residual neighbourhood")
-    d = max(n + 1, len(fit) + 1)
-    if backend.is_odometer:
-        d = max(d, depth_for_measure_below(backend.base, below))
-    return d
+    return max(n + 1, len(fit) + 1, backend.measure_depth(below))
 
 
 def gw_intertwining(backend: BackendId, A: ClopenSet, B: ClopenSet,

@@ -20,6 +20,21 @@ from fullgroup.randomize import random_element, substream
 ALL_BACKENDS = [odometer(2), full_shift(2), odometer(3), full_shift(3)]
 
 
+def positive_word(*names):
+    return GroupWord(tuple((n, 1) for n in names))
+
+
+def free_reduction(word):
+    """The freely reduced token list of a group word."""
+    out = []
+    for name, exp in word.tokens:
+        if out and out[-1] == (name, -exp):
+            out.pop()
+        else:
+            out.append((name, exp))
+    return out
+
+
 def random_env(backend, seed, names_spec):
     """names_spec: list of (name, kwargs for random_element)."""
     rng = substream(seed, f"env:{backend.tag}")
@@ -172,6 +187,25 @@ class TestExpansion:
         assert len(exp.pairs) == 6
         assert sorted((g, h) for _, g, h in exp.pairs) == sorted(
             (g, h) for g in ("a", "b", "c") for h in ("x", "y"))
+
+    def test_pair_order(self):
+        # g_i descending, then h_j ascending, each pair conjugated by
+        # g1..g_{i-1} h1..h_{j-1}
+        exp = expand_commutator_product(["a", "b", "c"], ["x", "y"])
+        assert exp.pairs == (
+            (positive_word("a", "b"), "c", "x"), (positive_word("a", "b", "x"), "c", "y"),
+            (positive_word("a"), "b", "x"), (positive_word("a", "x"), "b", "y"),
+            (positive_word(), "a", "x"), (positive_word("x"), "a", "y"))
+        assert free_reduction(exp.rhs) == free_reduction(exp.lhs)
+
+    @pytest.mark.parametrize("long_side", ["gs", "hs"])
+    def test_long_name_lists(self, long_side):
+        # the expansion is an identity in the free group, at any length
+        names = [f"a{i}" for i in range(2000)]
+        gs, hs = (names, ["b"]) if long_side == "gs" else (["b"], names)
+        exp = expand_commutator_product(gs, hs)
+        assert len(exp.pairs) == 2000
+        assert free_reduction(exp.rhs) == free_reduction(exp.lhs)
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
     def test_identity_in_random_environments(self, backend):

@@ -1,15 +1,20 @@
 """Textual encodings: round-trips and malformed-input rejection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fullgroup.backends import (Bisection, OdometerPiece, ShiftPiece,
                                 full_shift, odometer)
 from fullgroup.clopen import ClopenSet
 from fullgroup.elements import element_from_pieces
 from fullgroup.encoding import (format_bisection, format_clopen,
-                                format_element, parse_backend, parse_bisection,
-                                parse_clopen, parse_element, parse_word)
+                                format_element, parse_backend, parse_clopen,
+                                parse_element, parse_word)
 from fullgroup.errors import MalformedInput
+from fullgroup.randomize import random_clopen, random_element, substream
+
+BACKENDS = [odometer(2), odometer(3), full_shift(2), full_shift(3)]
 
 
 class TestClopenCodec:
@@ -52,39 +57,49 @@ class TestBackendCodec:
 
 
 class TestBisectionCodec:
+    """Bisections are written, never read: their piece lists are parsed
+    inside element encodings."""
+
     def test_odometer_example(self):
         bis = Bisection(odometer(2), (OdometerPiece((0, 0), 1),))
         assert format_bisection(bis) == "odo2:[(00;+1)]"
-        assert parse_bisection("odo2:[(00;+1)]") == bis
+        text = "elem:odo2:[(00;+1),(01;+0),(10;-1),(11;+0)]"
+        assert format_element(parse_element(text)) == text
 
     def test_shift_example(self):
-        text = "shift2:[(0>11),(11>0),(10>10)]"
-        bis = parse_bisection(text)
-        assert bis.pieces == (ShiftPiece((0,), (1, 1)), ShiftPiece((1, 1), (0,)),
-                              ShiftPiece((1, 0), (1, 0)))
-        assert format_bisection(bis) == text
+        bis = Bisection(full_shift(2), (ShiftPiece((0,), (1, 1)), ShiftPiece((1, 1), (0,)),
+                                        ShiftPiece((1, 0), (1, 0))))
+        assert format_bisection(bis) == "shift2:[(0>11),(11>0),(10>10)]"
+        # an element's pieces come back sorted by source
+        elem = parse_element("elem:shift2:[(0>11),(11>0),(10>10)]")
+        assert elem.pieces == (ShiftPiece((0,), (1, 1)), ShiftPiece((1, 0), (1, 0)),
+                               ShiftPiece((1, 1), (0,)))
+        assert format_element(elem) == "elem:shift2:[(0>11),(10>10),(11>0)]"
 
     def test_negative_power(self):
-        bis = parse_bisection("odo2:[(1;-1)]")
-        assert bis.pieces == (OdometerPiece((1,), -1),)
+        elem = parse_element("elem:odo2:[(1;-1),(0;+1)]")
+        assert elem.pieces == (OdometerPiece((0,), 1), OdometerPiece((1,), -1))
 
     def test_epsilon_source(self):
-        bis = parse_bisection("odo2:[(ε;+1)]")
-        assert bis.pieces == (OdometerPiece((), 1),)
+        assert parse_element("elem:odo2:[(ε;+1)]").pieces == (OdometerPiece((), 1),)
 
     def test_empty(self):
-        assert parse_bisection("shift3:[]").pieces == ()
+        with pytest.raises(MalformedInput, match="do not cover"):
+            parse_element("elem:shift3:[]")
 
     @pytest.mark.parametrize("bad", ["odo2:[(0>1)]", "shift2:[(0;+1)]",
                                      "odo2:(0;+1)", "odo2:[(2;+1)]"])
     def test_malformed(self, bad):
-        with pytest.raises(MalformedInput):
-            parse_bisection(bad)
+        why = {"odo2:[(0>1)]": "bad odometer piece", "shift2:[(0;+1)]": "bad shift piece",
+               "odo2:(0;+1)": "bad bisection encoding", "odo2:[(2;+1)]": "out of range"}
+        with pytest.raises(MalformedInput, match=why[bad]):
+            parse_element("elem:" + bad)
 
     def test_whitespace_around_commas(self):
-        bis = parse_bisection(" odo2:[ (0;+1) ,(1;-1)  ] ")
-        assert bis.pieces == (OdometerPiece((0,), 1), OdometerPiece((1,), -1))
+        elem = parse_element(" elem:odo2:[ (0;+1) ,(1;-1)  ] ")
+        assert elem.pieces == (OdometerPiece((0,), 1), OdometerPiece((1,), -1))
 
+    # each input is a valid element once its separators are single commas
     @pytest.mark.parametrize("bad", [
         "odo2:[(0;+1)junk(1;-1)]",       # junk between pieces
         "odo2:[(0;+1)(1;-1)]",           # missing comma
@@ -96,8 +111,6 @@ class TestBisectionCodec:
         "odo2:[(0;+1),(1;-1)]]",         # stray bracket
     ])
     def test_rejects_anything_but_comma_separators(self, bad):
-        with pytest.raises(MalformedInput):
-            parse_bisection(bad)
         with pytest.raises(MalformedInput):
             parse_element("elem:" + bad)
 
@@ -117,3 +130,20 @@ class TestElementCodec:
         with pytest.raises(MalformedInput):
             parse_element("elem:odo2:[(00;+1)]")
 
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(BACKENDS), st.integers(0, 2 ** 32 - 1))
+def test_clopen_roundtrip_on_random_sets(backend, seed):
+    A = random_clopen(substream(seed, f"codec:{backend.tag}"), backend.base, 6)
+    text = format_clopen(A)
+    assert parse_clopen(text) == A
+    assert format_clopen(parse_clopen(text)) == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BACKENDS), st.integers(0, 2 ** 32 - 1))
+def test_element_roundtrip_on_random_elements(backend, seed):
+    f = random_element(substream(seed, f"codec:{backend.tag}"), backend, 4)
+    text = format_element(f)
+    assert parse_element(text) == f
+    assert format_element(parse_element(text)) == text

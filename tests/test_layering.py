@@ -1,5 +1,6 @@
-"""Module layering: imports sit at module level, and the decomposition
-layer stays below the certificate layer."""
+"""Module layering: imports sit at module level, the decomposition
+layer stays below the certificate layer, and the model questions are
+answered in `backends.py`."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,16 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fullgroup"
 MODULES = sorted(SRC.glob("*.py"))
+
+# The algorithm choices that still ask which model they run on, outside
+# backends.py: the split bound, split target and closure parking set
+# (certificates), the small-support decomposition (decompose), the
+# vacuous invariance check (elements), piece parsing (encoding) and the
+# samplers (randomize).  A measure condition that is vacuous on the shift
+# goes through a backend method instead.
+IS_ODOMETER_SITES = {"certificates.py": 3, "decompose.py": 1, "elements.py": 1,
+                     "encoding.py": 1, "randomize.py": 2}
+PIECE_CLASS_MODULES = {"__init__.py", "backends.py", "encoding.py", "randomize.py"}
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
@@ -38,3 +49,29 @@ def test_no_function_local_imports(path):
 def test_decompose_below_certificates():
     tree = ast.parse((SRC / "decompose.py").read_text(encoding="utf-8"))
     assert not imported_modules(tree) & {"certificates", "encoding"}
+
+
+def test_is_odometer_sites_are_pinned():
+    counts = {}
+    for path in MODULES:
+        if path.name == "backends.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        n = sum(isinstance(node, ast.Attribute) and node.attr == "is_odometer"
+                for node in ast.walk(tree))
+        if n:
+            counts[path.name] = n
+    assert counts == IS_ODOMETER_SITES
+
+
+def test_piece_classes_named_only_where_pieces_are_built_or_read():
+    naming = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                 | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+                 | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names})
+        if names & {"OdometerPiece", "ShiftPiece"}:
+            naming.add(path.name)
+    assert naming <= PIECE_CLASS_MODULES

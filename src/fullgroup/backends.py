@@ -73,7 +73,9 @@ class BackendId:
         if len(u) != len(v):
             raise PreconditionError(
                 f"odometer pieces keep the depth: {u} and {v} differ in length")
-        return OdometerPiece(u, word_value(v, self.base) - word_value(u, self.base))
+        # the digits above the highest one where u and v differ cancel
+        k = 0 if u == v else next(i + 1 for i in reversed(range(len(u))) if u[i] != v[i])
+        return OdometerPiece(u, word_value(v[:k], self.base) - word_value(u[:k], self.base))
 
     def check_pieces(self, pieces: Iterable["Piece"]) -> None:
         """Reject pieces of the other backend's piece class."""

@@ -259,19 +259,26 @@ class ClopenSet:
             return ClopenSet.whole(self.base)
         return ClopenSet._trusted(self.base, tuple(_gaps(self.words, self.base, 0)))
 
-    def _inside(self, other: "ClopenSet") -> list[Word]:
-        """The words of self whose cylinder lies inside other."""
-        return [u for u in self.words if covering(other.words, u) is not None]
+    def _meet(self, other: "ClopenSet") -> Iterator[Word]:
+        """The words of self & other in order, canonical: one walk over both sorted antichains;
+        cylinders meet only when one word prefixes the other, and then the longer (maximal in
+        its operand) is kept and passed, else the smaller is passed; a shared word comes once."""
+        self._check_base(other)
+        a, b = self.words, other.words
+        i = j = 0
+        while i < len(a) and j < len(b):
+            u, v = a[i], b[j]
+            if v[:len(u)] == u:
+                yield v
+                j += 1
+            elif u[:len(v)] == v:
+                yield u
+                i += 1
+            else:   # disjoint: pass the smaller
+                i, j = (i + 1, j) if u < v else (i, j + 1)
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
-        """The words of either operand lying inside the other: two
-        cylinders meet only when one word prefixes the other.  Canonical:
-        a word of self inside other is maximal in self, so its parent is
-        not inside self & other, and likewise for other; both lists are
-        sorted, and a word in both is kept once."""
-        self._check_base(other)
-        words = sorted(self._inside(other) + other._inside(self))
-        return ClopenSet._trusted(self.base, tuple(dict.fromkeys(words)))
+        return ClopenSet._trusted(self.base, tuple(self._meet(other)))
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         self._check_base(other)
@@ -300,8 +307,7 @@ class ClopenSet:
         return ClopenSet._trusted(self.base, tuple(out))
 
     def is_subset(self, other: "ClopenSet") -> bool:
-        self._check_base(other)
-        return len(self._inside(other)) == len(self.words)
+        return all(u == w for u, w in itertools.zip_longest(self.words, self._meet(other)))
 
     def __and__(self, other):
         return self.intersect(other)

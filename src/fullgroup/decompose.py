@@ -113,13 +113,14 @@ def decompose_small_support(alpha: GroupElement,
     returned, and its epsilon is None.
     """
     eps = None if epsilon is None else Fraction(epsilon)
+    if not alpha.backend.is_odometer:
+        return (DecompositionResult((), (), None) if alpha.is_identity()
+                else _decompose_shift(alpha))
     if alpha.is_identity():
         return DecompositionResult((), (), eps)
-    if alpha.backend.is_odometer:
-        if eps is None or eps <= 0:
-            raise PreconditionError("odometer decomposition needs epsilon > 0")
-        return _decompose_odometer(alpha, eps)
-    return _decompose_shift(alpha)
+    if eps is None or eps <= 0:
+        raise PreconditionError("odometer decomposition needs epsilon > 0")
+    return _decompose_odometer(alpha, eps)
 
 
 def _decompose_odometer(alpha: GroupElement, eps: Fraction) -> DecompositionResult:

@@ -21,8 +21,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .backends import BackendId, Piece
-from .clopen import (ClopenSet, PointName, Word, canonical_words, covering,
-                     is_prefix, merge_families, overlapping_pair)
+from .clopen import ClopenSet, PointName, Word, covering, is_prefix, merge_families
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 _source = attrgetter("source")
@@ -42,10 +41,18 @@ def _join(parent: Word, family: list[Piece]) -> Piece | None:
 
 
 def _check_partition(words: Sequence[Word], base: int, which: str) -> None:
-    pair = overlapping_pair(words)
-    if pair is not None:
-        raise MalformedInput(f"{which} cylinders overlap: {pair[0]} vs {pair[1]}")
-    if canonical_words(words, base) != ((),):
+    """One sorted pass: disjoint words partition the space when the first is all 0s, the
+    last all b-1s, and each next one is u without its trailing b-1s, last digit + 1, then 0s."""
+    ordered = sorted(words)
+    covers = bool(ordered) and not any(ordered[0]) and all(d == base - 1 for d in ordered[-1])
+    for u, v in zip(ordered, ordered[1:]):
+        if v[:len(u)] == u:
+            raise MalformedInput(f"{which} cylinders overlap: {u} vs {v}")
+        k = len(u)
+        while k and u[k - 1] == base - 1:
+            k -= 1
+        covers = covers and k > 0 and v[:k] == u[:k - 1] + (u[k - 1] + 1,) and not any(v[k:])
+    if not covers:
         raise MalformedInput(f"{which} cylinders do not cover the whole space")
 
 
@@ -169,8 +176,7 @@ def support(f: GroupElement) -> ClopenSet:
     non-identity pieces.  Exact on both backends (odometer pieces with
     nonzero power are fixed-point free; a shift piece with distinct
     source and target moves a dense subset of its source)."""
-    return ClopenSet.from_words(
-        f.base, [p.source for p in f.pieces if not p.is_identity()])
+    return ClopenSet(f.base, [p.source for p in f.pieces if not p.is_identity()])
 
 
 def restrict(f: GroupElement, w: Word) -> list[Piece]:
@@ -192,7 +198,7 @@ def restrict(f: GroupElement, w: Word) -> list[Piece]:
 def image_of_clopen(f: GroupElement, A: ClopenSet) -> ClopenSet:
     if A.base != f.base:
         raise MalformedInput("base mismatch between element and clopen set")
-    return ClopenSet.from_words(
+    return ClopenSet(
         f.base, [p.range_word(f.base) for w in A.words for p in restrict(f, w)])
 
 

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backends import BackendId, compare_clopen, matching_pieces
+from .backends import BackendId, Piece, compare_clopen, matching_pieces
 from .clopen import ClopenSet, PointName
 from .elements import (DerivedWitness, GroupElement, commutator, compose,
-                       identity, image_of_clopen, involution_from_partial,
-                       support)
+                       element_from_pieces, identity, image_of_clopen, inverse,
+                       involution_from_partial, support)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 INVOLUTION_SMALL_SUPPORT = "InvolutionSmallSupport"
@@ -59,7 +59,7 @@ def exact_swap_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Gro
         raise PreconditionError("exact swap needs both A\\B and B\\A nonempty")
     alpha = involution_from_partial(backend, matching_pieces(backend, A1, B1))
     _require(image_of_clopen(alpha, A) == B, "swap image is not exactly B")
-    _require(compose(alpha, alpha).is_identity(), "swap is not an involution")
+    _require(alpha.pieces == inverse(alpha).pieces, "swap is not an involution")
     _require(support(alpha) == A1 | B1, "swap support is not the symmetric difference")
     return alpha
 
@@ -87,7 +87,7 @@ def full_group_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
         alpha = _transfer_involution(backend, A, B)
         image = image_of_clopen(alpha, A)
         _require(image.is_subset(B), "transfer image escapes the target")
-        _require(compose(alpha, alpha).is_identity(), "transfer is not an involution")
+        _require(alpha.pieces == inverse(alpha).pieces, "transfer is not an involution")
         _require(support(alpha).is_subset(A | image), "transfer support too large")
         return TransferResult(alpha, None, INVOLUTION_SMALL_SUPPORT)
     # inside case: B properly contained in A (full shift only)
@@ -211,9 +211,11 @@ def gw_intertwining(backend: BackendId, A: ClopenSet, B: ClopenSet,
         raise PreconditionError("intertwining needs both A\\B and B\\A nonempty")
     anchor_a = PointName.zeros_tail(A.base, At.pick())
     anchor_b = PointName.zeros_tail(B.base, Bt.pick())
-    partial = identity(backend)
+    if rounds == 0:
+        return GWState(0, identity(backend), A, B, anchor_a, anchor_b)
+    # earlier rounds fix the current residuals: the product is the union of moving pieces
+    moving: list[Piece] = []
     res_a, res_b = At, Bt
-    state = GWState(0, partial, A, B, anchor_a, anchor_b)
     for n in range(1, rounds + 1):
         if n % 2 == 1:
             src_res, src_anchor = res_a, anchor_a
@@ -238,10 +240,13 @@ def gw_intertwining(backend: BackendId, A: ClopenSet, B: ClopenSet,
             res_a, res_b = kept, dst_res - image
         else:
             res_a, res_b = dst_res - image, kept
-        partial = compose(step.element, partial)
-        state = GWState(n, partial, res_a, res_b, anchor_a, anchor_b)
+        moving += [p for p in step.element.pieces if not p.is_identity()]
         _require(res_a.contains_point(anchor_a) and res_b.contains_point(anchor_b),
                  "anchors escaped their residuals")
-        _require(state.residual_a.diameter_bound() < Fraction(2) ** (1 - n),
+        _require(res_a.diameter_bound() < Fraction(2) ** (1 - n),
                  "residual diameter bound violated")
-    return state
+    try:
+        partial = element_from_pieces(backend, moving)
+    except MalformedInput as err:
+        raise PostconditionError(f"intertwining rounds overlap: {err}") from None
+    return GWState(rounds, partial, res_a, res_b, anchor_a, anchor_b)

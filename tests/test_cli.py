@@ -95,6 +95,13 @@ class TestDecomposeSplit:
         assert data["reconstructs"] is True
         assert len(data["factors"]) >= 1
 
+    def test_decompose_shift_identity_ignores_eps(self, capsys):
+        # the shift has no invariant measure: epsilon is null for every
+        # element, the identity included
+        code, out, _ = run(capsys, "decompose", "elem:shift2:[(ε>ε)]", "--eps", "1/4")
+        assert code == 0
+        assert artifact_of(out)["epsilon"] is None
+
     def test_decompose_bad_eps(self, capsys):
         code, _, _ = run(capsys, "decompose",
                          "elem:odo2:[(0;+1),(1;-1)]", "--eps", "x")

@@ -130,6 +130,33 @@ def test_ops_match_bitmap_oracle(case):
         assert ClopenSet(base, X.words).words == X.words
 
 
+@pytest.mark.parametrize("base", [2, 3])
+def test_merge_walk_matches_bitmap_oracle(base):
+    """intersect and is_subset walk both sorted antichains at once;
+    against bitmaps on random pairs of up to 24 words, where B is often
+    refined from A so nesting and containment are common."""
+    rng = random.Random(1000 + base)
+    depth = 8 if base == 2 else 6
+
+    def some_words(count):
+        return [tuple(rng.randrange(base) for _ in range(rng.randint(2, depth)))
+                for _ in range(count)]
+
+    for _ in range(150):
+        A = ClopenSet.from_words(base, some_words(rng.randint(0, 24)))
+        if rng.random() < 0.5:
+            B = ClopenSet.from_words(base, some_words(rng.randint(0, 24)))
+        else:
+            B = ClopenSet.from_words(base, [
+                (w + tuple(some_words(1)[0]))[:depth]
+                for w in A.words if rng.random() < 0.8])
+        am, bm = clopen_bitmap(A, depth), clopen_bitmap(B, depth)
+        for X, Y, xm, ym in ((A, B, am, bm), (B, A, bm, am)):
+            assert clopen_bitmap(X & Y, depth) == xm & ym
+            assert X.is_subset(Y) == (xm <= ym)
+            assert ClopenSet(base, (X & Y).words).words == (X & Y).words
+
+
 def pairwise_intersect(A, B):
     """Reference intersection by the pairwise scan over all word pairs:
     [u] and [v] meet exactly when one word prefixes the other, and then

@@ -3,13 +3,17 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fullgroup.backends import OdometerPiece, ShiftPiece, full_shift, odometer
-from fullgroup.clopen import ClopenSet, PointName
-from fullgroup.elements import (DerivedWitness, GroupElement, apply_point,
-                                check_measure_invariance, commutator, compose,
-                                conjugate, element_from_pieces, equals,
-                                identity, image_of_clopen, inverse, support)
+from fullgroup.clopen import (ClopenSet, PointName, canonical_words,
+                              overlapping_pair)
+from fullgroup.elements import (DerivedWitness, GroupElement, _check_partition,
+                                apply_point, check_measure_invariance,
+                                commutator, compose, conjugate,
+                                element_from_pieces, equals, identity,
+                                image_of_clopen, inverse, support)
 from fullgroup.errors import MalformedInput
 from fullgroup.randomize import random_clopen, random_element, substream
 
@@ -71,6 +75,76 @@ class TestCanonicalForm:
         with pytest.raises(MalformedInput):
             GroupElement(odometer(2), (
                 OdometerPiece((), 0), OdometerPiece((0,), 0)))
+
+
+def reference_check_partition(words, base, which):
+    """The partition rule the one-pass check replaced: the first
+    overlapping pair in sorted order, then the canonical form of the
+    words must be the whole space."""
+    pair = overlapping_pair(words)
+    if pair is not None:
+        raise MalformedInput(f"{which} cylinders overlap: {pair[0]} vs {pair[1]}")
+    if canonical_words(words, base) != ((),):
+        raise MalformedInput(f"{which} cylinders do not cover the whole space")
+
+
+def partition_verdict(check, words, base):
+    try:
+        check(words, base, "range")
+    except MalformedInput as err:
+        return str(err)
+    return None
+
+
+@st.composite
+def partition_candidates(draw):
+    """A partition grown by splitting cylinders of the whole space, then
+    up to three edits (drop: a gap; repeat: a duplicate; extend or cut: an
+    overlap; a free word), in any order; or a single word of depth up to
+    12, or no words."""
+    base = draw(st.sampled_from([2, 3]))
+    digit = st.integers(0, base - 1)
+    free_word = st.lists(digit, max_size=12).map(tuple)
+    shape = draw(st.sampled_from(["partition", "single", "empty"]))
+    if shape == "single":
+        return base, [draw(free_word)]
+    if shape == "empty":
+        return base, []
+    words = [()]
+    for _ in range(draw(st.integers(0, 8))):
+        w = words.pop(draw(st.integers(0, len(words) - 1)))
+        words += [w + (d,) for d in range(base)]
+    for edit in draw(st.lists(st.sampled_from(
+            ["drop", "repeat", "extend", "cut", "free"]), max_size=3)):
+        w = words[draw(st.integers(0, len(words) - 1))] if words else ()
+        if edit == "drop" and words:
+            words.remove(w)
+        elif edit == "repeat":
+            words.append(w)
+        elif edit == "extend":
+            words.append(w + tuple(draw(st.lists(digit, min_size=1, max_size=3))))
+        elif edit == "cut":
+            words.append(w[:draw(st.integers(0, len(w)))])
+        elif edit == "free":
+            words.append(draw(free_word))
+    return base, draw(st.permutations(words))
+
+
+@settings(max_examples=400, deadline=None)
+@given(partition_candidates())
+def test_one_pass_partition_check_matches_reference(case):
+    base, words = case
+    assert (partition_verdict(_check_partition, words, base)
+            == partition_verdict(reference_check_partition, words, base))
+
+
+def test_partition_check_reports_overlap_before_gap():
+    # [00] is missing and [1] overlaps [10]: the overlap is reported
+    words = [(0, 1), (1,), (1, 0)]
+    with pytest.raises(MalformedInput, match=r"source cylinders overlap: \(1,\) vs \(1, 0\)"):
+        _check_partition(words, 2, "source")
+    with pytest.raises(MalformedInput, match="do not cover the whole space"):
+        _check_partition([(0, 1), (1,)], 2, "source")
 
 
 class TestConstructor:
@@ -170,6 +244,20 @@ class TestInverse:
 
     def test_phi_inverse_not_phi(self, phi):
         assert not equals(phi, inverse(phi))
+
+
+class TestInvolutionCheck:
+    def test_self_inverse_iff_square_is_identity(self, backend):
+        # the transfers check an involution as f = f^-1 on canonical
+        # pieces; the square is the independent statement
+        rng = substream(4246, f"involution:{backend.tag}")
+        verdicts = set()
+        for i in range(40):
+            f = random_element(rng, backend, 3, moves=1 if i % 2 else None)
+            square_is_identity = compose(f, f).is_identity()
+            assert (f.pieces == inverse(f).pieces) == square_is_identity
+            verdicts.add(square_is_identity)
+        assert verdicts == {True, False}
 
 
 class TestSupport:

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from fullgroup import transfers
 from fullgroup.backends import compare_clopen, full_shift, odometer
 from fullgroup.clopen import ClopenSet
-from fullgroup.elements import (compose, equals, image_of_clopen, inverse,
-                                support)
-from fullgroup.errors import MalformedInput, PreconditionError
+from fullgroup.elements import (compose, equals, identity, image_of_clopen,
+                                inverse, support)
+from fullgroup.errors import MalformedInput, PostconditionError, PreconditionError
 from fullgroup.randomize import (comparison_pair, substream,
                                  swap_equivalent_pair)
 from fullgroup.transfers import (COMMUTATOR_CYCLIC, COMMUTATOR_INSIDE_CASE,
@@ -16,6 +17,8 @@ from fullgroup.transfers import (COMMUTATOR_CYCLIC, COMMUTATOR_INSIDE_CASE,
                                  INVOLUTION_SMALL_SUPPORT,
                                  commutator_transfer, exact_swap_involution,
                                  full_group_transfer, gw_intertwining)
+
+from conftest import oracle_equal
 
 
 def cs(base, *words):
@@ -262,6 +265,50 @@ class TestIntertwining:
                     assert state.residual_a.is_subset(prev.residual_a)
                     assert state.residual_b.is_subset(prev.residual_b)
                     prev = state
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
+    def test_partial_is_the_product_of_the_rounds(self, backend, monkeypatch):
+        # the partial is assembled once from the rounds' moving pieces;
+        # composing the recorded round involutions is the independent route
+        steps = []
+        real = transfers.full_group_transfer
+
+        def recording(*args):
+            result = real(*args)
+            steps.append(result.element)
+            return result
+
+        monkeypatch.setattr(transfers, "full_group_transfer", recording)
+        rng = substream(25, f"gw-product:{backend.tag}")
+        for rounds in range(7):
+            A, B = swap_equivalent_pair(rng, backend, 3)
+            steps.clear()
+            partial = gw_intertwining(backend, A, B, rounds).partial
+            assert len(steps) == rounds
+            product = identity(backend)
+            for step in steps:
+                product = compose(step, product)
+            assert partial == product
+            # the pointwise oracle refines both to their deepest source;
+            # it runs where that stays within 2**12 cylinders
+            depth = max(len(p.source) for p in partial.pieces + product.pieces)
+            if backend.base ** depth <= 1 << 12:
+                assert oracle_equal(partial, product)
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
+    def test_overlapping_rounds_are_a_postcondition_error(self, backend, monkeypatch):
+        # round 2 swaps its annulus into round 1's annulus: every per-round
+        # check passes, and assembling the partial finds the overlap
+        sources = []
+        real = transfers.full_group_transfer
+
+        def overlapping(backend, A, B):
+            sources.append(A)
+            return real(backend, A, sources[0] if len(sources) == 2 else B)
+
+        monkeypatch.setattr(transfers, "full_group_transfer", overlapping)
+        with pytest.raises(PostconditionError, match="intertwining rounds overlap"):
+            gw_intertwining(backend, cs(backend.base, (0,)), cs(backend.base, (1,)), 2)
 
     def test_negative_rounds_rejected(self):
         with pytest.raises(PreconditionError):

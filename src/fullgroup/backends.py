@@ -21,9 +21,9 @@ the cylinder a transfer keeps free (`reserved_cylinder`).
 `compare_clopen`, `pair_cylinders` and `matching_pieces` pair
 cylinders.  The algorithm choices that still ask `is_odometer` live
 with their algorithms: the small-support decomposition
-(`decompose`), the split bound and target and the closure parking set
-(`certificates`), the vacuous measure-invariance check (`elements`),
-piece syntax (`encoding`) and the samplers (`randomize`).  Both models
+(`decompose`), the closure parking set (`certificates`), the vacuous
+measure-invariance check (`elements`), piece syntax (`encoding`) and
+the samplers (`randomize`).  Both models
 are minimal and second countable; this is a documented fact about the
 models, not a runtime check.
 """
@@ -86,8 +86,10 @@ class BackendId:
 
     def check_sets(self, A: ClopenSet, B: ClopenSet) -> None:
         """Reject clopen sets over another base than the backend's."""
-        if A.base != self.base or B.base != self.base:
-            raise MalformedInput("clopen sets do not match the backend base")
+        for S in (A, B):
+            if S.base != self.base:
+                raise MalformedInput(
+                    f"clopen base {S.base} does not match backend {self.tag}")
 
     def measure_below(self, A: ClopenSet, B: ClopenSet | Fraction,
                       factor: int = 1) -> bool:

@@ -226,29 +226,21 @@ def split_nontrivial_support(tau: GroupElement) -> SplitResult:
     if tau.is_identity():
         raise PreconditionError("cannot split the identity")
     backend = tau.backend
-    base = tau.base
-    bound = Fraction(1, 16) if backend.is_odometer else Fraction(1, 4)
-    # shrink A until the three translates leave room for both the parked
-    # copy of tau(A) and the clearing region C
-    extra = 0
+    # shrink A until mu(A) < 1/16 and the three translates leave room for
+    # the clearing region C; both hold for every [A.0^k] once they hold
+    A = separated_cylinder(tau)
+    tau_inv = inverse(tau)
     while True:
-        A = separated_cylinder(tau, volume_bound=bound, extra_depth=extra)
         tau_A = image_of_clopen(tau, A)
-        tau_inv_A = image_of_clopen(inverse(tau), A)
-        budget = 1 - A.volume() - tau_A.volume() - tau_inv_A.volume()
-        if budget > 0:
+        tau_inv_A = image_of_clopen(tau_inv, A)
+        if (backend.measure_below(A, Fraction(1, 16))
+                and not (A | tau_A | tau_inv_A).is_whole()):
             break
-        extra += 1
-    # sigma0 moves tau(A) off A u tau(A); on the shift the target is a
-    # deepened cylinder so the union of the four sets stays proper
+        A = proper_subcylinder(A)
+    # sigma0 moves tau(A) off A u tau(A), keeping free the cylinder of the
+    # rest that the backend reserves, so C stays nonempty
     outside = (A | tau_A).complement()
-    if backend.is_odometer:
-        target = outside
-    else:
-        word = outside.pick()
-        while Fraction(1, base ** len(word)) >= budget:
-            word = word + (0,)
-        target = ClopenSet.from_words(base, [word])
+    target = outside - backend.reserved_cylinder(outside - tau_inv_A)
     sigma0 = full_group_transfer(backend, tau_A, target).element
     B = image_of_clopen(sigma0, tau_A)
     C = (A | tau_A | tau_inv_A | B).complement()
@@ -456,8 +448,6 @@ def scan_conjugate_form(cp: ConjugateProduct, env: Environment) -> bool:
     and all names resolve."""
     env.get(cp.generator)
     for f in cp.factors:
-        if f.sign not in (1, -1):
-            return False
         if cp.generator in f.conjugator.names():
             return False
         for name in f.conjugator.names():

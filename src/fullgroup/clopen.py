@@ -26,6 +26,11 @@ from .errors import MalformedInput, PreconditionError
 Word = tuple[int, ...]
 T = TypeVar("T")
 
+# The most cylinders `ClopenSet.refine_to` may list: a refinement needing
+# more is refused before any cell is built (65536 paired odometer cells
+# take about 0.7 s and 50 MB).
+MAX_REFINED_CELLS = 1 << 16
+
 
 def check_word(word: Word, base: int) -> None:
     for d in word:
@@ -359,7 +364,12 @@ class ClopenSet:
 
     def refine_to(self, depth: int) -> tuple[Word, ...]:
         """All cylinder words of the set at exactly `depth` >= max_depth(),
-        in lexicographic order."""
+        in lexicographic order; at most MAX_REFINED_CELLS of them."""
+        count = sum(self.base ** (depth - len(w)) for w in self.words)
+        if count > MAX_REFINED_CELLS:
+            raise MalformedInput(
+                f"refining to depth {depth} needs {count} cells, "
+                f"over the limit of {MAX_REFINED_CELLS}")
         return tuple(v for w in self.words for v in expand_word(w, self.base, depth))
 
     def word_containing(self, point: "PointName") -> Word | None:

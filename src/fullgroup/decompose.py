@@ -31,11 +31,10 @@ class DecompositionResult:
     epsilon: Fraction | None
 
 
-def separated_cylinder(tau: GroupElement, *,
-                       volume_bound: Fraction = Fraction(1),
-                       extra_depth: int = 0) -> ClopenSet:
+def separated_cylinder(tau: GroupElement) -> ClopenSet:
     """A deterministic cylinder A with A disjoint from tau(A), both of
-    depth at least two, A u tau(A) proper, and mu(A) < volume_bound.
+    depth at least two, and A u tau(A) proper.  Every [A.0^k] keeps these
+    properties, since it lies in A and its image in tau(A).
 
     Starts from the word the first moved piece of tau moves off itself
     and descends lexicographically (always appending digit 0); freeness
@@ -47,15 +46,12 @@ def separated_cylinder(tau: GroupElement, *,
     base = tau.base
     piece = next(p for p in tau.pieces if not p.is_identity())
     word = piece.separated_word(base)
-    for _ in range(extra_depth):
-        word = word + (0,)
     while True:
         A = ClopenSet.from_words(base, [word])
         image = image_of_clopen(tau, A)
         if (A.intersect(image).is_empty()
                 and len(word) >= 2
                 and all(len(w) >= 2 for w in image.words)
-                and A.volume() < volume_bound
                 and not (A | image).is_whole()):
             return A
         word = word + (0,)

@@ -126,8 +126,6 @@ def random_element(rng: random.Random, backend: BackendId, max_depth: int, *,
     if proper_support:
         reserve = random_word(rng, base, 2, 1)
         region = ClopenSet.from_words(base, [reserve]).complement()
-        if region.is_empty():
-            region = ClopenSet.from_words(base, [(0,)]).complement()
     while True:
         result = identity(backend)
         for _ in range(moves if moves is not None else rng.randint(1, 3)):

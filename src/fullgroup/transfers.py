@@ -103,11 +103,9 @@ def full_group_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
 
 
 def _transfer_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> GroupElement:
-    """The sigma_U | sigma_U^-1 | id involution for U = compare(A\\B, B\\A)."""
-    A1 = A - B
-    if A1.is_empty():
-        return identity(backend)
-    U = compare_clopen(backend, A1, B - A)
+    """The sigma_U | sigma_U^-1 | id involution for U = compare(A\\B, B\\A);
+    every caller passes an A not inside B."""
+    U = compare_clopen(backend, A - B, B - A)
     return involution_from_partial(backend, list(U.pieces))
 
 

@@ -164,6 +164,15 @@ class TestCertifyVerify:
         code, out, _ = run(capsys, "verify", str(cert_file))
         assert code == 0
 
+    def test_certify_across_backends_is_malformed(self, capsys):
+        code, out, err = run(capsys, "certify",
+                             "--tau0", "elem:odo2:[(ε;+1)]",
+                             "--alpha", "elem:shift2:[(00>01),(01>00),(1>1)]",
+                             "--beta", BETA_ODO)
+        assert code == 2
+        assert not out
+        assert err == "error: element for 'alpha' is on backend shift2, expected odo2\n"
+
     def test_tampered_certificate_fails(self, capsys, tmp_path):
         cert_file = tmp_path / "cert.json"
         run(capsys, "certify",

@@ -2,17 +2,18 @@
 
 from fractions import Fraction
 from functools import reduce
+from itertools import permutations
 
 import pytest
 
 from fullgroup.backends import OdometerPiece, ShiftPiece, full_shift, odometer
 from fullgroup.clopen import ClopenSet
-from fullgroup.certificates import split_nontrivial_support
+from fullgroup.certificates import split_nontrivial_support, verify_certificate
 from fullgroup.decompose import (decompose_small_support, displaced_set,
                                  separated_cylinder)
 from fullgroup.elements import (compose, element_from_pieces, equals,
                                 identity, image_of_clopen, inverse, support)
-from fullgroup.encoding import parse_clopen
+from fullgroup.encoding import parse_clopen, parse_element
 from fullgroup.errors import PreconditionError
 from fullgroup.randomize import random_element, substream
 
@@ -49,9 +50,22 @@ class TestSeparatedCylinder:
         with pytest.raises(PreconditionError):
             separated_cylinder(identity(odometer(2)))
 
-    def test_volume_bound(self):
-        A = separated_cylinder(odo_flip(), volume_bound=Fraction(1, 16))
-        assert A.volume() < Fraction(1, 16)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
+    def test_guarantees_hold_below_the_cylinder(self, backend):
+        # split descends from A to [A.0^k]; each must stay separated
+        rng = substream(36, f"separated:{backend.tag}")
+        for _ in range(20):
+            tau = random_element(rng, backend, 3, nontrivial=True)
+            word = separated_cylinder(tau).words[0]
+            for k in range(5):
+                A = cs(backend.base, word + (0,) * k)
+                image = image_of_clopen(tau, A)
+                assert image == ClopenSet.from_words(
+                    backend.base, pointwise_image_words(tau, A))
+                assert A.intersect(image).is_empty()
+                assert len(A.words[0]) >= 2
+                assert all(len(w) >= 2 for w in image.words)
+                assert not (A | image).is_whole()
 
     def test_nested_shift_piece(self):
         # source a prefix of target: the single fixed point must be avoided
@@ -179,6 +193,46 @@ class TestDecompose:
                 assert all(b.volume() < eps for b in res.bounds)
 
 
+# shift2 elements on which 1 - mu(A) - mu(tau A) - mu(tau^-1 A) is
+# exactly 0 for the Bernoulli mu: a split that budgeted by a measure the
+# shift does not preserve had no room on them
+ZERO_BUDGET = [
+    "elem:shift2:[(00>1),(010>0000),(0110>001),(0111>01),(1>0001)]",
+    "elem:shift2:[(00>1),(010>0000),(0110>01),(0111>001),(1>0001)]",
+    "elem:shift2:[(00>1),(010>0001),(0110>001),(0111>01),(1>0000)]",
+    "elem:shift2:[(00>1),(010>0001),(0110>01),(0111>001),(1>0000)]",
+    "elem:shift2:[(00>1),(0100>001),(0101>01),(011>0000),(1>0001)]",
+    "elem:shift2:[(00>1),(0100>001),(0101>01),(011>0001),(1>0000)]",
+    "elem:shift2:[(00>1),(0100>01),(0101>001),(011>0000),(1>0001)]",
+    "elem:shift2:[(00>1),(0100>01),(0101>001),(011>0001),(1>0000)]",
+]
+
+
+def partitions(base, max_words):
+    """Every partition of the space into at most max_words cylinders."""
+    found = {((),)}
+    frontier = [((),)]
+    while frontier:
+        words = frontier.pop()
+        if len(words) + base - 1 > max_words:
+            continue
+        for i, w in enumerate(words):
+            split = tuple(sorted(words[:i] + words[i + 1:]
+                                 + tuple(w + (a,) for a in range(base))))
+            if split not in found:
+                found.add(split)
+                frontier.append(split)
+    return sorted(found)
+
+
+def check_split(tau):
+    res = split_nontrivial_support(tau)
+    assert equals(compose(res.tau1, res.tau2), tau)
+    assert not support(res.tau1).is_whole()
+    assert not support(res.tau2).is_whole()
+    assert verify_certificate(res.certificate, res.environment, res.tau1)
+
+
 class TestSplit:
     def test_full_flip(self):
         tau = full_flip()
@@ -218,3 +272,24 @@ class TestSplit:
             assert not support(res.tau1).is_whole()
             assert not support(res.tau2).is_whole()
             assert equals(res.certificate.evaluate(res.environment), res.tau1)
+            if backend.is_odometer:
+                A = parse_clopen(res.trace["separating"])
+                assert A.volume() < Fraction(1, 16)
+
+    @pytest.mark.parametrize("text", ZERO_BUDGET)
+    def test_zero_budget_elements(self, text):
+        check_split(parse_element(text))
+
+    def test_every_small_shift2_element(self):
+        backend = full_shift(2)
+        parts = partitions(2, 4)
+        seen = set()
+        for sources in parts:
+            for targets in (t for t in parts if len(t) == len(sources)):
+                for order in permutations(targets):
+                    tau = element_from_pieces(
+                        backend, [ShiftPiece(u, v) for u, v in zip(sources, order)])
+                    if not tau.is_identity() and tau.pieces not in seen:
+                        seen.add(tau.pieces)
+                        check_split(tau)
+        assert len(seen) == 551

@@ -143,8 +143,8 @@ DIGESTS = {
     "gw-shift2": "9ec11b9fa2d06efb1608cc9b9bf1d0a4e0d5f6adddfe2c28852d4e26696b6d85",
     "decompose-shift2": "123f249cbf3d75458db6f5add2a8169096189f9c2b7fa5ee677277f1c696a090",
     "decompose-swap-shift2": "cce1a75b5ae2d02ef3df12728ca8707c905c40a615033e5234921ebf97099a02",
-    "split-shift2": "7881262331331d259af39fec4523d52e5c4f0aa32aa3d99887541384d54699c3",
-    "split-swap-shift2": "264a79d5088b5586b2984e55ae94e0064615eb61bf77b8aad9c0953e527c31a0",
+    "split-shift2": "980f11b1de1aec25513d3d7da52fe52eef7519ee2cd3cc82212be9f331e01e67",
+    "split-swap-shift2": "5eec715a215526580509fbfe87d4734330d4fc490f1aa03299245c97be38507b",
     "certify-shift2": "1bea87650ea0e30aa381746e9138966c7fd58ef45c47aa4714fc05e421b78766",
     "compare-shift3": "58651b85442592a3c7d9af4e70fa2563d40f8f6424e762e29027ae34084b018c",
     "transfer-shift3": "71abe06dbce0e97ec1edfbd40c2fb592379d7a617dd5180b4761c5567a4de44b",
@@ -155,7 +155,7 @@ DIGESTS = {
     "decompose-shift3": "e9dc4154e70c5f3bc856452c964f05f1cdaa73cb9fad45bdb640bb0816f695d7",
     "decompose-swap-shift3": "390b34e7ac0cbb94a596865a55ca6ed980da7a59f03a4151d61e1573638a991d",
     "split-shift3": "32438d05b0bd4624c7d1bec20f947717cb18a826b83b45b6361d9db41c525fec",
-    "split-swap-shift3": "afef9df3902c9c2285bf8c7f13373bc8b944eedbafbc0a2fc48a48d8ec6f3e98",
+    "split-swap-shift3": "f27a291f7ae8c81d2b085ab73a529e2159e86379a63fe2aebc2d5cebf5a3cb08",
     "certify-shift3": "6ac7273ffff8f7c305ec3d3a6f0ec3b0fec83c07feeeb4256fb2f7fc270fdb4b",
     "selftest-clopen-algebra-odo2": "636f8b980ef55ef4fc30edf048092fe8d9ab0831c309b9e3f171099cb114f770",
     "selftest-group-axioms-odo2": "b34492bd24dd0e0616c77b3577dd04533dfe2cc4fa93003562ffc278460ce84a",

@@ -11,12 +11,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "fullgroup"
 MODULES = sorted(SRC.glob("*.py"))
 
 # The algorithm choices that still ask which model they run on, outside
-# backends.py: the split bound, split target and closure parking set
-# (certificates), the small-support decomposition (decompose), the
-# vacuous invariance check (elements), piece parsing (encoding) and the
-# samplers (randomize).  A measure condition that is vacuous on the shift
-# goes through a backend method instead.
-IS_ODOMETER_SITES = {"certificates.py": 3, "decompose.py": 1, "elements.py": 1,
+# backends.py: the closure parking set (certificates), the small-support
+# decomposition (decompose), the vacuous invariance check (elements),
+# piece parsing (encoding) and the samplers (randomize).  A measure
+# condition that is vacuous on the shift goes through a backend method
+# instead.
+IS_ODOMETER_SITES = {"certificates.py": 1, "decompose.py": 1, "elements.py": 1,
                      "encoding.py": 1, "randomize.py": 2}
 PIECE_CLASS_MODULES = {"__init__.py", "backends.py", "encoding.py", "randomize.py"}
 
@@ -62,6 +62,17 @@ def test_is_odometer_sites_are_pinned():
         if n:
             counts[path.name] = n
     assert counts == IS_ODOMETER_SITES
+
+
+def test_split_reads_no_bernoulli_volume():
+    # the split must hold on the shift, which preserves no measure: its
+    # measure conditions go through the backend
+    tree = ast.parse((SRC / "certificates.py").read_text(encoding="utf-8"))
+    split = next(node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                 and node.name == "split_nontrivial_support")
+    calls = [node.lineno for node in ast.walk(split) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "volume"]
+    assert not calls, f"volume() called on lines {calls}"
 
 
 def test_piece_classes_named_only_where_pieces_are_built_or_read():

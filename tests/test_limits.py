@@ -9,7 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from fullgroup.backends import OdometerPiece, odometer
+from fullgroup.clopen import MAX_REFINED_CELLS
 from fullgroup.decompose import MAX_DECOMPOSITION_CELLS
 from fullgroup.elements import involution_from_partial
 from fullgroup.encoding import format_element
@@ -81,3 +84,24 @@ def test_too_many_gw_rounds_are_refused():
                "--rounds", "100000000")
     assert done.returncode == 2, done.stderr
     assert f"over the limit of {MAX_GW_ROUNDS}" in done.stderr
+
+
+# a shallow odometer source paired against a deep word refines to the
+# deep word's depth: 2^28 cells and more
+DEEP = "0" * 29 + "1"
+OVERSIZED = {
+    "compare": ["compare", cells("01"), cells("1," + DEEP), "--backend", "odo2"],
+    "transfer": ["transfer", cells("01"), cells("1," + DEEP), "--backend", "odo2"],
+    "swap": ["swap", cells("01,1" + DEEP), cells("1" + "0" * 30 + ",00"),
+             "--backend", "odo2"],
+    "selftest": ["selftest", "--suite", "swap-involution", "--backend", "odo2",
+                 "--max-depth", "30", "--trials", "10"],
+}
+
+
+@pytest.mark.parametrize("name", list(OVERSIZED))
+def test_oversized_refinement_is_refused(name):
+    done = cli(*OVERSIZED[name])
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert f"over the limit of {MAX_REFINED_CELLS}" in done.stderr

@@ -42,7 +42,8 @@ def test_sets_over_another_base_rejected(name, backend):
     # without the base check these sets reach a measure test or a base
     # mismatch further down and fail there, with another error
     A, B = cs(3, (0,)), cs(3, (1,))
-    with pytest.raises(MalformedInput, match="^clopen sets do not match the backend base$"):
+    with pytest.raises(MalformedInput,
+                       match=f"^clopen base 3 does not match backend {backend.tag}$"):
         SYNTHESIZERS[name](backend, A, B)
 
 

@@ -12,12 +12,13 @@
   clopen sets is unconditional.
 
 This module answers the model questions.  The piece classes carry the
-per-piece rules (range, restriction, inverse, composition, sibling
-merge, action on points, a separated sub-cylinder).  `BackendId` builds
-pieces and checks their class, states the comparison hypothesis
-(`measure_below`, `measure_equal`: vacuous on the shift), gives the
-depth below which cylinders have small measure (`measure_depth`) and
-the cylinder a transfer keeps free (`reserved_cylinder`).
+per-piece rules (range, restriction, inverse, composition, the pull-back
+of a run of pieces, sibling merge, action on points, a separated
+sub-cylinder).  `BackendId` builds pieces and checks their class, states
+the comparison hypothesis (`measure_below`, `measure_equal`: vacuous on
+the shift), gives the depth below which cylinders have small measure
+(`measure_depth`) and the cylinder a transfer keeps free
+(`reserved_cylinder`).
 `compare_clopen`, `pair_cylinders` and `matching_pieces` pair
 cylinders.  The algorithm choices that still ask `is_odometer` live
 with their algorithms: the small-support decomposition
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 from .clopen import (ClopenSet, PointName, Word, depth_for_measure_below,
@@ -40,6 +42,8 @@ from .errors import MalformedInput, PostconditionError, PreconditionError
 
 ODOMETER = "odometer"
 FULL_SHIFT = "full-shift"
+
+_source = attrgetter("source")
 
 
 @dataclass(frozen=True)
@@ -162,6 +166,20 @@ class OdometerPiece:
         """self o inner, for an inner piece whose range lies in the source."""
         return OdometerPiece(inner.source, inner.power + self.power)
 
+    def pull_back(self, run: Sequence["OdometerPiece"],
+                  base: int) -> list["OdometerPiece"]:
+        """q o self on the preimage of each q.source, sorted by source, for
+        a sorted run of pieces whose sources partition the range [v].  The
+        piece maps [source.y] to [v.(y + c)] with c its carry, so the
+        preimage of [v.s] is [source.s'] with s' = s - c mod b^|s|: the
+        tails are rotated by c, which breaks their order unless c = 0."""
+        d = len(self.source)
+        carry = self.carry(base)
+        pieces = [OdometerPiece(
+            self.source + OdometerPiece(q.source[d:], -carry).range_word(base),
+            self.power + q.power) for q in run]
+        return sorted(pieces, key=_source) if carry else pieces
+
     @staticmethod
     def merge_siblings(parent: Word,
                        family: Sequence["OdometerPiece"]) -> "OdometerPiece | None":
@@ -176,8 +194,11 @@ class OdometerPiece:
         """Image of a point of the source: the carry of value(source) +
         power propagates into the tail."""
         d = len(self.source)
-        carry = (word_value(self.source, base) + self.power) // base ** d
-        return point.drop(d).add_integer(carry).prepend(self.range_word(base))
+        return point.drop(d).add_integer(self.carry(base)).prepend(self.range_word(base))
+
+    def carry(self, base: int) -> int:
+        """What adding power to value(source) carries into the tail."""
+        return (word_value(self.source, base) + self.power) // base ** len(self.source)
 
     def separated_word(self, base: int) -> Word:
         """A word extending the source whose cylinder the piece moves off
@@ -212,6 +233,13 @@ class ShiftPiece:
         """self o inner, for an inner piece whose range lies in the source."""
         return ShiftPiece(inner.source,
                           self.target + inner.target[len(self.source):])
+
+    def pull_back(self, run: Sequence["ShiftPiece"], base: int) -> list["ShiftPiece"]:
+        """q o self on the preimage of each q.source, for a sorted run of
+        pieces whose sources partition the range [target]: the preimage of
+        [target.t] is [source.t], so the run's order is kept."""
+        k = len(self.target)
+        return [ShiftPiece(self.source + q.source[k:], q.target) for q in run]
 
     @staticmethod
     def merge_siblings(parent: Word,
@@ -353,7 +381,8 @@ def matching_pieces(backend: BackendId, S: ClopenSet, T: ClopenSet) -> list[Piec
         raise PreconditionError("cannot match a nonempty set with an empty one")
     if not backend.measure_equal(S, T):
         raise PreconditionError(
-            f"exact matching needs equal measures, got {S.volume()} vs {T.volume()}")
+            f"exact matching needs equal measures, got {S.volume_text()} "
+            f"vs {T.volume_text()}")
     if backend.is_odometer:
         return pair_cylinders(backend, S, T, onto=True)
     src = sorted(S.words, key=word_key)
@@ -396,7 +425,8 @@ def compare_clopen(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Bisection:
         return Bisection(backend, ())
     if not backend.measure_below(A, B):
         raise PreconditionError(
-            f"comparison unavailable: mu(A)={A.volume()} is not below mu(B)={B.volume()}")
+            f"comparison unavailable: mu(A)={A.volume_text()} "
+            f"is not below mu(B)={B.volume_text()}")
     if backend.is_odometer:
         pieces = pair_cylinders(backend, A, B)
     else:

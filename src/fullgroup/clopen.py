@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -30,6 +31,10 @@ T = TypeVar("T")
 # more is refused before any cell is built (65536 paired odometer cells
 # take about 0.7 s and 50 MB).
 MAX_REFINED_CELLS = 1 << 16
+
+# The deepest word with which `ClopenSet.volume_text` still prints a plain
+# fraction: its denominator has at most 33 digits in bases up to 10.
+SHORT_DEPTH = 32
 
 
 def check_word(word: Word, base: int) -> None:
@@ -330,6 +335,17 @@ class ClopenSet:
         e = self.max_depth()
         return Fraction(sum(self.base ** (e - len(w)) for w in self.words),
                         self.base ** e)
+
+    def volume_text(self) -> str:
+        """The volume, exact and short: a fraction while the words are at
+        most SHORT_DEPTH deep, else the sum over the depths d of the words
+        of (their count)/base^d, such as 1/2^14401, which is no longer than
+        the set's own encoding (a fraction there can pass the interpreter's
+        4300-digit limit for printing an integer)."""
+        if self.max_depth() <= SHORT_DEPTH:
+            return str(self.volume())
+        counts = Counter(len(w) for w in self.words)
+        return " + ".join(f"{counts[d]}/{self.base}^{d}" for d in sorted(counts))
 
     def measure(self) -> MeasureValue:
         """The volume as a `MeasureValue`."""

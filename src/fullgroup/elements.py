@@ -14,7 +14,7 @@ in the same order.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import attrgetter
@@ -127,27 +127,43 @@ def involution_from_partial(backend: BackendId, pieces: Iterable[Piece]) -> Grou
 
 
 def compose(f: GroupElement, g: GroupElement) -> GroupElement:
-    """The element x -> f(g(x)).  g's pieces are visited in source order
-    and split depth first in digit order until f's sources cover their
-    ranges, so the pieces come out with strictly increasing sources and
-    go straight onto the sibling-merge stack: no sort is needed, and the
-    result is the canonical merge of the pieces of f * g (valid, since
-    the split sources partition the space and f and g are bijections)."""
+    """The element x -> f(g(x)).  g's pieces are visited in source order.
+    When a piece q of f covers the range [v] of a piece p of g, the
+    result has q o p on p's source.  Otherwise the pieces of f inside [v]
+    are one run of f's sorted sources that partitions [v], and p pulls it
+    back: q o p on the preimage of each q.source, sorted by source (the
+    shift keeps the run's order; the odometer rotates the tails by p's
+    carry, so it sorts them).  The pieces thus come out with strictly
+    increasing sources and go straight onto the sibling-merge stack, with
+    no sort of the whole list, and the result is the canonical merge of
+    the pieces of f * g (valid, since the preimages partition the
+    sources of g and f and g are bijections)."""
     f._check_backend(g)
     return GroupElement._trusted(f.backend, tuple(merge_families(
         _composed_pieces(f, g), f.base, _source, _join)))
 
 
 def _composed_pieces(f: GroupElement, g: GroupElement) -> Iterator[Piece]:
-    base = f.base
-    stack = list(reversed(g.pieces))
-    while stack:
-        p = stack.pop()
-        i = covering(f.pieces, p.range_word(base), _source)
-        if i is None:
-            stack.extend(p.restrict((a,)) for a in reversed(range(base)))
-            continue
-        yield f.pieces[i].after(p)
+    base, pieces = f.base, f.pieces
+    for p in g.pieces:
+        i, j = _meeting(pieces, p.range_word(base), base)
+        if j == i + 1:
+            yield pieces[i].after(p)
+        else:
+            yield from p.pull_back(pieces[i:j], base)
+
+
+def _meeting(pieces: Sequence[Piece], w: Word, base: int) -> tuple[int, int]:
+    """The index range [i, j) of the pieces whose sources meet [w], for
+    pieces whose sorted sources partition the space.  Either one source
+    contains [w]: it is a prefix of w, so the last source not after w.
+    Or the sources inside [w] partition it, and there are at least base
+    of them: those extending w, which sort after w and before
+    w + (base,)."""
+    i = bisect_right(pieces, w, key=_source)
+    if i and is_prefix(pieces[i - 1].source, w):
+        return i - 1, i
+    return i, bisect_left(pieces, w + (base,), lo=i, key=_source)
 
 
 def inverse(f: GroupElement) -> GroupElement:
@@ -181,18 +197,13 @@ def support(f: GroupElement) -> ClopenSet:
 
 def restrict(f: GroupElement, w: Word) -> list[Piece]:
     """The pieces of f on the cylinder [w]: the piece whose source
-    contains [w], restricted to [w], or else the pieces whose sources
-    lie inside [w]: sources are sorted, so the latter are the run that
-    starts where w sorts."""
-    pieces = f.pieces
-    i = covering(pieces, w, _source)
-    if i is not None:
-        p = pieces[i]
+    contains [w], restricted to [w], or else the run of pieces whose
+    sources lie inside [w]."""
+    i, j = _meeting(f.pieces, w, f.base)
+    if j == i + 1:
+        p = f.pieces[i]
         return [p.restrict(w[len(p.source):])]
-    i = j = bisect_right(pieces, w, key=_source)
-    while j < len(pieces) and is_prefix(w, pieces[j].source):
-        j += 1
-    return list(pieces[i:j])
+    return list(f.pieces[i:j])
 
 
 def image_of_clopen(f: GroupElement, A: ClopenSet) -> ClopenSet:

@@ -87,8 +87,15 @@ def parse_backend(tag: str) -> BackendId:
 
 
 def format_piece(piece: Piece) -> str:
+    """The piece's text; an odometer power that `parse_piece` would refuse
+    as too long is refused here too, so what is written reads back."""
     if isinstance(piece, OdometerPiece):
-        return f"({format_word(piece.source)};{piece.power:+d})"
+        try:
+            power = f"{piece.power:+d}"
+        except ValueError:  # over the interpreter's integer-conversion limit
+            raise MalformedInput(f"odometer power of {piece.power.bit_length()} bits "
+                                 "is too long to write") from None
+        return f"({format_word(piece.source)};{power})"
     return f"({format_word(piece.source)}>{format_word(piece.target)})"
 
 

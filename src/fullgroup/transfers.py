@@ -50,7 +50,8 @@ def exact_swap_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Gro
     backend.check_sets(A, B)
     if not backend.measure_equal(A, B):
         raise PreconditionError(
-            f"exact swap needs equal measures, got {A.volume()} vs {B.volume()}")
+            f"exact swap needs equal measures, got {A.volume_text()} "
+            f"vs {B.volume_text()}")
     A1 = A - B
     B1 = B - A
     if A1.is_empty() and B1.is_empty():
@@ -80,7 +81,8 @@ def full_group_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
         raise PreconditionError("transfer target must be nonempty")
     if not backend.measure_below(A, B):
         raise PreconditionError(
-            f"transfer unavailable: mu(A)={A.volume()} is not below mu(B)={B.volume()}")
+            f"transfer unavailable: mu(A)={A.volume_text()} "
+            f"is not below mu(B)={B.volume_text()}")
     if A.is_subset(B):
         return TransferResult(identity(backend), None, INVOLUTION_SMALL_SUPPORT)
     if not B.is_subset(A):
@@ -126,7 +128,8 @@ def commutator_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
         raise PreconditionError("transfer target must be nonempty")
     if not backend.measure_below(A, B, factor=3):
         raise PreconditionError(
-            f"commutator transfer needs 3*mu(A) < mu(B), got {A.volume()} vs {B.volume()}")
+            f"commutator transfer needs 3*mu(A) < mu(B), got {A.volume_text()} "
+            f"vs {B.volume_text()}")
     A1 = A - B
     if A1.is_empty():
         return TransferResult(identity(backend), DerivedWitness(()), COMMUTATOR_CYCLIC)

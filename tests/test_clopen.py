@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fullgroup.clopen import (ClopenSet, MeasureValue, PointName, covering,
-                             depth_for_measure_below, expand_word)
+from fullgroup.clopen import (SHORT_DEPTH, ClopenSet, MeasureValue, PointName,
+                             covering, depth_for_measure_below, expand_word)
 from fullgroup.errors import MalformedInput, PreconditionError
 from fullgroup.randomize import random_clopen
 
@@ -240,6 +240,24 @@ class TestMeasure:
         assert str(A.measure()) == str(A.volume()) == "4/9"
         with pytest.raises(MalformedInput):
             MeasureValue(Fraction(3, 2))
+
+    def test_volume_text(self):
+        # a fraction while shallow; deeper, the exact sum over the depths,
+        # whose terms the interpreter can print at any depth
+        assert cs(2, (0,), (1, 0)).volume_text() == "3/4"
+        assert ClopenSet.empty(2).volume_text() == "0"
+        deep = (0,) * SHORT_DEPTH + (1,)
+        A = cs(3, (1,), (2, 0), deep, (0,) * SHORT_DEPTH + (2,))
+        assert A.volume_text() == f"1/3^1 + 1/3^2 + 2/3^{SHORT_DEPTH + 1}"
+        B = cs(2, (0,) * 14400 + (1,))
+        assert B.volume_text() == "1/2^14401"
+        for S in (A, B):
+            total = 0
+            for term in S.volume_text().split(" + "):
+                count, power = term.split("/")
+                b, d = power.split("^")
+                total += Fraction(int(count), int(b) ** int(d))
+            assert total == S.volume()
 
     def test_depth_search(self):
         assert depth_for_measure_below(2, Fraction(3, 16)) == 3

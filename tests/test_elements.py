@@ -1,16 +1,18 @@
 """Group laws, canonical equality, support, measure invariance."""
 
 import itertools
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullgroup.backends import OdometerPiece, ShiftPiece, full_shift, odometer
-from fullgroup.clopen import (ClopenSet, PointName, canonical_words,
+from fullgroup.clopen import (ClopenSet, PointName, canonical_words, covering,
                               overlapping_pair)
 from fullgroup.elements import (DerivedWitness, GroupElement, _check_partition,
-                                apply_point, check_measure_invariance,
+                                _composed_pieces, apply_point,
+                                check_measure_invariance,
                                 commutator, compose, conjugate,
                                 element_from_pieces, equals, identity,
                                 image_of_clopen, inverse, support)
@@ -229,6 +231,94 @@ class TestCompose:
     def test_backend_mismatch(self, phi):
         with pytest.raises(MalformedInput):
             compose(phi, identity(full_shift(2)))
+
+
+def reference_composed_pieces(f, g):
+    """The composition rule the pull-back replaced: each piece of g, in
+    source order, is split depth first in digit order until a source of f
+    covers its range, and the leaves are composed in that order."""
+    base = f.base
+    leaves = []
+    stack = list(reversed(g.pieces))
+    while stack:
+        p = stack.pop()
+        i = covering(f.pieces, p.range_word(base), attrgetter("source"))
+        if i is None:
+            stack.extend(p.restrict((a,)) for a in reversed(range(base)))
+        else:
+            leaves.append(f.pieces[i].after(p))
+    return leaves
+
+
+def carrying_element(rng, backend, max_depth):
+    """A random odometer element whose pieces carry out of their sources:
+    each power moves by +-1 or +-2 times b^(|source| + j), j <= 3, which
+    keeps the range and gives negative powers, powers of at least
+    b^|source| and powers near +-b^k."""
+    base = backend.base
+    pieces = [OdometerPiece(p.source, p.power + rng.choice([-2, -1, 1, 2])
+                            * base ** (len(p.source) + rng.randint(0, 3)))
+              for p in random_element(rng, backend, max_depth).pieces]
+    return GroupElement(backend, tuple(pieces))
+
+
+def translation(base, n):
+    return GroupElement(odometer(base), (OdometerPiece((), n),))
+
+
+class TestPullBack:
+    """compose pulls f's run of pieces back through each piece of g that
+    f does not cover; it must give the depth-first split's pieces in the
+    same order."""
+
+    @staticmethod
+    def _check(f, g):
+        # the split ends only where f's sources partition the space
+        for x in (f, g):
+            assert GroupElement(x.backend, x.pieces) == x
+        leaves = reference_composed_pieces(f, g)
+        assert list(_composed_pieces(f, g)) == leaves
+        assert compose(f, g).pieces == GroupElement(f.backend, tuple(leaves)).pieces
+
+    def test_matches_depth_first_split(self, backend):
+        rng = substream(4247, f"pullback:{backend.tag}")
+        for depth in range(2, 9):
+            for _ in range(10):
+                self._check(random_element(rng, backend, depth),
+                            random_element(rng, backend, depth))
+
+    def test_odometer_pieces_that_carry(self, base):
+        backend = odometer(base)
+        rng = substream(4248, f"carry:{base}")
+        shifts = [n for k in range(4) for n in (base ** k - 1, base ** k, base ** k + 1)]
+        elements = ([translation(base, s * n) for n in shifts for s in (1, -1)]
+                    + [carrying_element(rng, backend, 4) for _ in range(24)])
+        for g in elements:
+            for f in (random_element(rng, backend, 4), carrying_element(rng, backend, 4)):
+                self._check(f, g)
+                assert oracle_equal(compose(compose(f, g), inverse(g)), f)
+                x = PointName(base, tuple(rng.randrange(base) for _ in range(5)), (1,))
+                assert apply_point(compose(f, g), x) == apply_point(f, apply_point(g, x))
+
+    def test_odometer_rotates_the_run_by_the_carry(self):
+        # adding 1 on the whole space carries 1 into the tail: the
+        # preimages of [00], [01], [1] (values 0, 2, 1) are [11], [10], [0]
+        run = [OdometerPiece((0, 0), 10), OdometerPiece((0, 1), 20),
+               OdometerPiece((1,), 30)]
+        assert OdometerPiece((), 1).pull_back(run, 2) == [
+            OdometerPiece((0,), 31), OdometerPiece((1, 0), 21), OdometerPiece((1, 1), 11)]
+        # adding 3 on [1] maps value 1 to 4: [1] onto [0] with carry 2,
+        # so the preimages of [0.0], [0.10], [0.11] are [1.0], [1.11], [1.10]
+        run = [OdometerPiece((0, 0), 10), OdometerPiece((0, 1, 0), 20),
+               OdometerPiece((0, 1, 1), 30)]
+        assert OdometerPiece((1,), 3).pull_back(run, 2) == [
+            OdometerPiece((1, 0), 13), OdometerPiece((1, 1, 0), 33),
+            OdometerPiece((1, 1, 1), 23)]
+
+    def test_shift_keeps_the_run_order(self):
+        run = [ShiftPiece((0, 0, 0), (1,)), ShiftPiece((0, 0, 1), (0, 1))]
+        assert ShiftPiece((1,), (0, 0)).pull_back(run, 2) == [
+            ShiftPiece((1, 0), (1,)), ShiftPiece((1, 1), (0, 1))]
 
 
 class TestInverse:

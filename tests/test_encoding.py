@@ -9,8 +9,9 @@ from fullgroup.backends import (Bisection, OdometerPiece, ShiftPiece,
 from fullgroup.clopen import ClopenSet
 from fullgroup.elements import element_from_pieces
 from fullgroup.encoding import (format_bisection, format_clopen,
-                                format_element, parse_backend, parse_clopen,
-                                parse_element, parse_word)
+                                format_element, format_piece, parse_backend,
+                                parse_clopen, parse_element, parse_piece,
+                                parse_word)
 from fullgroup.errors import MalformedInput
 from fullgroup.randomize import random_clopen, random_element, substream
 
@@ -79,6 +80,15 @@ class TestBisectionCodec:
     def test_negative_power(self):
         elem = parse_element("elem:odo2:[(1;-1),(0;+1)]")
         assert elem.pieces == (OdometerPiece((0,), 1), OdometerPiece((1,), -1))
+
+    def test_power_too_long_to_write_is_refused(self):
+        # parse_piece refuses a power over the interpreter's 4300-digit
+        # limit, so format_piece does not write one
+        for power in (2 ** 14400, -(2 ** 14400)):
+            with pytest.raises(MalformedInput, match="too long to write"):
+                format_piece(OdometerPiece((0,), power))
+        longest = OdometerPiece((0,), -(10 ** 4299))
+        assert parse_piece(format_piece(longest), odometer(2)) == longest
 
     def test_epsilon_source(self):
         assert parse_element("elem:odo2:[(ε;+1)]").pieces == (OdometerPiece((), 1),)

@@ -19,6 +19,9 @@ MODULES = sorted(SRC.glob("*.py"))
 IS_ODOMETER_SITES = {"certificates.py": 1, "decompose.py": 1, "elements.py": 1,
                      "encoding.py": 1, "randomize.py": 2}
 PIECE_CLASS_MODULES = {"__init__.py", "backends.py", "encoding.py", "randomize.py"}
+# What compose, inverse and restrict call on a piece of any class.
+PIECE_PROTOCOL = {"range_word", "restrict", "after", "pull_back", "inverse",
+                  "merge_siblings"}
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
@@ -86,3 +89,19 @@ def test_piece_classes_named_only_where_pieces_are_built_or_read():
         if names & {"OdometerPiece", "ShiftPiece"}:
             naming.add(path.name)
     assert naming <= PIECE_CLASS_MODULES
+
+
+def test_piece_classes_define_the_piece_protocol():
+    # a piece class is a class of backends.py with a `source` field; each
+    # is named in the `Piece` union and defines every method of the protocol
+    tree = ast.parse((SRC / "backends.py").read_text(encoding="utf-8"))
+    pieces = {node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+              for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+              and any(isinstance(field, ast.AnnAssign) and field.target.id == "source"
+                      for field in node.body)}
+    union = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["Piece"])
+    assert {elt.id for elt in union.slice.elts} == set(pieces)
+    missing = {name: sorted(PIECE_PROTOCOL - methods) for name, methods in pieces.items()
+               if not PIECE_PROTOCOL <= methods}
+    assert len(pieces) >= 2 and not missing, f"piece methods missing: {missing}"

@@ -105,3 +105,17 @@ def test_oversized_refinement_is_refused(name):
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert f"over the limit of {MAX_REFINED_CELLS}" in done.stderr
+
+
+# [0^14400 1] and [0^14400 0] both have measure 1/2^14401, an exact
+# fraction of 4335 digits, over the interpreter's limit for printing one
+HUGE = "0" * 14400
+
+
+@pytest.mark.parametrize("name, what", [("compare", "comparison"),
+                                        ("transfer", "transfer")])
+def test_huge_measures_are_written_short(name, what):
+    done = cli(name, cells(HUGE + "1"), cells(HUGE + "0"), "--backend", "odo2")
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == (f"precondition violated: {what} unavailable: "
+                           "mu(A)=1/2^14401 is not below mu(B)=1/2^14401\n")

@@ -7,9 +7,9 @@ transfers, swaps, intertwinings and decompositions, and machine-checkable
 conjugate-product certificates with a CLI front end.
 """
 
-from .backends import (BackendId, Bisection, OdometerPiece, ShiftPiece,
-                       compare_clopen, full_shift, odometer, source_range,
-                       validate_bisection)
+from .backends import (BackendId, Bisection, FullShift, Odometer,
+                       OdometerPiece, ShiftPiece, compare_clopen, full_shift,
+                       odometer, source_range, validate_bisection)
 from .certificates import (ConjugateFactor, ConjugateProduct, Environment,
                            GroupWord, SplitResult,
                            commutator_in_normal_closure, dump_certificate,

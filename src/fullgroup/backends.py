@@ -11,22 +11,21 @@
   |u| - |v|.  No invariant probability measure exists, so comparison of
   clopen sets is unconditional.
 
-This module answers the model questions.  The piece classes carry the
-per-piece rules (range, restriction, inverse, composition, the pull-back
-of a run of pieces, sibling merge, action on points, a separated
-sub-cylinder).  `BackendId` builds pieces and checks their class, states
-the comparison hypothesis (`measure_below`, `measure_equal`: vacuous on
-the shift), gives the depth below which cylinders have small measure
-(`measure_depth`) and the cylinder a transfer keeps free
-(`reserved_cylinder`).
-`compare_clopen`, `pair_cylinders` and `matching_pieces` pair
-cylinders.  The algorithm choices that still ask `is_odometer` live
-with their algorithms: the small-support decomposition
-(`decompose`), the closure parking set (`certificates`), the vacuous
-measure-invariance check (`elements`), piece syntax (`encoding`) and
-the samplers (`randomize`).  Both models
-are minimal and second countable; this is a documented fact about the
-models, not a runtime check.
+A backend is its model class, `Odometer` or `FullShift`: a frozen
+subclass of `BackendId`, whose one field is the base.  The piece classes
+carry the per-piece rules (range, restriction, inverse, composition, the
+pull-back of a run of pieces, sibling merge, action on points, a
+separated sub-cylinder).  A model class builds pieces (`piece_between`),
+states the comparison hypothesis (`measure_below`, `measure_equal`:
+vacuous on the shift), gives the depth below which cylinders have small
+measure (`measure_depth`) and the cylinder a transfer keeps free
+(`reserved_cylinder`), and pairs cylinders into a set (`pair_into`) and
+onto one (`pair_onto`) for `compare_clopen` and `matching_pieces`.  The
+algorithm choices that still ask `is_odometer` live with their
+algorithms: the small-support decomposition (`decompose`), the closure
+parking set (`certificates`), piece syntax (`encoding`) and the samplers
+(`randomize`).  Both models are minimal and second countable; this is a
+documented fact about the models, not a runtime check.
 """
 
 from __future__ import annotations
@@ -34,58 +33,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Sequence, Union
+from typing import ClassVar, Iterable, Sequence, Union
 
 from .clopen import (ClopenSet, PointName, Word, depth_for_measure_below,
                      expand_word, is_prefix, overlapping_pair, word_key)
 from .errors import MalformedInput, PostconditionError, PreconditionError
-
-ODOMETER = "odometer"
-FULL_SHIFT = "full-shift"
 
 _source = attrgetter("source")
 
 
 @dataclass(frozen=True)
 class BackendId:
-    kind: str
+    """A model over base-`base` sequences; equal only within one class."""
+
     base: int
 
+    prefix: ClassVar[str]
+    piece: ClassVar[type]
+    is_odometer: ClassVar[bool]
+
     def __post_init__(self):
-        if self.kind not in (ODOMETER, FULL_SHIFT):
-            raise MalformedInput(f"unknown groupoid kind {self.kind!r}")
         if self.base < 2:
             raise MalformedInput(f"base must be >= 2, got {self.base}")
 
     @property
-    def is_odometer(self) -> bool:
-        return self.kind == ODOMETER
-
-    @property
     def tag(self) -> str:
-        return ("odo" if self.is_odometer else "shift") + str(self.base)
+        return self.prefix + str(self.base)
 
     def __str__(self):
         return self.tag
 
-    def piece_between(self, u: Word, v: Word) -> "Piece":
-        """The piece mapping [u] onto [v]: the identity when u == v, a
-        carry-free translation between same-depth cylinders on the
-        odometer, the prefix rewrite u.y -> v.y on the shift."""
-        if not self.is_odometer:
-            return ShiftPiece(u, v)
-        if len(u) != len(v):
-            raise PreconditionError(
-                f"odometer pieces keep the depth: {u} and {v} differ in length")
-        # the digits above the highest one where u and v differ cancel
-        k = 0 if u == v else next(i + 1 for i in reversed(range(len(u))) if u[i] != v[i])
-        return OdometerPiece(u, word_value(v[:k], self.base) - word_value(u[:k], self.base))
-
     def check_pieces(self, pieces: Iterable["Piece"]) -> None:
         """Reject pieces of the other backend's piece class."""
-        want = OdometerPiece if self.is_odometer else ShiftPiece
         for p in pieces:
-            if not isinstance(p, want):
+            if not isinstance(p, self.piece):
                 raise MalformedInput(f"piece {p!r} does not belong to backend {self.tag}")
 
     def check_sets(self, A: ClopenSet, B: ClopenSet) -> None:
@@ -94,42 +75,6 @@ class BackendId:
             if S.base != self.base:
                 raise MalformedInput(
                     f"clopen base {S.base} does not match backend {self.tag}")
-
-    def measure_below(self, A: ClopenSet, B: ClopenSet | Fraction,
-                      factor: int = 1) -> bool:
-        """The comparison hypothesis factor * mu(A) < mu(B) for every
-        invariant probability measure mu, where B is a clopen set or an
-        exact bound; vacuously true on the shift."""
-        if not self.is_odometer:
-            return True
-        bound = B.volume() if isinstance(B, ClopenSet) else B
-        return factor * A.volume() < bound
-
-    def measure_equal(self, A: ClopenSet, B: ClopenSet) -> bool:
-        """mu(A) = mu(B) for every invariant probability measure mu;
-        vacuously true on the shift."""
-        return not self.is_odometer or A.volume() == B.volume()
-
-    def measure_depth(self, bound: Fraction) -> int:
-        """Smallest depth whose cylinders have measure below `bound` for
-        every invariant probability measure: 0 on the shift."""
-        return depth_for_measure_below(self.base, bound) if self.is_odometer else 0
-
-    def reserved_cylinder(self, S: ClopenSet) -> ClopenSet:
-        """The part of S a transfer into S keeps free for what is built
-        after it: `proper_subcylinder(S)` on the shift; empty on the
-        odometer, where measure leaves the room, and when S is empty."""
-        if self.is_odometer or S.is_empty():
-            return ClopenSet.empty(self.base)
-        return proper_subcylinder(S)
-
-
-def odometer(base: int) -> BackendId:
-    return BackendId(ODOMETER, base)
-
-
-def full_shift(base: int) -> BackendId:
-    return BackendId(FULL_SHIFT, base)
 
 
 @dataclass(frozen=True)
@@ -292,6 +237,110 @@ def value_word(value: int, depth: int, base: int) -> Word:
 
 
 @dataclass(frozen=True)
+class Odometer(BackendId):
+    """The odometer, whose one invariant measure is Bernoulli measure."""
+
+    prefix = "odo"
+    piece = OdometerPiece
+    is_odometer = True
+
+    def piece_between(self, u: Word, v: Word) -> OdometerPiece:
+        """The carry-free translation of [u] onto the same-depth [v]."""
+        if len(u) != len(v):
+            raise PreconditionError(
+                f"odometer pieces keep the depth: {u} and {v} differ in length")
+        # the digits above the highest one where u and v differ cancel
+        k = 0 if u == v else next(i + 1 for i in reversed(range(len(u))) if u[i] != v[i])
+        return OdometerPiece(u, word_value(v[:k], self.base) - word_value(u[:k], self.base))
+
+    def measure_below(self, A: ClopenSet, B: ClopenSet | Fraction,
+                      factor: int = 1) -> bool:
+        """The comparison hypothesis factor * mu(A) < mu(B) for the
+        Bernoulli measure mu, where B is a clopen set or an exact bound."""
+        bound = B.volume() if isinstance(B, ClopenSet) else B
+        return factor * A.volume() < bound
+
+    def measure_equal(self, A: ClopenSet, B: ClopenSet) -> bool:
+        """mu(A) = mu(B) for the Bernoulli measure mu."""
+        return A.volume() == B.volume()
+
+    def measure_depth(self, bound: Fraction) -> int:
+        """Smallest depth whose cylinders have measure below `bound`."""
+        return depth_for_measure_below(self.base, bound)
+
+    def reserved_cylinder(self, S: ClopenSet) -> ClopenSet:
+        """Nothing: measure leaves a transfer into S its room."""
+        return ClopenSet.empty(self.base)
+
+    def pair_into(self, A: ClopenSet, B: ClopenSet) -> list[OdometerPiece]:
+        """Pieces from all of A into B, for mu(A) < mu(B): cylinders
+        matched in lexicographic order at a common depth."""
+        return pair_cylinders(self, A, B)
+
+    def pair_onto(self, S: ClopenSet, T: ClopenSet) -> list[OdometerPiece]:
+        """Pieces from S onto T, for mu(S) = mu(T)."""
+        return pair_cylinders(self, S, T, onto=True)
+
+
+@dataclass(frozen=True)
+class FullShift(BackendId):
+    """The full shift: no invariant measure, so measure conditions are vacuous."""
+
+    prefix = "shift"
+    piece = ShiftPiece
+    is_odometer = False
+
+    def piece_between(self, u: Word, v: Word) -> ShiftPiece:
+        """The prefix rewrite u.y -> v.y."""
+        return ShiftPiece(u, v)
+
+    def measure_below(self, A: ClopenSet, B: ClopenSet | Fraction,
+                      factor: int = 1) -> bool:
+        return True
+
+    def measure_equal(self, A: ClopenSet, B: ClopenSet) -> bool:
+        return True
+
+    def measure_depth(self, bound: Fraction) -> int:
+        return 0
+
+    def reserved_cylinder(self, S: ClopenSet) -> ClopenSet:
+        """`proper_subcylinder(S)`, or nothing when S is empty."""
+        return ClopenSet.empty(self.base) if S.is_empty() else proper_subcylinder(S)
+
+    def pair_into(self, A: ClopenSet, B: ClopenSet) -> list[ShiftPiece]:
+        """Pieces from all of A into B: each cylinder of A is rewritten into
+        B's picked cylinder with a distinct suffix, in counting order."""
+        v = B.pick()
+        width = _suffix_length(len(A.words), self.base)
+        return [ShiftPiece(u, v + value_word(i, width, self.base)[::-1])
+                for i, u in enumerate(A.words)]
+
+    def pair_onto(self, S: ClopenSet, T: ClopenSet) -> list[ShiftPiece]:
+        """Pieces from nonempty S onto nonempty T.  Cylinder counts must
+        agree modulo base - 1 (splitting one cylinder into its children
+        adds base - 1); the smaller list, depth first, is split until the
+        counts match, and the lists are paired depth first."""
+        base = self.base
+        src = sorted(S.words, key=word_key)
+        dst = sorted(T.words, key=word_key)
+        if (len(src) - len(dst)) % (base - 1) != 0:
+            raise PreconditionError(
+                "clopen sets are not prefix-exchange equivalent: cylinder counts "
+                f"{len(src)} and {len(dst)} differ modulo base-1 = {base - 1}")
+        while len(src) != len(dst):
+            words = src if len(src) < len(dst) else dst
+            w = words.pop(0)
+            words.extend(w + (a,) for a in range(base))
+            words.sort(key=word_key)
+        return [ShiftPiece(u, v) for u, v in zip(src, dst)]
+
+
+odometer = Odometer
+full_shift = FullShift
+
+
+@dataclass(frozen=True)
 class Bisection:
     """A compact open bisection given by finitely many pieces: the
     partial comparison witness of `compare_clopen`."""
@@ -365,16 +414,8 @@ def proper_subcylinder(S: ClopenSet) -> ClopenSet:
 
 
 def matching_pieces(backend: BackendId, S: ClopenSet, T: ClopenSet) -> list[Piece]:
-    """Pieces realizing a bijection from S onto T.
-
-    Odometer: S and T must have equal measure; both refine to a common
-    depth with equal cylinder counts and are paired in lexicographic
-    order by carry-free translations.  Full shift: cylinder counts must
-    agree modulo base - 1 (splitting one cylinder into its children adds
-    base - 1); the smaller list, depth first, is split until the counts
-    match, and the lists are paired depth first.
-    """
-    base = backend.base
+    """Pieces realizing a bijection from S onto T, for sets of equal
+    measure: the model's `pair_onto`."""
     if S.is_empty() and T.is_empty():
         return []
     if S.is_empty() or T.is_empty():
@@ -383,20 +424,7 @@ def matching_pieces(backend: BackendId, S: ClopenSet, T: ClopenSet) -> list[Piec
         raise PreconditionError(
             f"exact matching needs equal measures, got {S.volume_text()} "
             f"vs {T.volume_text()}")
-    if backend.is_odometer:
-        return pair_cylinders(backend, S, T, onto=True)
-    src = sorted(S.words, key=word_key)
-    dst = sorted(T.words, key=word_key)
-    if (len(src) - len(dst)) % (base - 1) != 0:
-        raise PreconditionError(
-            "clopen sets are not prefix-exchange equivalent: cylinder counts "
-            f"{len(src)} and {len(dst)} differ modulo base-1 = {base - 1}")
-    while len(src) != len(dst):
-        words = src if len(src) < len(dst) else dst
-        w = words.pop(0)
-        words.extend(w + (a,) for a in range(base))
-        words.sort(key=word_key)
-    return [backend.piece_between(u, v) for u, v in zip(src, dst)]
+    return backend.pair_onto(S, T)
 
 
 def _suffix_length(count: int, base: int) -> int:
@@ -408,16 +436,9 @@ def _suffix_length(count: int, base: int) -> int:
 
 
 def compare_clopen(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Bisection:
-    """A bisection U with source exactly A and range inside B.
-
-    Odometer: requires the exact measure inequality mu(A) < mu(B); both
-    sets are refined to a common depth and cylinders are matched
-    injectively in lexicographic order by carry-free translation pieces.
-
-    Full shift: unconditional (no invariant measure); every source
-    cylinder is rewritten into the picked cylinder of B with a distinct
-    fixed-length suffix, assigned in counting order.
-    """
+    """A bisection U with source exactly A and range inside B, for
+    mu(A) < mu(B) under every invariant probability measure mu: the
+    model's `pair_into`."""
     backend.check_sets(A, B)
     if B.is_empty():
         raise PreconditionError("comparison target must be nonempty")
@@ -427,15 +448,7 @@ def compare_clopen(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Bisection:
         raise PreconditionError(
             f"comparison unavailable: mu(A)={A.volume_text()} "
             f"is not below mu(B)={B.volume_text()}")
-    if backend.is_odometer:
-        pieces = pair_cylinders(backend, A, B)
-    else:
-        v = B.pick()
-        sources = A.words
-        width = _suffix_length(len(sources), backend.base)
-        pieces = [backend.piece_between(u, v + value_word(i, width, backend.base)[::-1])
-                  for i, u in enumerate(sources)]
-    witness = Bisection(backend, tuple(pieces))
+    witness = Bisection(backend, tuple(backend.pair_into(A, B)))
     violation = validate_bisection(witness)
     if violation is not None:
         raise PostconditionError(f"comparison witness is not a bisection: {violation}")

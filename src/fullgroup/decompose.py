@@ -104,17 +104,20 @@ def decompose_small_support(alpha: GroupElement,
     clopen support bounds; on the odometer each bound has measure
     strictly below epsilon.
 
-    On the full shift epsilon is ignored (there is no invariant
-    measure): a two-factor decomposition through a moved cylinder is
-    returned, and its epsilon is None.
+    A given epsilon must be positive on every backend.  On the full
+    shift it is otherwise ignored (there is no invariant measure): a
+    two-factor decomposition through a moved cylinder is returned, and
+    its epsilon is None.
     """
     eps = None if epsilon is None else Fraction(epsilon)
+    if eps is not None and eps <= 0:
+        raise PreconditionError(f"decomposition needs epsilon > 0, got {eps}")
     if not alpha.backend.is_odometer:
         return (DecompositionResult((), (), None) if alpha.is_identity()
                 else _decompose_shift(alpha))
     if alpha.is_identity():
         return DecompositionResult((), (), eps)
-    if eps is None or eps <= 0:
+    if eps is None:
         raise PreconditionError("odometer decomposition needs epsilon > 0")
     return _decompose_odometer(alpha, eps)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-from .backends import (FULL_SHIFT, ODOMETER, BackendId, Bisection,
+from .backends import (BackendId, Bisection, FullShift, Odometer,
                        OdometerPiece, Piece, ShiftPiece)
 from .clopen import ClopenSet, Word, word_key
 from .elements import GroupElement
@@ -82,8 +82,8 @@ def parse_backend(tag: str) -> BackendId:
     m = _BACKEND_RE.match(tag.strip())
     if not m:
         raise MalformedInput(f"bad backend tag {tag!r}")
-    kind = ODOMETER if m.group(1) == "odo" else FULL_SHIFT
-    return BackendId(kind, int(m.group(2)))
+    model = Odometer if m.group(1) == "odo" else FullShift
+    return model(int(m.group(2)))
 
 
 def format_piece(piece: Piece) -> str:

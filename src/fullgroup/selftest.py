@@ -29,6 +29,10 @@ from .transfers import (COMMUTATOR_CYCLIC, INVOLUTION_SMALL_SUPPORT,
                         exact_swap_involution, full_group_transfer,
                         commutator_transfer, gw_intertwining)
 
+# the most trials one suite runs; more is refused before any trial runs
+MAX_TRIALS = 10000
+
+
 @dataclass(frozen=True)
 class RunConfig:
     backend: BackendId
@@ -41,6 +45,9 @@ class RunConfig:
             raise MalformedInput("max_depth must be >= 1")
         if self.trial_count < 1:
             raise MalformedInput("trial_count must be >= 1")
+        if self.trial_count > MAX_TRIALS:
+            raise MalformedInput(f"trial_count {self.trial_count} is over the limit "
+                                 f"of {MAX_TRIALS}")
 
 
 class _Property:

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fullgroup.backends import (BackendId, Bisection, OdometerPiece,
-                                ShiftPiece, compare_clopen, full_shift,
-                                odometer, pair_cylinders, source_range,
-                                validate_bisection, value_word, word_value)
+from fullgroup.backends import (Bisection, FullShift, Odometer,
+                                OdometerPiece, ShiftPiece, compare_clopen,
+                                full_shift, odometer, pair_cylinders,
+                                source_range, validate_bisection, value_word,
+                                word_value)
 from fullgroup.clopen import ClopenSet
+from fullgroup.encoding import parse_backend
 from fullgroup.errors import MalformedInput, PostconditionError, PreconditionError
 from fullgroup.randomize import comparison_pair, substream
 
@@ -24,9 +26,13 @@ class TestBackendId:
         assert odometer(2).tag == "odo2"
         assert full_shift(3).tag == "shift3"
 
-    def test_bad_kind(self):
-        with pytest.raises(MalformedInput):
-            BackendId("interval-exchange", 2)
+    def test_models_stay_distinct(self):
+        # equality is by model class and base, so one base gives two keys
+        assert odometer(2) != full_shift(2)
+        assert odometer(2) == Odometer(2) and full_shift(2) == FullShift(2)
+        assert len({odometer(2): "odo", full_shift(2): "shift"}) == 2
+        assert isinstance(parse_backend("odo3"), Odometer)
+        assert isinstance(parse_backend("shift3"), FullShift)
 
 
 class TestApplyPiece:

@@ -103,6 +103,12 @@ class TestGroupWord:
         with pytest.raises(MalformedInput):
             GroupWord((("a", 2),))
 
+    def test_environment_refuses_the_other_model(self):
+        for backend, other in ((odometer(2), full_shift(2)), (full_shift(2), odometer(2))):
+            env = Environment(backend)
+            with pytest.raises(MalformedInput, match=f"expected {backend.tag}"):
+                env.define("x", identity(other))
+
 
 class TestFreeReduction:
     """Evaluation by free reduction against the unreduced oracles."""

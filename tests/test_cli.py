@@ -107,6 +107,12 @@ class TestDecomposeSplit:
                          "elem:odo2:[(0;+1),(1;-1)]", "--eps", "x")
         assert code == 2
 
+    @pytest.mark.parametrize("elem", ["elem:odo2:[(ε;+0)]", "elem:shift2:[(0>1),(1>0)]"])
+    def test_decompose_nonpositive_eps(self, capsys, elem):
+        code, out, err = run(capsys, "decompose", elem, "--eps=-1")
+        assert code == 1 and not out
+        assert err.count("\n") == 1 and "epsilon > 0" in err
+
     def test_split(self, capsys):
         code, out, _ = run(capsys, "split", "elem:shift2:[(0>1),(1>0)]")
         assert code == 0

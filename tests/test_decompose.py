@@ -160,6 +160,14 @@ class TestDecompose:
         with pytest.raises(PreconditionError):
             decompose_small_support(odo_flip(), Fraction(0))
 
+    @pytest.mark.parametrize("alpha", [full_flip(), identity(full_shift(2)),
+                                       identity(odometer(2))],
+                             ids=["shift-flip", "shift-identity", "odo-identity"])
+    def test_nonpositive_epsilon_refused_on_every_backend(self, alpha):
+        for eps in (Fraction(0), Fraction(-1)):
+            with pytest.raises(PreconditionError, match="epsilon > 0"):
+                decompose_small_support(alpha, eps)
+
     def test_measure_value_epsilon_accepted(self):
         res = decompose_small_support(odo_flip(), Fraction(1, 4))
         assert res.epsilon == Fraction(1, 4)

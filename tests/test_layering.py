@@ -1,6 +1,6 @@
 """Module layering: imports sit at module level, the decomposition
 layer stays below the certificate layer, and the model questions are
-answered in `backends.py`."""
+answered by the model classes of `backends.py`."""
 
 import ast
 from pathlib import Path
@@ -12,13 +12,16 @@ MODULES = sorted(SRC.glob("*.py"))
 
 # The algorithm choices that still ask which model they run on, outside
 # backends.py: the closure parking set (certificates), the small-support
-# decomposition (decompose), the vacuous invariance check (elements),
-# piece parsing (encoding) and the samplers (randomize).  A measure
-# condition that is vacuous on the shift goes through a backend method
-# instead.
-IS_ODOMETER_SITES = {"certificates.py": 1, "decompose.py": 1, "elements.py": 1,
-                     "encoding.py": 1, "randomize.py": 2}
+# decomposition (decompose), piece parsing (encoding) and the samplers
+# (randomize).  A measure condition that is vacuous on the shift goes
+# through a method of the model class instead.
+IS_ODOMETER_SITES = {"certificates.py": 1, "decompose.py": 1, "encoding.py": 1,
+                     "randomize.py": 2}
 PIECE_CLASS_MODULES = {"__init__.py", "backends.py", "encoding.py", "randomize.py"}
+# What every model class of backends.py sets, and what it answers.
+MODEL_ATTRIBUTES = {"prefix", "piece", "is_odometer"}
+MODEL_PROTOCOL = {"piece_between", "measure_below", "measure_equal", "measure_depth",
+                  "reserved_cylinder", "pair_into", "pair_onto"}
 # What compose, inverse and restrict call on a piece of any class.
 PIECE_PROTOCOL = {"range_word", "restrict", "after", "pull_back", "inverse",
                   "merge_siblings"}
@@ -57,14 +60,34 @@ def test_decompose_below_certificates():
 def test_is_odometer_sites_are_pinned():
     counts = {}
     for path in MODULES:
-        if path.name == "backends.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        n = sum(isinstance(node, ast.Attribute) and node.attr == "is_odometer"
-                for node in ast.walk(tree))
-        if n:
-            counts[path.name] = n
+        reads = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr == "is_odometer"
+                 or isinstance(node, ast.Name) and node.id == "is_odometer"
+                 and isinstance(node.ctx, ast.Load)]
+        if path.name == "backends.py":
+            # the model classes set it; no expression there reads it
+            assert not reads, f"backends.py reads is_odometer on lines {reads}"
+        elif reads:
+            counts[path.name] = len(reads)
     assert counts == IS_ODOMETER_SITES
+
+
+def test_models_define_the_model_protocol():
+    # a model class is a subclass of BackendId in backends.py; each sets
+    # the class attributes and defines every model method
+    tree = ast.parse((SRC / "backends.py").read_text(encoding="utf-8"))
+    models = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+              and any(isinstance(b, ast.Name) and b.id == "BackendId" for b in node.bases)}
+    missing = {}
+    for name, node in models.items():
+        assigned = {t.id for stmt in node.body if isinstance(stmt, ast.Assign)
+                    for t in stmt.targets if isinstance(t, ast.Name)}
+        methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+        gaps = (MODEL_ATTRIBUTES - assigned) | (MODEL_PROTOCOL - methods)
+        if gaps:
+            missing[name] = sorted(gaps)
+    assert len(models) >= 2 and not missing, f"model members missing: {missing}"
 
 
 def test_split_reads_no_bernoulli_volume():

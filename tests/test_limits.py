@@ -16,6 +16,7 @@ from fullgroup.clopen import MAX_REFINED_CELLS
 from fullgroup.decompose import MAX_DECOMPOSITION_CELLS
 from fullgroup.elements import involution_from_partial
 from fullgroup.encoding import format_element
+from fullgroup.selftest import MAX_TRIALS
 from fullgroup.transfers import MAX_GW_ROUNDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -84,6 +85,14 @@ def test_too_many_gw_rounds_are_refused():
                "--rounds", "100000000")
     assert done.returncode == 2, done.stderr
     assert f"over the limit of {MAX_GW_ROUNDS}" in done.stderr
+
+
+def test_too_many_selftest_trials_are_refused():
+    done = cli("selftest", "--suite", "clopen-algebra", "--backend", "odo2",
+               "--trials", "100000000")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert f"over the limit of {MAX_TRIALS}" in done.stderr
 
 
 # a shallow odometer source paired against a deep word refines to the

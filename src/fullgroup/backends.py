@@ -19,13 +19,15 @@ separated sub-cylinder).  A model class builds pieces (`piece_between`),
 states the comparison hypothesis (`measure_below`, `measure_equal`:
 vacuous on the shift), gives the depth below which cylinders have small
 measure (`measure_depth`) and the cylinder a transfer keeps free
-(`reserved_cylinder`), and pairs cylinders into a set (`pair_into`) and
-onto one (`pair_onto`) for `compare_clopen` and `matching_pieces`.  The
-algorithm choices that still ask `is_odometer` live with their
-algorithms: the small-support decomposition (`decompose`), the closure
-parking set (`certificates`), piece syntax (`encoding`) and the samplers
-(`randomize`).  Both models are minimal and second countable; this is a
-documented fact about the models, not a runtime check.
+(`reserved_cylinder`), and pairs cylinders into a set (`pair_into`, for
+`compare_clopen`) and onto one (`pair_onto`, for the exact swap and the
+odometer decomposition).  `validate_bisection` asks the one overlap
+rule, `clopen.check_cylinders`.  The algorithm choices that still ask
+`is_odometer` live with their algorithms: the small-support
+decomposition (`decompose`), the closure parking set (`certificates`),
+piece syntax (`encoding`) and the samplers (`randomize`).  Both models
+are minimal and second countable; this is a documented fact about the
+models, not a runtime check.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import ClassVar, Iterable, Sequence, Union
 
-from .clopen import (ClopenSet, PointName, Word, depth_for_measure_below,
-                     expand_word, is_prefix, overlapping_pair, word_key)
+from .clopen import (ClopenSet, PointName, Word, check_cylinders, depth_for_measure_below,
+                     expand_word, is_prefix, word_key)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 _source = attrgetter("source")
@@ -362,25 +364,14 @@ class Bisection:
         return tuple(p.range_word(self.base) for p in self.pieces)
 
 
-@dataclass(frozen=True)
-class Violation:
-    which: str           # "source" | "range"
-    first: Word
-    second: Word
-
-    def __str__(self):
-        return f"{self.which} cylinders overlap: {self.first} vs {self.second}"
-
-
-def validate_bisection(bis: Bisection) -> Violation | None:
+def validate_bisection(bis: Bisection) -> str | None:
     """None if sources and ranges are both pairwise disjoint, else the
-    first offending pair."""
-    pair = overlapping_pair(bis.source_words())
-    if pair is not None:
-        return Violation("source", *pair)
-    pair = overlapping_pair(bis.range_words())
-    if pair is not None:
-        return Violation("range", *pair)
+    message naming the first overlapping pair (`check_cylinders`)."""
+    try:
+        check_cylinders(bis.source_words(), bis.base, "source", cover=False)
+        check_cylinders(bis.range_words(), bis.base, "range", cover=False)
+    except MalformedInput as err:
+        return str(err)
     return None
 
 
@@ -411,20 +402,6 @@ def proper_subcylinder(S: ClopenSet) -> ClopenSet:
     child of the picked cylinder."""
     w = S.pick()
     return ClopenSet.from_words(S.base, [w + (0,)])
-
-
-def matching_pieces(backend: BackendId, S: ClopenSet, T: ClopenSet) -> list[Piece]:
-    """Pieces realizing a bijection from S onto T, for sets of equal
-    measure: the model's `pair_onto`."""
-    if S.is_empty() and T.is_empty():
-        return []
-    if S.is_empty() or T.is_empty():
-        raise PreconditionError("cannot match a nonempty set with an empty one")
-    if not backend.measure_equal(S, T):
-        raise PreconditionError(
-            f"exact matching needs equal measures, got {S.volume_text()} "
-            f"vs {T.volume_text()}")
-    return backend.pair_onto(S, T)
 
 
 def _suffix_length(count: int, base: int) -> int:

@@ -16,7 +16,7 @@ floats.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,14 +52,24 @@ def is_prefix(shorter: Word, longer: Word) -> bool:
     return longer[: len(shorter)] == shorter
 
 
-def overlapping_pair(words: Iterable[Word]) -> tuple[Word, Word] | None:
-    """The first pair of intersecting cylinders in sorted order, or None
-    if the words form an antichain."""
+def check_cylinders(words: Iterable[Word], base: int, which: str, *, cover: bool) -> None:
+    """One sorted pass: raise MalformedInput at the first pair of intersecting cylinders in
+    lexicographic order (the words between a word and an extension of it extend it too, so
+    that pair is adjacent), and with `cover` unless the words cover the whole space: disjoint
+    words partition it when the first is all 0s, the last all b-1s, and each next one is u
+    without its trailing b-1s, last digit + 1, then 0s."""
     ordered = sorted(words)
-    for a, b in zip(ordered, ordered[1:]):
-        if is_prefix(a, b):
-            return (a, b)
-    return None
+    covers = cover and bool(ordered) and not any(ordered[0]) and set(ordered[-1]) <= {base - 1}
+    for u, v in zip(ordered, ordered[1:]):
+        if v[:len(u)] == u:
+            raise MalformedInput(f"{which} cylinders overlap: {u} vs {v}")
+        if covers:
+            k = len(u)
+            while k and u[k - 1] == base - 1:
+                k -= 1
+            covers = k > 0 and v[:k] == u[:k - 1] + (u[k - 1] + 1,) and not any(v[k:])
+    if cover and not covers:
+        raise MalformedInput(f"{which} cylinders do not cover the whole space")
 
 
 def covering(items: Sequence[T], word: Word,
@@ -298,18 +308,18 @@ class ClopenSet:
         """One pass over self: a word that other covers is dropped, a
         word that no word of other extends is kept, and any other word u
         is replaced by the gaps the run of other's words extending u
-        leaves inside [u].  Canonical: a kept word is maximal in self, and
-        each gap is maximal in [u] minus other (`_gaps`); the output
-        follows self's order, and each gap run is sorted inside [u]."""
+        leaves inside [u]; the run sorts after u and before u + (base,).
+        Canonical: a kept word is maximal in self, and each gap is maximal
+        in [u] minus other (`_gaps`); the output follows self's order, and
+        each gap run is sorted inside [u]."""
         self._check_base(other)
         theirs = other.words
         out: list[Word] = []
         for u in self.words:
             if covering(theirs, u) is not None:
                 continue
-            i = j = bisect_right(theirs, u)
-            while j < len(theirs) and is_prefix(u, theirs[j]):
-                j += 1
+            i = bisect_right(theirs, u)
+            j = bisect_left(theirs, u + (self.base,), lo=i)
             if i == j:
                 out.append(u)
             else:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backends import matching_pieces
 from .clopen import ClopenSet, depth_for_measure_below, expand_word, word_key
 from .elements import (GroupElement, compose, element_from_pieces,
                        image_of_clopen, inverse, involution_from_partial,
@@ -144,7 +143,9 @@ def _decompose_odometer(alpha: GroupElement, eps: Fraction) -> DecompositionResu
         moved = ClopenSet.from_words(base, [p.range_word(base) for p in inside])
         extra = cell - moved          # A_i' : needs to receive the swap-back
         surplus = moved - cell        # B_i' : image overflow outside the cell
-        pieces = inside + matching_pieces(backend, surplus, extra)
+        # the pieces map the cell onto moved, so surplus and extra have equal
+        # measure, and pair_onto pairs two empty sets to no pieces
+        pieces = inside + backend.pair_onto(surplus, extra)
         factor = element_from_pieces(backend, pieces, fill_identity=True)
         bound = cell | moved
         if not support(factor).is_subset(bound):

@@ -21,39 +21,15 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .backends import BackendId, Piece
-from .clopen import ClopenSet, PointName, Word, covering, is_prefix, merge_families
+from .clopen import (ClopenSet, PointName, Word, check_cylinders, covering, is_prefix,
+                     merge_families)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 _source = attrgetter("source")
 
 
-def _merge_pieces(pieces: Iterable[Piece], base: int) -> tuple[Piece, ...]:
-    """Sort pieces by source and merge complete sibling families with
-    compatible behaviour."""
-    ordered = sorted(pieces, key=_source)
-    if any(p.source == q.source for p, q in zip(ordered, ordered[1:])):
-        raise MalformedInput("duplicate source cylinders among pieces")
-    return tuple(merge_families(ordered, base, _source, _join))
-
-
 def _join(parent: Word, family: list[Piece]) -> Piece | None:
     return family[0].merge_siblings(parent, family)
-
-
-def _check_partition(words: Sequence[Word], base: int, which: str) -> None:
-    """One sorted pass: disjoint words partition the space when the first is all 0s, the
-    last all b-1s, and each next one is u without its trailing b-1s, last digit + 1, then 0s."""
-    ordered = sorted(words)
-    covers = bool(ordered) and not any(ordered[0]) and all(d == base - 1 for d in ordered[-1])
-    for u, v in zip(ordered, ordered[1:]):
-        if v[:len(u)] == u:
-            raise MalformedInput(f"{which} cylinders overlap: {u} vs {v}")
-        k = len(u)
-        while k and u[k - 1] == base - 1:
-            k -= 1
-        covers = covers and k > 0 and v[:k] == u[:k - 1] + (u[k - 1] + 1,) and not any(v[k:])
-    if not covers:
-        raise MalformedInput(f"{which} cylinders do not cover the whole space")
 
 
 @dataclass(frozen=True)
@@ -66,10 +42,13 @@ class GroupElement:
     def __post_init__(self):
         self.backend.check_pieces(self.pieces)
         base = self.backend.base
-        canon = _merge_pieces(self.pieces, base)
+        # the sources are checked before the merge, which needs an
+        # antichain; merging keeps the union of the sources and of the ranges
+        ordered = sorted(self.pieces, key=_source)
+        check_cylinders([p.source for p in ordered], base, "source", cover=True)
+        canon = tuple(merge_families(ordered, base, _source, _join))
         object.__setattr__(self, "pieces", canon)
-        _check_partition([p.source for p in canon], base, "source")
-        _check_partition([p.range_word(base) for p in canon], base, "range")
+        check_cylinders([p.range_word(base) for p in canon], base, "range", cover=True)
 
     @classmethod
     def _trusted(cls, backend: BackendId, pieces: tuple[Piece, ...]) -> "GroupElement":
@@ -115,15 +94,17 @@ def element_from_pieces(backend: BackendId, pieces: Iterable[Piece],
 
 def involution_from_partial(backend: BackendId, pieces: Iterable[Piece]) -> GroupElement:
     """The involution acting by the given pieces on their disjoint sources,
-    by their inverses on the ranges, and trivially elsewhere."""
+    by their inverses on the ranges, and trivially elsewhere, for pieces of
+    the backend's class.  Two sources, two ranges or a source and a range
+    meeting is an overlap among the sources of the pieces and their
+    inverses, which the element's source check reports."""
     pieces = list(pieces)
-    base = backend.base
-    src = ClopenSet.from_words(base, [p.source for p in pieces])
-    rng = ClopenSet.from_words(base, [p.range_word(base) for p in pieces])
-    if not src.intersect(rng).is_empty():
-        raise PreconditionError("involution pieces must have disjoint sources and ranges")
-    both = pieces + [p.inverse(base) for p in pieces]
-    return element_from_pieces(backend, both, fill_identity=True)
+    both = pieces + [p.inverse(backend.base) for p in pieces]
+    try:
+        return element_from_pieces(backend, both, fill_identity=True)
+    except MalformedInput as err:
+        raise PreconditionError(
+            f"involution pieces must have disjoint sources and ranges: {err}") from None
 
 
 def compose(f: GroupElement, g: GroupElement) -> GroupElement:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backends import BackendId, Piece, compare_clopen, matching_pieces
+from .backends import BackendId, Piece, compare_clopen
 from .clopen import ClopenSet, PointName
 from .elements import (DerivedWitness, GroupElement, commutator, compose,
                        element_from_pieces, identity, image_of_clopen, inverse,
@@ -58,7 +58,8 @@ def exact_swap_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Gro
         return identity(backend)
     if A1.is_empty() or B1.is_empty():
         raise PreconditionError("exact swap needs both A\\B and B\\A nonempty")
-    alpha = involution_from_partial(backend, matching_pieces(backend, A1, B1))
+    # mu(A1) = mu(A) - mu(A n B) = mu(B1)
+    alpha = involution_from_partial(backend, backend.pair_onto(A1, B1))
     _require(image_of_clopen(alpha, A) == B, "swap image is not exactly B")
     _require(alpha.pieces == inverse(alpha).pieces, "swap is not an involution")
     _require(support(alpha) == A1 | B1, "swap support is not the symmetric difference")

@@ -85,6 +85,22 @@ class TestTransferSwapGw:
         data = artifact_of(out)
         assert data["rounds"] == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("swap", "b2:{0}", "b2:{ε}", "--backend", "shift2"),
+         "exact swap needs both A\\B and B\\A nonempty"),
+        (("gw", "b2:{0}", "b2:{10}", "--backend", "odo2", "--rounds", "2"),
+         "intertwining needs exactly equal measures"),
+        (("transfer", "b2:{ε}", "b2:{0}", "--backend", "shift2", "--commutator"),
+         "transfer source must not be the whole space"),
+        (("transfer", "b2:{0}", "b2:{}", "--backend", "shift2", "--commutator"),
+         "transfer target must be nonempty"),
+    ], ids=["swap-inside", "gw-unequal", "transfer-whole-source", "transfer-empty-target"])
+    def test_precondition_exits(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"precondition violated: {message}\n"
+
 
 class TestDecomposeSplit:
     def test_decompose(self, capsys):

@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullgroup.backends import OdometerPiece, ShiftPiece, full_shift, odometer
-from fullgroup.clopen import (ClopenSet, PointName, canonical_words, covering,
-                              overlapping_pair)
-from fullgroup.elements import (DerivedWitness, GroupElement, _check_partition,
-                                _composed_pieces, apply_point,
-                                check_measure_invariance,
+from fullgroup.clopen import (ClopenSet, PointName, canonical_words, check_cylinders,
+                              covering)
+from fullgroup.elements import (DerivedWitness, GroupElement, _composed_pieces,
+                                apply_point, check_measure_invariance,
                                 commutator, compose, conjugate,
                                 element_from_pieces, equals, identity,
-                                image_of_clopen, inverse, support)
-from fullgroup.errors import MalformedInput
+                                image_of_clopen, inverse, involution_from_partial,
+                                support)
+from fullgroup.errors import MalformedInput, PreconditionError
 from fullgroup.randomize import random_clopen, random_element, substream
 
 from conftest import apply_piece, bitmap, oracle_equal
@@ -79,20 +79,31 @@ class TestCanonicalForm:
                 OdometerPiece((), 0), OdometerPiece((0,), 0)))
 
 
-def reference_check_partition(words, base, which):
-    """The partition rule the one-pass check replaced: the first
-    overlapping pair in sorted order, then the canonical form of the
-    words must be the whole space."""
-    pair = overlapping_pair(words)
+def first_overlap(words):
+    """The first pair of intersecting cylinders in sorted order, by a scan
+    over all pairs, or None."""
+    ordered = sorted(words)
+    for i, u in enumerate(ordered):
+        for v in ordered[i + 1:]:
+            if v[:len(u)] == u:
+                return u, v
+    return None
+
+
+def reference_check_cylinders(words, base, which, *, cover):
+    """An independent rule: the first overlapping pair in sorted order,
+    then with `cover` the canonical form of the words must be the whole
+    space."""
+    pair = first_overlap(words)
     if pair is not None:
         raise MalformedInput(f"{which} cylinders overlap: {pair[0]} vs {pair[1]}")
-    if canonical_words(words, base) != ((),):
+    if cover and canonical_words(words, base) != ((),):
         raise MalformedInput(f"{which} cylinders do not cover the whole space")
 
 
-def partition_verdict(check, words, base):
+def partition_verdict(check, words, base, cover=True):
     try:
-        check(words, base, "range")
+        check(words, base, "range", cover=cover)
     except MalformedInput as err:
         return str(err)
     return None
@@ -136,17 +147,26 @@ def partition_candidates(draw):
 @given(partition_candidates())
 def test_one_pass_partition_check_matches_reference(case):
     base, words = case
-    assert (partition_verdict(_check_partition, words, base)
-            == partition_verdict(reference_check_partition, words, base))
+    assert (partition_verdict(check_cylinders, words, base)
+            == partition_verdict(reference_check_cylinders, words, base))
+
+
+@settings(max_examples=400, deadline=None)
+@given(partition_candidates())
+def test_overlap_check_matches_pairwise_scan(case):
+    # without `cover`, only the first overlapping pair is reported
+    base, words = case
+    assert (partition_verdict(check_cylinders, words, base, cover=False)
+            == partition_verdict(reference_check_cylinders, words, base, cover=False))
 
 
 def test_partition_check_reports_overlap_before_gap():
     # [00] is missing and [1] overlaps [10]: the overlap is reported
     words = [(0, 1), (1,), (1, 0)]
     with pytest.raises(MalformedInput, match=r"source cylinders overlap: \(1,\) vs \(1, 0\)"):
-        _check_partition(words, 2, "source")
+        check_cylinders(words, 2, "source", cover=True)
     with pytest.raises(MalformedInput, match="do not cover the whole space"):
-        _check_partition([(0, 1), (1,)], 2, "source")
+        check_cylinders([(0, 1), (1,)], 2, "source", cover=True)
 
 
 class TestConstructor:
@@ -189,6 +209,26 @@ class TestElementFromPieces:
     def test_shift_ranges_differ_rejected(self):
         with pytest.raises(MalformedInput):
             shift_elem(2, ((0,), (1, 0)))
+
+
+class TestInvolutionFromPartial:
+    @pytest.mark.parametrize("backend, pieces, overlap", [
+        # [0] -> [01]: the range lies inside the piece's own source
+        (full_shift(2), [ShiftPiece((0,), (0, 1))], r"\(0,\) vs \(0, 1\)"),
+        # [00] -> [10] and [010] -> [100]: disjoint sources, overlapping ranges
+        (odometer(2), [OdometerPiece((0, 0), 1), OdometerPiece((0, 1, 0), -1)],
+         r"\(1, 0\) vs \(1, 0, 0\)"),
+    ], ids=["range-meets-own-source", "ranges-overlap"])
+    def test_overlap_is_a_precondition_error(self, backend, pieces, overlap):
+        with pytest.raises(PreconditionError,
+                           match="involution pieces must have disjoint sources and "
+                                 r"ranges: source cylinders overlap: " + overlap):
+            involution_from_partial(backend, pieces)
+
+    def test_duplicate_sources_name_the_overlap(self):
+        # an identity piece is its own inverse: its source comes twice
+        with pytest.raises(PreconditionError, match=r"overlap: \(1,\) vs \(1,\)"):
+            involution_from_partial(odometer(2), [OdometerPiece((1,), 0)])
 
 
 class TestPresentationIndependence:

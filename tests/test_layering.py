@@ -128,3 +128,16 @@ def test_piece_classes_define_the_piece_protocol():
     missing = {name: sorted(PIECE_PROTOCOL - methods) for name, methods in pieces.items()
                if not PIECE_PROTOCOL <= methods}
     assert len(pieces) >= 2 and not missing, f"piece methods missing: {missing}"
+
+
+def test_one_overlap_rule():
+    # "cylinders overlap" is formatted only by clopen.check_cylinders, and
+    # no wrapper in backends.py re-checks what pair_onto's callers know
+    formatting = {path.name for path in MODULES
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "cylinders overlap" in node.value}
+    assert formatting == {"clopen.py"}
+    tree = ast.parse((SRC / "backends.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "matching_pieces" not in defined

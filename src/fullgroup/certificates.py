@@ -487,29 +487,30 @@ def certificate_to_dict(cp: ConjugateProduct, env: Environment,
     }
 
 
-_JSON_TYPES = {dict: "object", str: "string"}
+_JSON_TYPES = {dict: "object", str: "string", int: "integer"}
 
 
 def _typed(value, kind: type, what: str):
-    """`value` if it has the JSON type `kind`, else malformed input: a
-    payload field of the wrong type must not reach code assuming one."""
-    if not isinstance(value, kind):
+    """`value` if it has the JSON type `kind` (a bool is no integer), else
+    malformed input: a field of the wrong type must not reach code assuming one."""
+    if type(value) is not kind:
         raise MalformedInput(f"bad certificate payload: {what} is not a JSON {_JSON_TYPES[kind]}")
     return value
 
 
 def certificate_from_dict(data: dict) -> tuple[ConjugateProduct, Environment, GroupElement]:
     try:
-        if data["format_version"] != FORMAT_VERSION:
+        if _typed(data["format_version"], int, "format_version") != FORMAT_VERSION:
             raise MalformedInput(f"unsupported format_version {data['format_version']!r}")
         backend = parse_backend(_typed(data["backend"], str, "backend"))
         env = Environment(backend, {
             name: parse_element(_typed(enc, str, f"element {name!r}"))
             for name, enc in _typed(data["environment"], dict, "environment").items()})
         factors = tuple(
-            ConjugateFactor(GroupWord(tuple((_typed(n, str, "a conjugator name"), int(e))
+            ConjugateFactor(GroupWord(tuple((_typed(n, str, "a conjugator name"),
+                                             _typed(e, int, "a conjugator exponent"))
                                             for n, e in f["conjugator"])),
-                            int(f["sign"]))
+                            _typed(f["sign"], int, "a factor sign"))
             for f in data["factors"])
         cp = ConjugateProduct(_typed(data["generator"], str, "generator"), factors)
         target = parse_element(_typed(data["target"], str, "target"))

@@ -96,23 +96,27 @@ def expand_word(word: Word, base: int, depth: int) -> Iterator[Word]:
         yield word + tail
 
 
-def merge_families(items: Iterable[T], base: int, word_of: Callable[[T], Word],
+def merge_families(blocks: Iterable[Sequence[T]], base: int, word_of: Callable[[T], Word],
                    join: Callable[[Word, list[T]], T | None]) -> list[T]:
     """Merge complete sibling families into their parents, deepest first.
 
-    `items` must be sorted by word, with no word a prefix of another.
-    One pass keeps the items on a stack; while the top `base` items are
-    the complete family parent.0, ..., parent.(b-1) and
-    `join(parent, family)` returns an item (None rejects the family),
-    they are replaced by it.  A family is complete only once its last
-    child is on top, and every deeper merge inside it has happened by
-    then, so the result is the fixpoint of merging in any order.  The
-    top `base` words increase strictly, so they are that family exactly
-    when the first is parent.0 and all have one depth.
+    The items of `blocks` must be sorted by word, with no word a prefix
+    of another.  One pass pushes each block onto a stack, then, while
+    the top `base` items are the complete family parent.0, ...,
+    parent.(b-1) and `join(parent, family)` returns an item (None
+    rejects the family), replaces them by it.  A family is complete only
+    once its last child is on top, and every deeper merge inside it has
+    happened by then, so with one-item blocks the result is the fixpoint
+    of merging in any order.  A longer block is checked at its last item
+    only, as no other item of compose's pulled-back runs completes a
+    mergeable family (run lemma: their families pull back canonical f's,
+    same targets on the shift, same powers on the odometer).  The top
+    `base` words increase strictly, so they are that family exactly when
+    the first is parent.0 and all have one depth.
     """
     stack: list[T] = []
-    for item in items:
-        stack.append(item)
+    for block in blocks:
+        stack += block
         while len(stack) >= base:
             word = word_of(stack[-1])
             if not word or word[-1] != base - 1:
@@ -138,12 +142,9 @@ def canonical_words(words: Iterable[Word], base: int) -> tuple[Word, ...]:
     for w in sorted(words):
         if not kept or not is_prefix(kept[-1], w):
             kept.append(w)
-    # merging a family into its parent keeps the stack sorted
-    return tuple(merge_families(kept, base, _itself, _parent_word))
-
-
-def _itself(word: Word) -> Word:
-    return word
+    # merging a family into its parent keeps the stack sorted; a word is
+    # its own key, and `tuple` returns a tuple as it is
+    return tuple(merge_families(zip(kept), base, tuple, _parent_word))
 
 
 def _parent_word(parent: Word, family: list[Word]) -> Word:

@@ -46,7 +46,7 @@ class GroupElement:
         # antichain; merging keeps the union of the sources and of the ranges
         ordered = sorted(self.pieces, key=_source)
         check_cylinders([p.source for p in ordered], base, "source", cover=True)
-        canon = tuple(merge_families(ordered, base, _source, _join))
+        canon = tuple(merge_families(zip(ordered), base, _source, _join))
         object.__setattr__(self, "pieces", canon)
         check_cylinders([p.range_word(base) for p in canon], base, "range", cover=True)
 
@@ -110,28 +110,32 @@ def involution_from_partial(backend: BackendId, pieces: Iterable[Piece]) -> Grou
 def compose(f: GroupElement, g: GroupElement) -> GroupElement:
     """The element x -> f(g(x)).  g's pieces are visited in source order.
     When a piece q of f covers the range [v] of a piece p of g, the
-    result has q o p on p's source.  Otherwise the pieces of f inside [v]
-    are one run of f's sorted sources that partitions [v], and p pulls it
-    back: q o p on the preimage of each q.source, sorted by source (the
-    shift keeps the run's order; the odometer rotates the tails by p's
-    carry, so it sorts them).  The pieces thus come out with strictly
-    increasing sources and go straight onto the sibling-merge stack, with
-    no sort of the whole list, and the result is the canonical merge of
-    the pieces of f * g (valid, since the preimages partition the
-    sources of g and f and g are bijections)."""
+    result has q o p on p's source [u].  Otherwise the pieces of f inside
+    [v] are one run of f's sorted sources that partitions [v], and p
+    pulls it back: q o p on the preimage of each q.source, sorted by
+    source (the shift keeps the run's order; the odometer rotates the
+    tails by p's carry, so it sorts them; an identity p keeps the run).
+    The sources thus increase strictly; each covering piece, and each
+    run whole, goes onto the sibling-merge stack as one block, and the
+    result is the canonical merge of the pieces of f * g (valid, since
+    the preimages partition the sources of g and f and g are bijections).
+    Run lemma: a family that a run piece completes lies in the run (all
+    extend u) and pulls back a family of f inside [v] (same targets on
+    the shift; on the odometer the carry rotation maps sibling tails to
+    sibling tails, powers shifted by p's), so like f's it cannot merge."""
     f._check_backend(g)
     return GroupElement._trusted(f.backend, tuple(merge_families(
         _composed_pieces(f, g), f.base, _source, _join)))
 
 
-def _composed_pieces(f: GroupElement, g: GroupElement) -> Iterator[Piece]:
+def _composed_pieces(f: GroupElement, g: GroupElement) -> Iterator[Sequence[Piece]]:
     base, pieces = f.base, f.pieces
     for p in g.pieces:
         i, j = _meeting(pieces, p.range_word(base), base)
         if j == i + 1:
-            yield pieces[i].after(p)
+            yield (pieces[i].after(p),)
         else:
-            yield from p.pull_back(pieces[i:j], base)
+            yield pieces[i:j] if p.is_identity() else p.pull_back(pieces[i:j], base)
 
 
 def _meeting(pieces: Sequence[Piece], w: Word, base: int) -> tuple[int, int]:

@@ -162,6 +162,14 @@ VALID_CERT = {"format_version": 1, "backend": "odo2", "generator": "tau0", "fact
               "target": "elem:odo2:[(ε;+0)]", "trace": {}}
 
 
+def one_factor_cert(sign=1, exp=1) -> bytes:
+    """tau0 conjugated by g = tau0, a certificate that verifies with the
+    default sign and exponent."""
+    return json.dumps({**VALID_CERT, "target": "elem:odo2:[(ε;+1)]",
+                       "environment": {"tau0": "elem:odo2:[(ε;+1)]", "g": "elem:odo2:[(ε;+1)]"},
+                       "factors": [{"conjugator": [["g", exp]], "sign": sign}]}).encode()
+
+
 class TestCertifyVerify:
     def test_roundtrip(self, capsys, tmp_path):
         cert_file = tmp_path / "cert.json"
@@ -221,8 +229,16 @@ class TestCertifyVerify:
         json.dumps({**VALID_CERT, "target": 0}).encode(),
         b'{"format_version": 1, "backend": "odo\xff2"}',
         b"[" * 100000 + b"]" * 100000,
+        # a sign, exponent or version is a JSON integer, never truncated
+        *(one_factor_cert(sign=v) for v in (1.9, "1", True, 1.0)),
+        one_factor_cert(sign=2).replace(b'"sign": 2', b'"sign": 1e400'),
+        *(one_factor_cert(exp=v) for v in (1.9, "1", True, 1.0)),
+        *(json.dumps({**VALID_CERT, "format_version": v}).encode() for v in (True, 1.0, "1")),
     ], ids=["environment-list", "backend-number", "element-number", "target-number",
-            "not-utf8", "deep-nesting"])
+            "not-utf8", "deep-nesting", "sign-fraction", "sign-string", "sign-bool",
+            "sign-float", "sign-overflow", "exponent-fraction", "exponent-string",
+            "exponent-bool", "exponent-float", "version-bool", "version-float",
+            "version-string"])
     def test_malformed_certificate_file(self, capsys, tmp_path, payload):
         cert_file = tmp_path / "cert.json"
         cert_file.write_bytes(payload)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from fullgroup.backends import OdometerPiece, ShiftPiece, full_shift, odometer
 from fullgroup.clopen import (ClopenSet, PointName, canonical_words, check_cylinders,
-                              covering)
-from fullgroup.elements import (DerivedWitness, GroupElement, _composed_pieces,
+                              covering, merge_families)
+from fullgroup.elements import (DerivedWitness, GroupElement, _composed_pieces, _join,
                                 apply_point, check_measure_invariance,
                                 commutator, compose, conjugate,
                                 element_from_pieces, equals, identity,
@@ -312,6 +312,14 @@ def translation(base, n):
     return GroupElement(odometer(base), (OdometerPiece((), n),))
 
 
+def one_at_a_time(f, g):
+    """The blocks compose pushes, and the canonical merge of their pieces
+    pushed one at a time, with the merge loop after each."""
+    blocks = [list(block) for block in _composed_pieces(f, g)]
+    flat = [p for block in blocks for p in block]
+    return blocks, merge_families(zip(flat), f.base, attrgetter("source"), _join)
+
+
 class TestPullBack:
     """compose pulls f's run of pieces back through each piece of g that
     f does not cover; it must give the depth-first split's pieces in the
@@ -323,7 +331,7 @@ class TestPullBack:
         for x in (f, g):
             assert GroupElement(x.backend, x.pieces) == x
         leaves = reference_composed_pieces(f, g)
-        assert list(_composed_pieces(f, g)) == leaves
+        assert [p for block in _composed_pieces(f, g) for p in block] == leaves
         assert compose(f, g).pieces == GroupElement(f.backend, tuple(leaves)).pieces
 
     def test_matches_depth_first_split(self, backend):
@@ -360,6 +368,38 @@ class TestPullBack:
         assert OdometerPiece((1,), 3).pull_back(run, 2) == [
             OdometerPiece((1, 0), 13), OdometerPiece((1, 1, 0), 33),
             OdometerPiece((1, 1, 1), 23)]
+
+    def test_blockwise_merge_matches_one_at_a_time(self, backend):
+        # compose checks a pulled-back run only at its last piece; by the run
+        # lemma no family inside a run merges, so merging every piece alone
+        # gives the same canonical pieces
+        rng = substream(4249, f"blocks:{backend.tag}")
+        sample = carrying_element if backend.is_odometer else random_element
+        for depth in range(2, 7):
+            for _ in range(8):
+                f, g = random_element(rng, backend, depth), sample(rng, backend, depth)
+                for x, y in ((f, g), (g, f), (f, inverse(f)), (g, g)):
+                    blocks, merged = one_at_a_time(x, y)
+                    assert tuple(merged) == compose(x, y).pieces
+                    for block in blocks:
+                        assert merge_families(zip(block), x.base, attrgetter("source"),
+                                              _join) == block
+
+    def test_merge_cascades_across_covering_blocks(self):
+        # g moves [0] by 2 (carry 1), so f's run on [0] is pulled back and
+        # rotated; on [1] each piece of g lies in one piece of f, and the
+        # three composed pieces, from three blocks, all have power 8: the
+        # first two merge into [10], which merges with [11] into [1], and
+        # the cascade stops at the run
+        f = odo_elem(2, ((0, 0), 0), ((0, 1), 4), ((1, 0, 0), 0), ((1, 0, 1), 8),
+                     ((1, 1), 4))
+        g = odo_elem(2, ((0,), 2), ((1, 0, 0), 8), ((1, 0, 1), 0), ((1, 1), 4))
+        assert len(f.pieces) == 5 and len(g.pieces) == 4
+        blocks, merged = one_at_a_time(f, g)
+        assert [len(block) for block in blocks] == [2, 1, 1, 1]
+        want = (OdometerPiece((0, 0), 6), OdometerPiece((0, 1), 2), OdometerPiece((1,), 8))
+        assert compose(f, g).pieces == tuple(merged) == want
+        self._check(f, g)
 
     def test_shift_keeps_the_run_order(self):
         run = [ShiftPiece((0, 0, 0), (1,)), ShiftPiece((0, 0, 1), (0, 1))]

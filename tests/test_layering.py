@@ -141,3 +141,46 @@ def test_one_overlap_rule():
     tree = ast.parse((SRC / "backends.py").read_text(encoding="utf-8"))
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "matching_pieces" not in defined
+
+
+def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id == name
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == name)]
+
+
+def _merges_families(loop: ast.AST) -> bool:
+    """Whether a loop joins a sibling family (`merge_siblings`, or a bare
+    `join(...)`) or drops the top of a stack (`del stack[-k:]`)."""
+    joins = _calls(loop, "merge_siblings") + [
+        call for call in _calls(loop, "join") if isinstance(call.func, ast.Name)]
+    drops = [node for node in ast.walk(loop) if isinstance(node, ast.Delete)
+             and any(isinstance(t, ast.Subscript) and isinstance(t.slice, ast.Slice)
+                     for t in node.targets)]
+    return bool(joins or drops)
+
+
+def test_one_sibling_merge_loop():
+    # only clopen.merge_families runs a sibling-merge loop, so a second
+    # merge path cannot fork beside it (say, one for compose's runs)
+    loops = {f"{path.name}:{fn.name}"
+             for path in MODULES
+             for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for loop in ast.walk(fn)
+             if isinstance(loop, (ast.For, ast.While)) and _merges_families(loop)}
+    assert loops == {"clopen.py:merge_families"}
+
+
+def test_compose_merges_through_merge_families():
+    # elements.py joins a family only in _join, and passes _join only to
+    # merge_families: compose among others
+    tree = ast.parse((SRC / "elements.py").read_text(encoding="utf-8"))
+    functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    joining = {name for name, fn in functions.items() if _calls(fn, "merge_siblings")}
+    assert joining == {"_join"}
+    passed = [arg for call in _calls(tree, "merge_families") for arg in call.args]
+    named = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and node.id == "_join" and isinstance(node.ctx, ast.Load)]
+    assert named and all(any(node is arg for arg in passed) for node in named)
+    assert _calls(functions["compose"], "merge_families")

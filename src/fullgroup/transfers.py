@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backends import BackendId, Piece, compare_clopen
+from .backends import BackendId, Piece, compare_clopen, source_range
 from .clopen import ClopenSet, PointName
-from .elements import (DerivedWitness, GroupElement, commutator, compose,
-                       element_from_pieces, identity, image_of_clopen, inverse,
-                       involution_from_partial, support)
+from .elements import (DerivedWitness, GroupElement, commutator, compose, identity,
+                       image_of_clopen, inverse, involution_from_partial, support)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 INVOLUTION_SMALL_SUPPORT = "InvolutionSmallSupport"
@@ -40,6 +39,17 @@ def _require(cond: bool, message: str) -> None:
         raise PostconditionError(message)
 
 
+def _involution(backend: BackendId, pieces: list[Piece], what: str) -> GroupElement:
+    """`involution_from_partial` of pieces this module paired, checked as
+    alpha = alpha^-1 on canonical pieces; an overlap among them is a bug."""
+    try:
+        alpha = involution_from_partial(backend, pieces)
+    except PreconditionError as err:
+        raise PostconditionError(f"{what} overlap: {err}") from None
+    _require(alpha.pieces == inverse(alpha).pieces, f"{what} do not form an involution")
+    return alpha
+
+
 def exact_swap_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> GroupElement:
     """The involution that maps A exactly onto B, fixes A n B and
     everything outside A u B.
@@ -59,9 +69,8 @@ def exact_swap_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Gro
     if A1.is_empty() or B1.is_empty():
         raise PreconditionError("exact swap needs both A\\B and B\\A nonempty")
     # mu(A1) = mu(A) - mu(A n B) = mu(B1)
-    alpha = involution_from_partial(backend, backend.pair_onto(A1, B1))
+    alpha = _involution(backend, backend.pair_onto(A1, B1), "swap pieces")
     _require(image_of_clopen(alpha, A) == B, "swap image is not exactly B")
-    _require(alpha.pieces == inverse(alpha).pieces, "swap is not an involution")
     _require(support(alpha) == A1 | B1, "swap support is not the symmetric difference")
     return alpha
 
@@ -90,7 +99,6 @@ def full_group_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
         alpha = _transfer_involution(backend, A, B)
         image = image_of_clopen(alpha, A)
         _require(image.is_subset(B), "transfer image escapes the target")
-        _require(alpha.pieces == inverse(alpha).pieces, "transfer is not an involution")
         _require(support(alpha).is_subset(A | image), "transfer support too large")
         return TransferResult(alpha, None, INVOLUTION_SMALL_SUPPORT)
     # inside case: B properly contained in A (full shift only)
@@ -109,7 +117,7 @@ def _transfer_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Grou
     """The sigma_U | sigma_U^-1 | id involution for U = compare(A\\B, B\\A);
     every caller passes an A not inside B."""
     U = compare_clopen(backend, A - B, B - A)
-    return involution_from_partial(backend, list(U.pieces))
+    return _involution(backend, list(U.pieces), "transfer pieces")
 
 
 def commutator_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> TransferResult:
@@ -183,21 +191,26 @@ def _anchor_depth(backend: BackendId, res: ClopenSet, anchor: PointName,
     opposite-anchor cylinder excluded from the transfer target (below
     the measure of the kept neighbourhood)."""
     fit = res.word_containing(anchor)
-    if fit is None:
-        raise PreconditionError("anchor escaped its residual neighbourhood")
+    # the anchors are picked in A\B and B\A, and every round re-checks them
+    _require(fit is not None, "anchor escaped its residual neighbourhood")
     return max(n + 1, len(fit) + 1, backend.measure_depth(below))
 
 
 def gw_intertwining(backend: BackendId, A: ClopenSet, B: ClopenSet,
                     rounds: int) -> GWState:
-    """Run the alternating annulus-transfer construction for `rounds`
-    rounds, swapping ever larger portions of A\\B and B\\A while the
-    residual neighbourhoods of the two anchors shrink.
+    """Run the alternating annulus construction for `rounds` rounds,
+    swapping ever larger portions of A\\B and B\\A while the residual
+    neighbourhoods of the two anchors shrink.
 
-    At every round n the support of the new involution is contained in
-    the two annuli, the transferred annulus image is exactly the
-    residual complement on the other side, and the source-side residual
-    is a cylinder whose diameter bound is below 2**(1-n).
+    Round n is one comparison (`compare_clopen`) of the source-side
+    annulus, the residual minus a cylinder around its anchor, into the
+    other residual minus a cylinder around that anchor; its range then
+    leaves that residual, and the source-side residual is a cylinder
+    whose diameter bound is below 2**(1-n).  Earlier rounds fix the
+    current residuals, so the partial involution, built once after the
+    last round, is the rounds' witnesses with their inverses.  A witness
+    leaving its round, or an overlap among all rounds' sources and
+    ranges, is a PostconditionError.
     """
     backend.check_sets(A, B)
     if rounds < 0:
@@ -215,40 +228,25 @@ def gw_intertwining(backend: BackendId, A: ClopenSet, B: ClopenSet,
     anchor_b = PointName.zeros_tail(B.base, Bt.pick())
     if rounds == 0:
         return GWState(0, identity(backend), A, B, anchor_a, anchor_b)
-    # earlier rounds fix the current residuals: the product is the union of moving pieces
-    moving: list[Piece] = []
-    res_a, res_b = At, Bt
+    witnesses: list[Piece] = []
+    res, anchors = [At, Bt], (anchor_a, anchor_b)
     for n in range(1, rounds + 1):
-        if n % 2 == 1:
-            src_res, src_anchor = res_a, anchor_a
-            dst_res, dst_anchor = res_b, anchor_b
-        else:
-            src_res, src_anchor = res_b, anchor_b
-            dst_res, dst_anchor = res_a, anchor_a
-        kept = ClopenSet.from_words(
-            backend.base,
-            [src_anchor.prefix(_anchor_depth(backend, src_res, src_anchor, n,
-                                             src_res.volume() / 2))])
-        annulus = src_res - kept
-        excluded = ClopenSet.from_words(
-            backend.base,
-            [dst_anchor.prefix(_anchor_depth(backend, dst_res, dst_anchor, n,
-                                             kept.volume()))])
-        step = full_group_transfer(backend, annulus, dst_res - excluded)
-        image = image_of_clopen(step.element, annulus)
-        _require(support(step.element).is_subset(annulus | image),
-                 "round involution support escaped the annuli")
-        if n % 2 == 1:
-            res_a, res_b = kept, dst_res - image
-        else:
-            res_a, res_b = dst_res - image, kept
-        moving += [p for p in step.element.pieces if not p.is_identity()]
-        _require(res_a.contains_point(anchor_a) and res_b.contains_point(anchor_b),
+        s, d = (0, 1) if n % 2 else (1, 0)
+        kept = ClopenSet.from_words(backend.base, [anchors[s].prefix(
+            _anchor_depth(backend, res[s], anchors[s], n, res[s].volume() / 2))])
+        annulus = res[s] - kept
+        excluded = ClopenSet.from_words(backend.base, [anchors[d].prefix(
+            _anchor_depth(backend, res[d], anchors[d], n, kept.volume()))])
+        target = res[d] - excluded
+        witness = compare_clopen(backend, annulus, target)
+        source, image = source_range(witness)
+        _require(source == annulus and image.is_subset(target),
+                 "round witness does not map its annulus into its target")
+        res[s], res[d] = kept, res[d] - image
+        witnesses += witness.pieces
+        _require(res[0].contains_point(anchor_a) and res[1].contains_point(anchor_b),
                  "anchors escaped their residuals")
-        _require(res_a.diameter_bound() < Fraction(2) ** (1 - n),
+        _require(res[0].diameter_bound() < Fraction(2) ** (1 - n),
                  "residual diameter bound violated")
-    try:
-        partial = element_from_pieces(backend, moving)
-    except MalformedInput as err:
-        raise PostconditionError(f"intertwining rounds overlap: {err}") from None
-    return GWState(rounds, partial, res_a, res_b, anchor_a, anchor_b)
+    partial = _involution(backend, witnesses, "intertwining rounds")
+    return GWState(rounds, partial, res[0], res[1], anchor_a, anchor_b)

@@ -9,6 +9,7 @@ all cylinders of a common depth plus designated eventually-zero points.
 from __future__ import annotations
 
 import itertools
+import signal
 
 import pytest
 
@@ -93,6 +94,28 @@ def overlapping_pairing(backend, S, T, **_):
 def odometer_point_value(point: PointName, digits: int) -> int:
     """Base-b value of the first `digits` digits, for hand-check math."""
     return word_value(point.prefix(digits), point.base)
+
+
+# Above the largest acceptance budget (120 s), so a near hang, such as a
+# compose that stops merging, fails its test instead of stalling the run.
+TEST_TIME_LIMIT_S = 180
+
+
+def _over_time(signum, frame):
+    pytest.fail(f"test ran over {TEST_TIME_LIMIT_S} s")
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail any test that runs over TEST_TIME_LIMIT_S, by a SIGALRM
+    real-time timer (pytest runs tests on the main thread)."""
+    previous = signal.signal(signal.SIGALRM, _over_time)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(params=[2, 3], ids=["b2", "b3"])

@@ -281,12 +281,21 @@ class TestInternalErrors:
         assert not out
         assert err == f"internal error: {type(exc).__name__}: swap lost a piece\n"
 
-    def test_invalid_comparison_witness(self, capsys, monkeypatch):
+    # each command pairs at least two odometer cylinders, which the broken
+    # pairing maps onto one
+    @pytest.mark.parametrize("args", [
+        ("compare", "b2:{00,010}", "b2:{1}"),
+        ("transfer", "b2:{00,010}", "b2:{1}"),
+        ("swap", "b2:{00,010}", "b2:{10,110}"),
+        ("gw", "b2:{00,010}", "b2:{10,110}", "--rounds", "2"),
+    ], ids=lambda args: args[0])
+    def test_invalid_comparison_witness(self, capsys, monkeypatch, args):
         monkeypatch.setattr("fullgroup.backends.pair_cylinders", overlapping_pairing)
-        code, out, err = run(capsys, "compare", "b2:{00,010}", "b2:{1}", "--backend", "odo2")
+        code, out, err = run(capsys, *args, "--backend", "odo2")
         assert code == 4
         assert not out
         assert err.startswith("internal error: PostconditionError: ")
+        assert err.count("\n") == 1
 
 
 class TestSelftest:

@@ -184,3 +184,16 @@ def test_compose_merges_through_merge_families():
              and node.id == "_join" and isinstance(node.ctx, ast.Load)]
     assert named and all(any(node is arg for arg in passed) for node in named)
     assert _calls(functions["compose"], "merge_families")
+
+
+def test_one_involution_path_in_transfers():
+    # transfers.py turns pieces into an involution only in _involution,
+    # and gw_intertwining builds its partial from its comparison witnesses,
+    # not from whole-space transfers or a second constructor
+    tree = ast.parse((SRC / "transfers.py").read_text(encoding="utf-8"))
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    building = {name for name, fn in functions.items() if _calls(fn, "involution_from_partial")}
+    assert building == {"_involution"}
+    gw = functions["gw_intertwining"]
+    assert not _calls(gw, "full_group_transfer") + _calls(gw, "element_from_pieces")
+    assert _calls(gw, "compare_clopen") and _calls(gw, "_involution")

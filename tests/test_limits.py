@@ -5,6 +5,7 @@ seconds instead of exhausting memory."""
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,8 @@ from fullgroup.elements import involution_from_partial
 from fullgroup.encoding import format_element
 from fullgroup.selftest import MAX_TRIALS
 from fullgroup.transfers import MAX_GW_ROUNDS
+
+from conftest import TEST_TIME_LIMIT_S
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ADDRESS_SPACE = 1 << 30
@@ -128,3 +131,12 @@ def test_huge_measures_are_written_short(name, what):
     assert done.returncode == 1, done.stderr
     assert done.stderr == (f"precondition violated: {what} unavailable: "
                            "mu(A)=1/2^14401 is not below mu(B)=1/2^14401\n")
+
+
+def test_each_test_runs_under_a_time_bound():
+    # conftest arms a real-time timer for every test; its handler fails
+    # the test when it fires
+    remaining, _ = signal.getitimer(signal.ITIMER_REAL)
+    assert 0 < remaining <= TEST_TIME_LIMIT_S
+    with pytest.raises(pytest.fail.Exception, match=f"over {TEST_TIME_LIMIT_S} s"):
+        signal.getsignal(signal.SIGALRM)(signal.SIGALRM, None)

@@ -8,7 +8,7 @@ from fullgroup import transfers
 from fullgroup.backends import compare_clopen, full_shift, odometer
 from fullgroup.clopen import ClopenSet
 from fullgroup.elements import (compose, equals, identity, image_of_clopen,
-                                inverse, support)
+                                inverse, involution_from_partial, support)
 from fullgroup.errors import MalformedInput, PostconditionError, PreconditionError
 from fullgroup.randomize import (comparison_pair, substream,
                                  swap_equivalent_pair)
@@ -269,26 +269,26 @@ class TestIntertwining:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
     def test_partial_is_the_product_of_the_rounds(self, backend, monkeypatch):
-        # the partial is assembled once from the rounds' moving pieces;
-        # composing the recorded round involutions is the independent route
-        steps = []
-        real = transfers.full_group_transfer
+        # the partial is built once from all the rounds' comparison witnesses;
+        # composing each round's own involution is the independent route
+        witnesses = []
+        real = transfers.compare_clopen
 
         def recording(*args):
-            result = real(*args)
-            steps.append(result.element)
-            return result
+            witness = real(*args)
+            witnesses.append(witness)
+            return witness
 
-        monkeypatch.setattr(transfers, "full_group_transfer", recording)
+        monkeypatch.setattr(transfers, "compare_clopen", recording)
         rng = substream(25, f"gw-product:{backend.tag}")
         for rounds in range(7):
             A, B = swap_equivalent_pair(rng, backend, 3)
-            steps.clear()
+            witnesses.clear()
             partial = gw_intertwining(backend, A, B, rounds).partial
-            assert len(steps) == rounds
+            assert len(witnesses) == rounds
             product = identity(backend)
-            for step in steps:
-                product = compose(step, product)
+            for witness in witnesses:
+                product = compose(involution_from_partial(backend, witness.pieces), product)
             assert partial == product
             # the pointwise oracle refines both to their deepest source;
             # it runs where that stays within 2**12 cylinders
@@ -298,17 +298,46 @@ class TestIntertwining:
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
     def test_overlapping_rounds_are_a_postcondition_error(self, backend, monkeypatch):
-        # round 2 swaps its annulus into round 1's annulus: every per-round
-        # check passes, and assembling the partial finds the overlap
-        sources = []
-        real = transfers.full_group_transfer
+        # round 1 misreports its range: one cylinder of it is swapped for an
+        # equal cylinder of the target outside it.  The measures still
+        # balance, the residual keeps a point of round 1's range, and round 2
+        # pairs out of it: every per-round check passes, and building the
+        # partial finds the overlap
+        targets = []
+        real_compare, real_source_range = transfers.compare_clopen, transfers.source_range
 
-        def overlapping(backend, A, B):
+        def recording(backend, A, B):
+            targets.append(B)
+            return real_compare(backend, A, B)
+
+        def misreported(witness):
+            source, image = real_source_range(witness)
+            if len(targets) > 1:
+                return source, image
+            depth = max(image.max_depth(), targets[0].max_depth())
+            paired = cs(image.base, image.refine_to(depth)[-1])
+            free = cs(image.base, (targets[0] - image).refine_to(depth)[0])
+            return source, image - paired | free
+
+        monkeypatch.setattr(transfers, "compare_clopen", recording)
+        monkeypatch.setattr(transfers, "source_range", misreported)
+        with pytest.raises(PostconditionError, match="intertwining rounds overlap"):
+            gw_intertwining(backend, cs(backend.base, (0,)), cs(backend.base, (1,)), 2)
+        assert len(targets) == 2
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
+    def test_round_outside_its_target_is_a_postcondition_error(self, backend, monkeypatch):
+        # round 2 pairs its annulus into round 1's annulus, which is not
+        # in its target: the round's own check fails before the partial
+        sources = []
+        real = transfers.compare_clopen
+
+        def misdirected(backend, A, B):
             sources.append(A)
             return real(backend, A, sources[0] if len(sources) == 2 else B)
 
-        monkeypatch.setattr(transfers, "full_group_transfer", overlapping)
-        with pytest.raises(PostconditionError, match="intertwining rounds overlap"):
+        monkeypatch.setattr(transfers, "compare_clopen", misdirected)
+        with pytest.raises(PostconditionError, match="round witness does not map"):
             gw_intertwining(backend, cs(backend.base, (0,)), cs(backend.base, (1,)), 2)
 
     def test_negative_rounds_rejected(self):

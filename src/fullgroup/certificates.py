@@ -14,9 +14,11 @@ supports, with a two-conjugate certificate for the first factor.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import add
 
@@ -64,17 +66,98 @@ class GroupWord:
     def evaluate(self, env: "Environment") -> GroupElement:
         """Resolve every name in token order (an unresolved name raises
         even where it would cancel), reduce freely (x x^-1 -> 1, exact in
-        any group), then compose left to right inverting each name once."""
+        any group), compress the reduced word by pairs (`_pair_rules`),
+        composing each repeated pair once, then compose the compressed
+        word left to right, inverting each symbol at most once."""
         values = {name: env.get(name) for name, _ in self.tokens}
-        reduced: list[tuple[str, int]] = []
+        ids = {name: k for k, name in enumerate(values, 1)}
+        reduced: list[int] = []
         for name, exp in self.tokens:
-            if reduced and reduced[-1] == (name, -exp):
+            if reduced and reduced[-1] == -exp * ids[name]:
                 reduced.pop()
             else:
-                reduced.append((name, exp))
-        inverses = {name: inverse(values[name]) for name, exp in set(reduced) if exp == -1}
-        factors = [values[name] if exp == 1 else inverses[name] for name, exp in reduced]
-        return reduce(compose, factors) if factors else identity(env.backend)
+                reduced.append(exp * ids[name])
+        if not reduced:
+            return identity(env.backend)
+        elems = [identity(env.backend), *values.values()]   # symbol k > 0 is elems[k]
+        inverses: dict[int, GroupElement] = {}
+
+        def value(symbol: int) -> GroupElement:
+            if symbol > 0:
+                return elems[symbol]
+            if symbol not in inverses:
+                inverses[symbol] = inverse(elems[-symbol])
+            return inverses[symbol]
+
+        rules, compressed = _pair_rules(reduced, len(elems))
+        for x, y in rules:
+            elems.append(compose(value(x), value(y)))
+        return reduce(compose, map(value, compressed))
+
+
+def _pair_rules(word: list[int], fresh: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """Re-Pair compression (Larsson and Moffat, 2000) of a freely reduced
+    word over signed symbols, -s standing for s^-1.  While some adjacent
+    pair has two non-overlapping occurrences, the one with the most (the
+    least pair on ties) becomes the next symbol from `fresh` on, and each
+    occurrence is replaced by it; an occurrence of (y^-1, x^-1) counts as
+    one of (x, y) and becomes the new symbol's inverse.  A linked list,
+    pair -> occurrence sets and a max-heap recounted lazily keep this
+    near-linear.  Returns the rules in order and the compressed word."""
+    sym = list(word)
+    nxt = [*range(1, len(sym)), -1]
+    prv = list(range(-1, len(sym) - 1))
+    occ: dict[tuple[int, int], set[int]] = defaultdict(set)
+
+    def pair(i: int) -> tuple[int, int]:
+        x, y = sym[i], sym[nxt[i]]
+        return min((x, y), (-y, -x))
+
+    def count(p: tuple[int, int]) -> int:
+        if p[0] != p[1]:
+            return len(occ.get(p, ()))
+        kept, last = 0, None      # runs x x x overlap: count greedily
+        for i in sorted(occ.get(p, ())):
+            if prv[i] != last:
+                kept, last = kept + 1, i
+        return kept
+
+    for i in range(len(sym) - 1):
+        occ[pair(i)].add(i)
+    heap = [(-count(p), p) for p in occ]
+    heapify(heap)
+    rules: list[tuple[int, int]] = []
+    while heap and heap[0][0] <= -2:
+        stale, p = heappop(heap)
+        now = count(p)
+        if now != -stale:         # a lazy entry: push it back recounted
+            heappush(heap, (-now, p))
+            continue
+        z = fresh + len(rules)
+        rules.append(p)
+        touched = set()
+        for i in sorted(occ.pop(p)):
+            if not sym[i]:
+                continue          # taken by the overlapping occurrence before
+            j = nxt[i]
+            for k in (prv[i], j):
+                if k != -1 and nxt[k] != -1:
+                    occ.get(pair(k), set()).discard(k)
+            sym[i], sym[j] = (z if (sym[i], sym[j]) == p else -z), 0
+            nxt[i] = nxt[j]
+            if nxt[i] != -1:
+                prv[nxt[i]] = i
+            for k in (prv[i], i):
+                if k != -1 and nxt[k] != -1:
+                    occ[pair(k)].add(k)
+                    touched.add(pair(k))
+        for q in touched:
+            heappush(heap, (-count(q), q))
+    compressed, i = [], (0 if sym else -1)
+    while i != -1:
+        compressed.append(sym[i])
+        i = nxt[i]
+    return rules, compressed
 
 
 def commutator_word(a: str, b: str) -> GroupWord:
@@ -249,9 +332,9 @@ def split_nontrivial_support(tau: GroupElement) -> SplitResult:
     A0 = proper_subcylinder(A)
     tau_A0 = image_of_clopen(tau, A0)
     sigma1 = involution_from_partial(
-        backend, [p for w in A0.words for p in restrict(tau, w)])
+        backend, [p for w in A0.words for p in restrict(tau, w)], "sigma1 pieces")
     sigma2 = involution_from_partial(
-        backend, [p for w in tau_A0.words for p in restrict(sigma0, w)])
+        backend, [p for w in tau_A0.words for p in restrict(sigma0, w)], "sigma2 pieces")
     sigma = commutator(sigma2, sigma1)[0]
     if not sigma == compose(sigma1, sigma2):
         raise PostconditionError("three-cycle does not reduce to sigma1*sigma2")

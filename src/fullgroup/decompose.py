@@ -168,7 +168,7 @@ def _decompose_shift(alpha: GroupElement) -> DecompositionResult:
     A = separated_cylinder(alpha)
     image = image_of_clopen(alpha, A)
     inside = restrict(alpha, A.words[0])
-    alpha1 = involution_from_partial(backend, inside)
+    alpha1 = involution_from_partial(backend, inside, "two-factor pieces")
     alpha2 = compose(inverse(alpha1), alpha)
     bound1 = A | image
     bound2 = A.complement()

@@ -92,19 +92,28 @@ def element_from_pieces(backend: BackendId, pieces: Iterable[Piece],
     return GroupElement(backend, tuple(pieces))
 
 
-def involution_from_partial(backend: BackendId, pieces: Iterable[Piece]) -> GroupElement:
+def involution_from_partial(backend: BackendId, pieces: Iterable[Piece],
+                            own: str | None = None) -> GroupElement:
     """The involution acting by the given pieces on their disjoint sources,
     by their inverses on the ranges, and trivially elsewhere, for pieces of
     the backend's class.  Two sources, two ranges or a source and a range
     meeting is an overlap among the sources of the pieces and their
-    inverses, which the element's source check reports."""
+    inverses, which the element's source check reports: a
+    PreconditionError for a caller's pieces.  Pieces the library paired
+    itself, named by `own`, make an overlap a bug (a PostconditionError
+    "{own} overlap: ...") and are checked as alpha = alpha^-1."""
     pieces = list(pieces)
     both = pieces + [p.inverse(backend.base) for p in pieces]
     try:
-        return element_from_pieces(backend, both, fill_identity=True)
+        alpha = element_from_pieces(backend, both, fill_identity=True)
     except MalformedInput as err:
-        raise PreconditionError(
-            f"involution pieces must have disjoint sources and ranges: {err}") from None
+        message = f"involution pieces must have disjoint sources and ranges: {err}"
+        if own is None:
+            raise PreconditionError(message) from None
+        raise PostconditionError(f"{own} overlap: {message}") from None
+    if own is not None and alpha.pieces != inverse(alpha).pieces:
+        raise PostconditionError(f"{own} do not form an involution")
+    return alpha
 
 
 def compose(f: GroupElement, g: GroupElement) -> GroupElement:

@@ -23,6 +23,10 @@ from .errors import MalformedInput
 
 EPSILON = "ε"
 
+# The most digits a word may have: a deeper one is malformed input,
+# refused before any cylinder or piece is built from it.
+MAX_WORD_DEPTH = 4096
+
 _CLOPEN_RE = re.compile(r"^b(\d+):\{(.*)\}$")
 _BACKEND_RE = re.compile(r"^(odo|shift)(\d+)$")
 _ODO_PIECE_RE = re.compile(r"^\(([0-9]+|ε);([+-]?\d+)\)$")
@@ -42,6 +46,9 @@ def parse_word(text: str, base: int) -> Word:
     text = text.strip()
     if text in ("", EPSILON):
         return ()
+    if len(text) > MAX_WORD_DEPTH:
+        raise MalformedInput(
+            f"word of depth {len(text)} is over the limit of {MAX_WORD_DEPTH}")
     if not text.isdigit():
         raise MalformedInput(f"bad word {text!r}")
     word = tuple(int(c) for c in text)

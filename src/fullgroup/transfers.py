@@ -14,7 +14,7 @@ from fractions import Fraction
 from .backends import BackendId, Piece, compare_clopen, source_range
 from .clopen import ClopenSet, PointName
 from .elements import (DerivedWitness, GroupElement, commutator, compose, identity,
-                       image_of_clopen, inverse, involution_from_partial, support)
+                       image_of_clopen, involution_from_partial, support)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 INVOLUTION_SMALL_SUPPORT = "InvolutionSmallSupport"
@@ -39,17 +39,6 @@ def _require(cond: bool, message: str) -> None:
         raise PostconditionError(message)
 
 
-def _involution(backend: BackendId, pieces: list[Piece], what: str) -> GroupElement:
-    """`involution_from_partial` of pieces this module paired, checked as
-    alpha = alpha^-1 on canonical pieces; an overlap among them is a bug."""
-    try:
-        alpha = involution_from_partial(backend, pieces)
-    except PreconditionError as err:
-        raise PostconditionError(f"{what} overlap: {err}") from None
-    _require(alpha.pieces == inverse(alpha).pieces, f"{what} do not form an involution")
-    return alpha
-
-
 def exact_swap_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> GroupElement:
     """The involution that maps A exactly onto B, fixes A n B and
     everything outside A u B.
@@ -69,7 +58,7 @@ def exact_swap_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Gro
     if A1.is_empty() or B1.is_empty():
         raise PreconditionError("exact swap needs both A\\B and B\\A nonempty")
     # mu(A1) = mu(A) - mu(A n B) = mu(B1)
-    alpha = _involution(backend, backend.pair_onto(A1, B1), "swap pieces")
+    alpha = involution_from_partial(backend, backend.pair_onto(A1, B1), "swap pieces")
     _require(image_of_clopen(alpha, A) == B, "swap image is not exactly B")
     _require(support(alpha) == A1 | B1, "swap support is not the symmetric difference")
     return alpha
@@ -117,7 +106,7 @@ def _transfer_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Grou
     """The sigma_U | sigma_U^-1 | id involution for U = compare(A\\B, B\\A);
     every caller passes an A not inside B."""
     U = compare_clopen(backend, A - B, B - A)
-    return _involution(backend, list(U.pieces), "transfer pieces")
+    return involution_from_partial(backend, U.pieces, "transfer pieces")
 
 
 def commutator_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> TransferResult:
@@ -208,9 +197,9 @@ def gw_intertwining(backend: BackendId, A: ClopenSet, B: ClopenSet,
     leaves that residual, and the source-side residual is a cylinder
     whose diameter bound is below 2**(1-n).  Earlier rounds fix the
     current residuals, so the partial involution, built once after the
-    last round, is the rounds' witnesses with their inverses.  A witness
-    leaving its round, or an overlap among all rounds' sources and
-    ranges, is a PostconditionError.
+    last round, is the rounds' witnesses with their inverses.  A refused
+    comparison, a witness leaving its round, or an overlap among all
+    rounds' sources and ranges, is a PostconditionError.
     """
     backend.check_sets(A, B)
     if rounds < 0:
@@ -238,7 +227,10 @@ def gw_intertwining(backend: BackendId, A: ClopenSet, B: ClopenSet,
         excluded = ClopenSet.from_words(backend.base, [anchors[d].prefix(
             _anchor_depth(backend, res[d], anchors[d], n, kept.volume()))])
         target = res[d] - excluded
-        witness = compare_clopen(backend, annulus, target)
+        try:
+            witness = compare_clopen(backend, annulus, target)
+        except PreconditionError as err:    # the rounds' measures balance
+            raise PostconditionError(f"round {n} comparison refused: {err}") from None
         source, image = source_range(witness)
         _require(source == annulus and image.is_subset(target),
                  "round witness does not map its annulus into its target")
@@ -248,5 +240,5 @@ def gw_intertwining(backend: BackendId, A: ClopenSet, B: ClopenSet,
                  "anchors escaped their residuals")
         _require(res[0].diameter_bound() < Fraction(2) ** (1 - n),
                  "residual diameter bound violated")
-    partial = _involution(backend, witnesses, "intertwining rounds")
+    partial = involution_from_partial(backend, witnesses, "intertwining rounds")
     return GWState(rounds, partial, res[0], res[1], anchor_a, anchor_b)

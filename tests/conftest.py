@@ -91,6 +91,21 @@ def overlapping_pairing(backend, S, T, **_):
     return [backend.piece_between(u, v) for u in S.refine_to(depth)]
 
 
+def first_range_emptied(source_range):
+    """A broken stand-in for `source_range` in `transfers`: the first
+    witness reports an empty range, so the intertwining's second round
+    keeps the first round's range in its target and its comparison is
+    refused."""
+    calls = []
+
+    def emptied(witness):
+        calls.append(witness)
+        source, image = source_range(witness)
+        return (source, ClopenSet.empty(image.base)) if len(calls) == 1 else (source, image)
+
+    return emptied
+
+
 def odometer_point_value(point: PointName, digits: int) -> int:
     """Base-b value of the first `digits` digits, for hand-check math."""
     return word_value(point.prefix(digits), point.base)

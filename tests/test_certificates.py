@@ -1,10 +1,14 @@
 """Group words, commutator expansion, closure certificates, verification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fullgroup import certificates
 from fullgroup.backends import OdometerPiece, full_shift, odometer
 from fullgroup.certificates import (ConjugateFactor, ConjugateProduct,
-                                    Environment, GroupWord, certificate_to_dict,
+                                    Environment, GroupWord, _pair_rules,
+                                    certificate_to_dict,
                                     commutator_in_normal_closure,
                                     commutator_word, dump_certificate,
                                     expand_commutator_product, load_certificate,
@@ -16,6 +20,8 @@ from fullgroup.elements import (commutator, compose, conjugate,
 from fullgroup.encoding import parse_element
 from fullgroup.errors import MalformedInput, PreconditionError
 from fullgroup.randomize import random_element, substream
+
+from test_golden import INPUTS
 
 ALL_BACKENDS = [odometer(2), full_shift(2), odometer(3), full_shift(3)]
 
@@ -166,6 +172,89 @@ class TestFreeReduction:
         env = Environment(odometer(2))
         with pytest.raises(MalformedInput, match="tau0"):
             ConjugateProduct("tau0", ()).evaluate(env)
+
+
+NAMES = ("a", "b", "c", "d")
+
+
+@pytest.fixture(scope="module")
+def repetitive_envs():
+    return {backend.tag: non_involution_env(backend, 36, NAMES) for backend in ALL_BACKENDS}
+
+
+@st.composite
+def repetitive_words(draw):
+    """Words over 2-4 names built from a few short motifs: periodic
+    blocks u^r, runs x x x, and a motif next to its inverse, with either
+    orientation of each motif."""
+    names = NAMES[:draw(st.integers(2, 4))]
+    token = st.tuples(st.sampled_from(names), st.sampled_from((1, -1)))
+    motifs = draw(st.lists(st.lists(token, min_size=1, max_size=3), min_size=1, max_size=3))
+    tokens = []
+    for _ in range(draw(st.integers(1, 8))):
+        motif = GroupWord(tuple(draw(st.sampled_from(motifs))))
+        kind = draw(st.sampled_from(("periodic", "inverse", "cancel", "single")))
+        if kind == "periodic":
+            tokens += motif.tokens * draw(st.integers(2, 6))
+        elif kind == "inverse":
+            tokens += motif.inverse().tokens * draw(st.integers(1, 4))
+        elif kind == "cancel":
+            tokens += motif.tokens + motif.inverse().tokens
+        else:
+            tokens.append(draw(st.sampled_from(motif.tokens)))
+    return GroupWord(tuple(tokens))
+
+
+class TestPairCompression:
+    """Evaluation compresses the reduced word by pairs before its fold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(ALL_BACKENDS), repetitive_words())
+    def test_repetitive_words_match_oracle(self, repetitive_envs, backend, w):
+        env = repetitive_envs[backend.tag]
+        assert equals(w.evaluate(env), word_oracle(w, env))
+
+    @settings(max_examples=300, deadline=None)
+    @given(repetitive_words())
+    def test_rules_expand_to_the_word(self, w):
+        # the compressed word expands back to the reduced word, and no
+        # pair of it is left with two non-overlapping occurrences
+        ids = {name: k for k, name in enumerate(NAMES, 1)}
+        reduced = [ids[n] * e for n, e in free_reduction(w)]
+        fresh = len(NAMES) + 1
+        rules, compressed = _pair_rules(reduced, fresh)
+
+        def expand(symbol):
+            if abs(symbol) < fresh:
+                return [symbol]
+            x, y = rules[abs(symbol) - fresh]
+            out = expand(x) + expand(y)
+            return out if symbol > 0 else [-s for s in reversed(out)]
+
+        assert [s for symbol in compressed for s in expand(symbol)] == reduced
+        seen = {}
+        for i, (x, y) in enumerate(zip(compressed, compressed[1:])):
+            key = min((x, y), (-y, -x))
+            assert seen.get(key, i) >= i - 1, (compressed, key)
+            seen.setdefault(key, i)
+
+    @pytest.mark.parametrize("tag", list(INPUTS))
+    def test_golden_certificates_compose_half(self, tag, monkeypatch):
+        # the certify certificates of tests/test_golden.py: at most half
+        # the composes of the left fold over the freely reduced word
+        x = INPUTS[tag]
+        env = Environment(parse_element(x["rotation"]).backend)
+        for name in ("tau0", "alpha", "beta"):
+            env.define(name, parse_element(x["rotation" if name == "tau0" else name]))
+        cert = commutator_in_normal_closure("alpha", "beta", "tau0", env)
+        flat = GroupWord(tuple(token for f in cert.factors for token in (
+            *f.conjugator.tokens, ("tau0", f.sign), *f.conjugator.inverse().tokens)))
+        composes = []
+        real = certificates.compose
+        monkeypatch.setattr(certificates, "compose",
+                            lambda f, g: composes.append(1) or real(f, g))
+        assert equals(cert.evaluate(env), commutator(env.get("alpha"), env.get("beta"))[0])
+        assert 0 < len(composes) <= (len(free_reduction(flat)) - 1) / 2
 
 
 class TestExpansion:

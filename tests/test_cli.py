@@ -1,13 +1,17 @@
 """CLI commands, artifacts, exit codes and determinism."""
 
 import json
+import time
 
 import pytest
 
+from fullgroup import decompose, transfers
 from fullgroup.cli import main
+from fullgroup.clopen import ClopenSet
+from fullgroup.encoding import MAX_WORD_DEPTH
 from fullgroup.errors import PostconditionError
 
-from conftest import overlapping_pairing
+from conftest import first_range_emptied, overlapping_pairing
 
 
 def run(capsys, *argv):
@@ -77,6 +81,17 @@ class TestTransferSwapGw:
         assert code == 0
         assert "Traceback" not in err
         assert artifact_of(out)["element"].startswith("elem:odo2:")
+
+    def test_swap_overdeep_words_are_refused(self, capsys):
+        # refused at parse time, before any cylinder or piece is built
+        zeros = "0" * 14400
+        start = time.perf_counter()
+        code, out, err = run(capsys, "swap", f"b2:{{{zeros}1}}", f"b2:{{{zeros}0}}",
+                             "--backend", "odo2")
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert not out
+        assert err == f"error: word of depth 14401 is over the limit of {MAX_WORD_DEPTH}\n"
 
     def test_gw(self, capsys):
         code, out, _ = run(capsys, "gw", "b2:{00}", "b2:{10}",
@@ -280,6 +295,28 @@ class TestInternalErrors:
         assert code == 4
         assert not out
         assert err == f"internal error: {type(exc).__name__}: swap lost a piece\n"
+
+    def test_refused_gw_round(self, capsys, monkeypatch):
+        monkeypatch.setattr(transfers, "source_range",
+                            first_range_emptied(transfers.source_range))
+        code, out, err = run(capsys, "gw", "b3:{0}", "b3:{1}", "--backend", "odo3",
+                             "--rounds", "2")
+        assert code == 4
+        assert not out
+        assert err.startswith("internal error: PostconditionError: round 2 comparison refused")
+        assert err.count("\n") == 1
+
+    def test_overlapping_decomposition_pieces(self, capsys, monkeypatch):
+        # a separated cylinder that the element maps onto itself hands
+        # overlapping pieces of its own to the involution
+        monkeypatch.setattr(decompose, "separated_cylinder",
+                            lambda tau: ClopenSet.from_words(tau.base, [(0,)]))
+        code, out, err = run(capsys, "decompose", "elem:shift2:[(00>01),(01>00),(1>1)]",
+                             "--eps", "1/4")
+        assert code == 4
+        assert not out
+        assert err.startswith("internal error: PostconditionError: two-factor pieces overlap")
+        assert err.count("\n") == 1
 
     # each command pairs at least two odometer cylinders, which the broken
     # pairing maps onto one

@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+from fullgroup import certificates
 from fullgroup.backends import OdometerPiece, ShiftPiece, full_shift, odometer
 from fullgroup.clopen import ClopenSet
 from fullgroup.certificates import split_nontrivial_support, verify_certificate
@@ -14,7 +15,7 @@ from fullgroup.decompose import (decompose_small_support, displaced_set,
 from fullgroup.elements import (compose, element_from_pieces, equals,
                                 identity, image_of_clopen, inverse, support)
 from fullgroup.encoding import parse_clopen, parse_element
-from fullgroup.errors import PreconditionError
+from fullgroup.errors import PostconditionError, PreconditionError
 from fullgroup.randomize import random_element, substream
 
 from conftest import _acting_piece, apply_piece, bitmap, clopen_bitmap
@@ -269,6 +270,14 @@ class TestSplit:
     def test_identity_rejected(self):
         with pytest.raises(PreconditionError):
             split_nontrivial_support(identity(full_shift(2)))
+
+    def test_overlapping_own_pieces_are_a_postcondition_error(self, monkeypatch):
+        # restrict reporting each piece twice makes sigma1's pieces overlap,
+        # pieces the split built itself: a bug, not the caller's error
+        real = certificates.restrict
+        monkeypatch.setattr(certificates, "restrict", lambda elem, word: 2 * real(elem, word))
+        with pytest.raises(PostconditionError, match="sigma1 pieces overlap"):
+            split_nontrivial_support(full_flip())
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
     def test_randomized(self, backend):

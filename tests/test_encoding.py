@@ -8,7 +8,7 @@ from fullgroup.backends import (Bisection, OdometerPiece, ShiftPiece,
                                 full_shift, odometer)
 from fullgroup.clopen import ClopenSet
 from fullgroup.elements import element_from_pieces
-from fullgroup.encoding import (format_bisection, format_clopen,
+from fullgroup.encoding import (MAX_WORD_DEPTH, format_bisection, format_clopen,
                                 format_element, format_piece, parse_backend,
                                 parse_clopen, parse_element, parse_piece,
                                 parse_word)
@@ -44,6 +44,12 @@ class TestClopenCodec:
     def test_word_epsilon(self):
         assert parse_word("ε", 2) == ()
         assert parse_word("011", 2) == (0, 1, 1)
+
+    def test_word_depth_limit(self):
+        assert parse_word("1" * MAX_WORD_DEPTH, 2) == (1,) * MAX_WORD_DEPTH
+        with pytest.raises(MalformedInput, match=f"depth {MAX_WORD_DEPTH + 1} is over "
+                                                 f"the limit of {MAX_WORD_DEPTH}"):
+            parse_clopen("b2:{" + "1" * (MAX_WORD_DEPTH + 1) + "}")
 
 
 class TestBackendCodec:

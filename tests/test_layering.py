@@ -187,13 +187,51 @@ def test_compose_merges_through_merge_families():
 
 
 def test_one_involution_path_in_transfers():
-    # transfers.py turns pieces into an involution only in _involution,
-    # and gw_intertwining builds its partial from its comparison witnesses,
-    # not from whole-space transfers or a second constructor
+    # the library's own pieces become an involution only through
+    # involution_from_partial naming them (`own`), which makes an overlap
+    # a bug; gw_intertwining builds its partial from its comparison
+    # witnesses, not from whole-space transfers or a second constructor
+    calls = {path.name: _calls(ast.parse(path.read_text(encoding="utf-8")),
+                               "involution_from_partial") for path in MODULES}
+    assert {name for name, found in calls.items() if found} == {
+        "certificates.py", "decompose.py", "transfers.py"}
+    unnamed = [f"{name}:{call.lineno}" for name, found in calls.items() for call in found
+               if len(call.args) + len(call.keywords) < 3]
+    assert not unnamed, f"involutions of own pieces without a name: {unnamed}"
     tree = ast.parse((SRC / "transfers.py").read_text(encoding="utf-8"))
-    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
-    building = {name for name, fn in functions.items() if _calls(fn, "involution_from_partial")}
-    assert building == {"_involution"}
-    gw = functions["gw_intertwining"]
+    gw = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+              and fn.name == "gw_intertwining")
     assert not _calls(gw, "full_group_transfer") + _calls(gw, "element_from_pieces")
-    assert _calls(gw, "compare_clopen") and _calls(gw, "_involution")
+    assert _calls(gw, "compare_clopen") and _calls(gw, "involution_from_partial")
+
+
+def _functions(tree: ast.AST):
+    """Every function of a module, by its qualified name (Class.method)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{node.name}.{fn.name}", fn
+        elif isinstance(node, ast.Module):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield fn.name, fn
+
+
+def test_one_certificate_fold():
+    # only GroupWord.evaluate composes over a word's tokens (the pair
+    # compression and the left fold), and ConjugateProduct.evaluate
+    # delegates to it instead of composing a second way
+    folding = set()
+    for path in MODULES:
+        for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+            attrs = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+            if "compose" in names and "tokens" in attrs:
+                folding.add(f"{path.name}:{name}")
+    assert folding == {"certificates.py:GroupWord.evaluate"}
+    tree = ast.parse((SRC / "certificates.py").read_text(encoding="utf-8"))
+    product = dict(_functions(tree))["ConjugateProduct.evaluate"]
+    assert _calls(product, "evaluate")
+    assert not {node.id for node in ast.walk(product) if isinstance(node, ast.Name)} & {
+        "compose", "reduce", "inverse"}

@@ -16,7 +16,7 @@ from fullgroup.backends import OdometerPiece, odometer
 from fullgroup.clopen import MAX_REFINED_CELLS
 from fullgroup.decompose import MAX_DECOMPOSITION_CELLS
 from fullgroup.elements import involution_from_partial
-from fullgroup.encoding import format_element
+from fullgroup.encoding import MAX_WORD_DEPTH, format_element
 from fullgroup.selftest import MAX_TRIALS
 from fullgroup.transfers import MAX_GW_ROUNDS
 
@@ -119,9 +119,9 @@ def test_oversized_refinement_is_refused(name):
     assert f"over the limit of {MAX_REFINED_CELLS}" in done.stderr
 
 
-# [0^14400 1] and [0^14400 0] both have measure 1/2^14401, an exact
-# fraction of 4335 digits, over the interpreter's limit for printing one
-HUGE = "0" * 14400
+# [0^4095 1] and [0^4095 0], words at MAX_WORD_DEPTH, both have measure
+# 1/2^4096, an exact fraction of 1234 digits
+HUGE = "0" * (MAX_WORD_DEPTH - 1)
 
 
 @pytest.mark.parametrize("name, what", [("compare", "comparison"),
@@ -130,7 +130,7 @@ def test_huge_measures_are_written_short(name, what):
     done = cli(name, cells(HUGE + "1"), cells(HUGE + "0"), "--backend", "odo2")
     assert done.returncode == 1, done.stderr
     assert done.stderr == (f"precondition violated: {what} unavailable: "
-                           "mu(A)=1/2^14401 is not below mu(B)=1/2^14401\n")
+                           "mu(A)=1/2^4096 is not below mu(B)=1/2^4096\n")
 
 
 def test_each_test_runs_under_a_time_bound():

@@ -18,7 +18,7 @@ from fullgroup.transfers import (COMMUTATOR_CYCLIC, COMMUTATOR_INSIDE_CASE,
                                  commutator_transfer, exact_swap_involution,
                                  full_group_transfer, gw_intertwining)
 
-from conftest import oracle_equal
+from conftest import first_range_emptied, oracle_equal
 
 
 def cs(base, *words):
@@ -339,6 +339,15 @@ class TestIntertwining:
         monkeypatch.setattr(transfers, "compare_clopen", misdirected)
         with pytest.raises(PostconditionError, match="round witness does not map"):
             gw_intertwining(backend, cs(backend.base, (0,)), cs(backend.base, (1,)), 2)
+
+    def test_refused_round_is_a_postcondition_error(self, monkeypatch):
+        # round 2's target, too small for its annulus, refuses the
+        # comparison the rounds' balanced measures promise: a bug
+        monkeypatch.setattr(transfers, "source_range",
+                            first_range_emptied(transfers.source_range))
+        with pytest.raises(PostconditionError, match="round 2 comparison refused: "
+                                                     "comparison unavailable"):
+            gw_intertwining(odometer(3), cs(3, (0,)), cs(3, (1,)), 2)
 
     def test_negative_rounds_rejected(self):
         with pytest.raises(PreconditionError):

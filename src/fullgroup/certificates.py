@@ -98,12 +98,17 @@ class GroupWord:
 def _pair_rules(word: list[int], fresh: int) -> tuple[list[tuple[int, int]], list[int]]:
     """Re-Pair compression (Larsson and Moffat, 2000) of a freely reduced
     word over signed symbols, -s standing for s^-1.  While some adjacent
-    pair has two non-overlapping occurrences, the one with the most (the
-    least pair on ties) becomes the next symbol from `fresh` on, and each
+    pair occurs twice, the one with the most occurrences (the least pair
+    on ties) becomes the next symbol from `fresh` on, and each
     occurrence is replaced by it; an occurrence of (y^-1, x^-1) counts as
     one of (x, y) and becomes the new symbol's inverse.  A linked list,
     pair -> occurrence sets and a max-heap recounted lazily keep this
-    near-linear.  Returns the rules in order and the compressed word."""
+    near-linear.  Returns the rules in order and the compressed word.
+
+    A pair counts all its occurrences, overlapping ones too.  Only a pair
+    (x, x) overlaps itself, in a run x x x, where its count is too high.
+    At worst that makes a rule used once, which costs the one compose the
+    plain fold would pay; the element is the same either way."""
     sym = list(word)
     nxt = [*range(1, len(sym)), -1]
     prv = list(range(-1, len(sym) - 1))
@@ -113,23 +118,14 @@ def _pair_rules(word: list[int], fresh: int) -> tuple[list[tuple[int, int]], lis
         x, y = sym[i], sym[nxt[i]]
         return min((x, y), (-y, -x))
 
-    def count(p: tuple[int, int]) -> int:
-        if p[0] != p[1]:
-            return len(occ.get(p, ()))
-        kept, last = 0, None      # runs x x x overlap: count greedily
-        for i in sorted(occ.get(p, ())):
-            if prv[i] != last:
-                kept, last = kept + 1, i
-        return kept
-
     for i in range(len(sym) - 1):
         occ[pair(i)].add(i)
-    heap = [(-count(p), p) for p in occ]
+    heap = [(-len(occ[p]), p) for p in occ]
     heapify(heap)
     rules: list[tuple[int, int]] = []
     while heap and heap[0][0] <= -2:
         stale, p = heappop(heap)
-        now = count(p)
+        now = len(occ.get(p, ()))
         if now != -stale:         # a lazy entry: push it back recounted
             heappush(heap, (-now, p))
             continue
@@ -152,7 +148,7 @@ def _pair_rules(word: list[int], fresh: int) -> tuple[list[tuple[int, int]], lis
                     occ[pair(k)].add(k)
                     touched.add(pair(k))
         for q in touched:
-            heappush(heap, (-count(q), q))
+            heappush(heap, (-len(occ.get(q, ())), q))
     compressed, i = [], (0 if sym else -1)
     while i != -1:
         compressed.append(sym[i])

@@ -1,11 +1,14 @@
 """Batch command-line front end.
 
 Subcommands synthesize witnesses and certificates, verify certificate
-files, and run the randomized self-test suites.  Every command prints a
-short human-readable summary and emits a JSON artifact (to stdout, or
-to --out).  Exit codes: 0 success, 1 precondition violation,
-2 malformed input, 3 verification failure, 4 internal error (a failed
-postcondition or an unexpected exception, reported on one line).
+files, and run the randomized self-test suites.  Every command but
+`verify` leaves through `_emit`: it writes its JSON artifact to --out
+first, then prints a short human-readable summary and either where the
+artifact went or the artifact itself, so a failed write prints nothing
+but its error.  `verify` prints one PASS or FAIL line.  Each command
+returns its exit code: 0 success, 1 precondition violation, 2 malformed
+input or an i/o error, 3 verification failure, 4 internal error (a
+failed postcondition or an unexpected exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -37,25 +40,31 @@ EXIT_VERIFY = 3
 EXIT_INTERNAL = 4
 
 
-def _emit(artifact: dict, summary: list[str], out_path: str | None) -> None:
-    for line in summary:
-        print(line)
-    artifact = {"format_version": FORMAT_VERSION, **artifact}
-    text = json.dumps(artifact, sort_keys=True, indent=2) + "\n"
+def _emit(artifact: dict | str, summary: list[str], out_path: str | None,
+          noun: str = "artifact") -> None:
+    """Write the artifact to `out_path`, if given, before anything is
+    printed; then print the summary and either where the artifact went
+    or its text.  A dict is encoded here, under the format version; a
+    str is a file already encoded (a certificate)."""
+    text = artifact if isinstance(artifact, str) else json.dumps(
+        {"format_version": FORMAT_VERSION, **artifact}, sort_keys=True, indent=2) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"artifact written to {out_path}")
+    for line in summary:
+        print(line)
+    if out_path:
+        print(f"{noun} written to {out_path}")
     else:
         print(text, end="")
 
 
-def _backend_and_sets(args, *names):
-    return parse_backend(args.backend), [parse_clopen(getattr(args, n)) for n in names]
+def _set_pair(args):
+    return parse_backend(args.backend), parse_clopen(args.A), parse_clopen(args.B)
 
 
 def _cmd_compare(args) -> None:
-    backend, (A, B) = _backend_and_sets(args, "A", "B")
+    backend, A, B = _set_pair(args)
     witness = compare_clopen(backend, A, B)
     src, dst = source_range(witness)
     _emit({"command": "compare",
@@ -72,7 +81,7 @@ def _cmd_compare(args) -> None:
 
 
 def _cmd_transfer(args) -> None:
-    backend, (A, B) = _backend_and_sets(args, "A", "B")
+    backend, A, B = _set_pair(args)
     if args.commutator:
         result = commutator_transfer(backend, A, B)
     else:
@@ -94,7 +103,7 @@ def _cmd_transfer(args) -> None:
 
 
 def _cmd_swap(args) -> None:
-    backend, (A, B) = _backend_and_sets(args, "A", "B")
+    backend, A, B = _set_pair(args)
     elem = exact_swap_involution(backend, A, B)
     _emit({"command": "swap",
            "backend": backend.tag,
@@ -107,7 +116,7 @@ def _cmd_swap(args) -> None:
 
 
 def _cmd_gw(args) -> None:
-    backend, (A, B) = _backend_and_sets(args, "A", "B")
+    backend, A, B = _set_pair(args)
     state = gw_intertwining(backend, A, B, args.rounds)
     _emit({"command": "gw",
            "backend": backend.tag,
@@ -174,21 +183,12 @@ def _cmd_certify(args) -> None:
     cert = commutator_in_normal_closure("alpha", "beta", "tau0", env, trace)
     target = commutator(alpha, beta)[0]
     text = dump_certificate(cert, env, target, trace)
-    summary = [f"certify [alpha, beta] in normal closure of tau0 ({tau0.backend.tag})",
-               f"  factors {len(cert.factors)}"]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        summary.append(f"certificate written to {args.out}")
-        for line in summary:
-            print(line)
-    else:
-        for line in summary:
-            print(line)
-        print(text, end="")
+    _emit(text, [f"certify [alpha, beta] in normal closure of tau0 ({tau0.backend.tag})",
+                 f"  factors {len(cert.factors)}"],
+          args.out, "certificate")
 
 
-def _cmd_verify(args) -> None:
+def _cmd_verify(args) -> int:
     try:
         with open(args.certfile, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -197,11 +197,10 @@ def _cmd_verify(args) -> None:
     cert, env, target = load_certificate(text)
     ok = verify_certificate(cert, env, target)
     print(f"verify {args.certfile}: {'PASS' if ok else 'FAIL'}")
-    if not ok:
-        sys.exit(EXIT_VERIFY)
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
-def _cmd_selftest(args) -> None:
+def _cmd_selftest(args) -> int:
     backend = parse_backend(args.backend)
     config = RunConfig(backend=backend, seed=args.seed, max_depth=args.max_depth,
                        trial_count=args.trials)
@@ -213,8 +212,7 @@ def _cmd_selftest(args) -> None:
         summary.append(f"  {status}  {prop['name']}: "
                        f"{prop['passes']} passed, {prop['failures']} failed")
     _emit(report, summary, args.out)
-    if not report["ok"]:
-        sys.exit(EXIT_VERIFY)
+    return EXIT_OK if report["ok"] else EXIT_VERIFY
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,36 +229,22 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", default=None, help="write the JSON artifact here")
 
-    p = sub.add_parser("compare", help="emit a bisection witness for A -> B")
-    p.add_argument("A")
-    p.add_argument("B")
-    add_backend(p)
-    add_out(p)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("transfer", help="synthesize a full-group transfer element")
-    p.add_argument("A")
-    p.add_argument("B")
-    p.add_argument("--commutator", action="store_true",
-                   help="synthesize a derived-subgroup transfer instead")
-    add_backend(p)
-    add_out(p)
-    p.set_defaults(func=_cmd_transfer)
-
-    p = sub.add_parser("swap", help="exact swap involution between A and B")
-    p.add_argument("A")
-    p.add_argument("B")
-    add_backend(p)
-    add_out(p)
-    p.set_defaults(func=_cmd_swap)
-
-    p = sub.add_parser("gw", help="truncated anchored intertwining")
-    p.add_argument("A")
-    p.add_argument("B")
-    p.add_argument("--rounds", type=int, required=True)
-    add_backend(p)
-    add_out(p)
-    p.set_defaults(func=_cmd_gw)
+    for name, func, text, options in (
+            ("compare", _cmd_compare, "emit a bisection witness for A -> B", {}),
+            ("transfer", _cmd_transfer, "synthesize a full-group transfer element",
+             {"--commutator": dict(action="store_true",
+                                   help="synthesize a derived-subgroup transfer instead")}),
+            ("swap", _cmd_swap, "exact swap involution between A and B", {}),
+            ("gw", _cmd_gw, "truncated anchored intertwining",
+             {"--rounds": dict(type=int, required=True)})):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("A")
+        p.add_argument("B")
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        add_backend(p)
+        add_out(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("decompose", help="small-support decomposition of an element")
     p.add_argument("elem")
@@ -302,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        return args.func(args) or EXIT_OK
     except MalformedInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -312,12 +296,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except Exception as exc:  # a PostconditionError or another bug, not bad input
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    return EXIT_OK
 
 
 if __name__ == "__main__":

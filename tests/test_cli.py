@@ -1,17 +1,22 @@
 """CLI commands, artifacts, exit codes and determinism."""
 
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fullgroup import decompose, transfers
+from fullgroup import decompose, selftest, transfers
 from fullgroup.cli import main
 from fullgroup.clopen import ClopenSet
 from fullgroup.encoding import MAX_WORD_DEPTH
 from fullgroup.errors import PostconditionError
 
 from conftest import first_range_emptied, overlapping_pairing
+from test_golden import INPUTS
 
 
 def run(capsys, *argv):
@@ -359,3 +364,90 @@ class TestSelftest:
                            "--backend", "odo2", "--seed", "3", "--trials", "5")
         assert code == 0
         assert "PASS" in out
+
+    def test_failing_suite_exits_3_with_its_artifact(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(selftest, "equals", lambda f, g: False)
+        out_file = tmp_path / "report.json"
+        code, out, err = run(capsys, "selftest", "--suite", "group-axioms", "--trials", "2",
+                             "--out", str(out_file))
+        assert code == 3
+        assert "  FAIL  associativity: 0 passed, 2 failed\n" in out
+        assert out.endswith(f"artifact written to {out_file}\n") and not err
+        data = json.loads(out_file.read_text())
+        assert data["ok"] is False and data["format_version"] == 1
+
+
+# every command that takes --out, on golden inputs
+OUT_COMMANDS = {
+    "compare": ["compare", *INPUTS["odo2"]["compare"]],
+    "transfer": ["transfer", *INPUTS["odo2"]["compare"]],
+    "swap": ["swap", *INPUTS["odo2"]["swap"]],
+    "gw": ["gw", *INPUTS["odo2"]["swap"], "--rounds", "2"],
+    "decompose": ["decompose", INPUTS["odo2"]["alpha"], "--eps", "1/8"],
+    "split": ["split", INPUTS["odo2"]["rotation"]],
+    "certify": ["certify", "--tau0", INPUTS["odo2"]["rotation"],
+                "--alpha", INPUTS["odo2"]["alpha"], "--beta", INPUTS["odo2"]["beta"]],
+    "selftest": ["selftest", "--suite", "swap-involution", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("name", list(OUT_COMMANDS))
+def test_failed_write_prints_only_its_error(capsys, tmp_path, name):
+    # the artifact is written before anything is printed, so a write that
+    # fails leaves no summary behind its error
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, *OUT_COMMANDS[name], "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+
+# every character of the golden encodings, plus every digit, ε and a space
+ALPHABET = sorted({c for x in INPUTS.values() for v in x.values()
+                   for text in (v if isinstance(v, tuple) else (v,)) for c in text}
+                  | set("0123456789ε "))
+
+
+@st.composite
+def mutated(draw, text: str) -> str:
+    """`text` with one character deleted, inserted or replaced, or one
+    slice of 3 characters duplicated."""
+    i = draw(st.integers(0, len(text) - 1))
+    kind = draw(st.sampled_from(["delete", "insert", "replace", "duplicate"]))
+    if kind == "delete":
+        return text[:i] + text[i + 1:]
+    if kind == "duplicate":
+        return text[:i] + text[i:i + 3] + text[i:]
+    c = draw(st.sampled_from(ALPHABET))
+    return text[:i] + c + text[i + (kind == "replace"):]
+
+
+@st.composite
+def mutated_runs(draw) -> list[str]:
+    """A golden decompose, split, compare or swap run with one of its
+    encodings mutated."""
+    tag = draw(st.sampled_from(list(INPUTS)))
+    x = INPUTS[tag]
+    command = draw(st.sampled_from(["decompose", "split", "compare", "swap"]))
+    if command in ("decompose", "split"):
+        elem = draw(mutated(x[draw(st.sampled_from(["rotation", "alpha", "beta"]))]))
+        return [command, elem, *(["--eps", "1/8"] if command == "decompose" else [])]
+    A, B = x[command]
+    if draw(st.booleans()):
+        A = draw(mutated(A))
+    else:
+        B = draw(mutated(B))
+    return [command, A, B, "--backend", tag]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_runs())
+def test_mutated_encodings_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse: an encoding mutated to start with "-"
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

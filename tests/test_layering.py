@@ -1,6 +1,8 @@
 """Module layering: imports sit at module level, the decomposition
-layer stays below the certificate layer, and the model questions are
-answered by the model classes of `backends.py`."""
+layer stays below the certificate layer, the model questions are
+answered by the model classes of `backends.py`, and the front end does
+each job once (one artifact writer, one self-test loop, exit codes
+returned)."""
 
 import ast
 from pathlib import Path
@@ -235,3 +237,42 @@ def test_one_certificate_fold():
     assert _calls(product, "evaluate")
     assert not {node.id for node in ast.walk(product) if isinstance(node, ast.Name)} & {
         "compose", "reduce", "inverse"}
+
+
+def _callers(path: Path, name: str, where=lambda call: True) -> set[str]:
+    """The functions of a module that call `name` (bare or as an attribute)
+    in a call for which `where` holds; module-level code is "<module>"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = {id(call): fn_name for fn_name, fn in _functions(tree)
+              for call in _calls(fn, name)}
+    return {inside.get(id(call), "<module>") for call in _calls(tree, name) if where(call)}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+               for m in modes)
+
+
+def test_one_artifact_writer():
+    # every command's output leaves through cli._emit, which writes the
+    # --out file before it prints anything
+    assert _callers(SRC / "cli.py", "open", _opens_for_writing) == {"_emit"}
+
+
+def test_exit_codes_are_returned():
+    # commands return their exit code to main; only the __main__ guard
+    # turns it into a process exit, and nothing catches SystemExit
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    guard = next(node for node in tree.body if isinstance(node, ast.If)
+                 and "__main__" in ast.unparse(node.test))
+    exits = _calls(tree, "exit") + _calls(tree, "_exit")
+    assert exits and all(any(call is node for node in ast.walk(guard)) for call in exits)
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+                and node.id == "SystemExit"]
+
+
+def test_one_selftest_loop():
+    # run_selftest draws each suite's substream and runs its trials; a
+    # suite is one trial
+    assert _callers(SRC / "selftest.py", "substream") == {"run_selftest"}

@@ -8,7 +8,7 @@ conjugate-product certificates with a CLI front end.
 """
 
 from .backends import (BackendId, Bisection, FullShift, Odometer,
-                       OdometerPiece, ShiftPiece, compare_clopen, full_shift,
+                       OdometerPiece, Piece, compare_clopen, full_shift,
                        odometer, source_range, validate_bisection)
 from .certificates import (ConjugateFactor, ConjugateProduct, Environment,
                            GroupWord, SplitResult,

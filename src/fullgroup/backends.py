@@ -1,33 +1,36 @@
-"""The two concrete ample groupoid models on the Cantor set.
+"""The two concrete ample groupoid models on the Cantor set, and their
+one piece shape: (u, v, c) maps u.w to v.(w + c), where the tail w is
+read as a base-b integer, least-significant digit first, and c is an
+element of the model's tail group G, the normal form of V_b(G)
+(Nekrashevych, *Self-similar groups*, AMS 2005).  Only `Piece.restrict`
+adds c to a tail digit by digit; the other piece rules are generic.
 
-* Odometer: the "+1 with carry" action of the integers on {0,..,b-1}^N
-  read as base-b integers, least-significant digit first.  A piece
-  (u, n) is the restriction of "add n" to the cylinder [u]; its image is
-  the same-depth cylinder of (value(u) + n) mod b**|u| and the leftover
-  carry propagates into the tail.  Uniquely ergodic: the Bernoulli
-  measure is the single invariant measure.
+* Odometer: G = Z acting by the adding machine ("+1 with carry"), with
+  |u| = |v|.  The piece (u;+n), "add n" on [u], is (u, v, c) with v the
+  low |u| digits of value(u) + n and c the carry into the tail, so
+  n = value(v) - value(u) + c*b^|u| (`OdometerPiece`, `Odometer.power_of`).
+  Uniquely ergodic: the Bernoulli measure is the single invariant measure.
 
-* Full shift: prefix-rewrite pieces u.y -> v.y of arbitrary lag
-  |u| - |v|.  No invariant probability measure exists, so comparison of
-  clopen sets is unconditional.
+* Full shift: G trivial (c = 0), prefix rewrites u.y -> v.y of arbitrary
+  lag |u| - |v|.  No invariant probability measure exists, so comparison
+  of clopen sets is unconditional.
 
 A backend is its model class, `Odometer` or `FullShift`: a frozen
-subclass of `BackendId`, whose one field is the base.  The piece classes
-carry the per-piece rules (range, restriction, inverse, composition, the
-pull-back of a run of pieces, sibling merge, action on points, a
-separated sub-cylinder).  A model class builds pieces (`piece_between`),
-states the comparison hypothesis (`measure_below`, `measure_equal`:
-vacuous on the shift), gives the depth below which cylinders have small
-measure (`measure_depth`) and the cylinder a transfer keeps free
-(`reserved_cylinder`), and pairs cylinders into a set (`pair_into`, for
-`compare_clopen`) and onto one (`pair_onto`, for the exact swap and the
-odometer decomposition).  `validate_bisection` asks the one overlap
-rule, `clopen.check_cylinders`.  The algorithm choices that still ask
-`is_odometer` live with their algorithms: the small-support
-decomposition (`decompose`), the closure parking set (`certificates`),
-piece syntax (`encoding`) and the samplers (`randomize`).  Both models
-are minimal and second countable; this is a documented fact about the
-models, not a runtime check.
+subclass of `BackendId`, whose one field is the base.  A model class
+states which pieces are its own (`check_pieces`), builds pieces
+(`piece_between`), picks a word a piece moves off itself
+(`separated_word`), states the comparison hypothesis (`measure_below`,
+`measure_equal`: vacuous on the shift), gives the depth below which
+cylinders have small measure (`measure_depth`) and the cylinder a
+transfer keeps free (`reserved_cylinder`), and pairs cylinders into a
+set (`pair_into`, for `compare_clopen`) and onto one (`pair_onto`, for
+the exact swap and the odometer decomposition).  `validate_bisection`
+asks the one overlap rule, `clopen.check_cylinders`.  The algorithm
+choices that still ask `is_odometer` live with their algorithms: the
+small-support decomposition (`decompose`), the closure parking set
+(`certificates`), piece syntax (`encoding`) and the samplers
+(`randomize`).  Both models are minimal and second countable; this is a
+documented fact about the models, not a runtime check.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import ClassVar, Iterable, Sequence, Union
+from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 from .clopen import (ClopenSet, PointName, Word, check_cylinders, depth_for_measure_below,
                      expand_word, is_prefix, word_key)
@@ -51,7 +54,6 @@ class BackendId:
     base: int
 
     prefix: ClassVar[str]
-    piece: ClassVar[type]
     is_odometer: ClassVar[bool]
 
     def __post_init__(self):
@@ -65,12 +67,6 @@ class BackendId:
     def __str__(self):
         return self.tag
 
-    def check_pieces(self, pieces: Iterable["Piece"]) -> None:
-        """Reject pieces of the other backend's piece class."""
-        for p in pieces:
-            if not isinstance(p, self.piece):
-                raise MalformedInput(f"piece {p!r} does not belong to backend {self.tag}")
-
     def check_sets(self, A: ClopenSet, B: ClopenSet) -> None:
         """Reject clopen sets over another base than the backend's."""
         for S in (A, B):
@@ -79,147 +75,77 @@ class BackendId:
                     f"clopen base {S.base} does not match backend {self.tag}")
 
 
-@dataclass(frozen=True)
-class OdometerPiece:
-    """Restriction of "add n in base b" to the source cylinder."""
-
-    source: Word
-    power: int
-
-    def is_identity(self) -> bool:
-        return self.power == 0
-
-    def range_word(self, base: int) -> Word:
-        """Add power digit by digit from the least significant end; the
-        carry out of the last digit is dropped (the sum is taken mod
-        base**depth), and the digits above the one where the carry
-        reaches 0 are copied."""
-        out = list(self.source)
-        carry = self.power
-        for i in range(len(out)):
-            if carry == 0:
-                break
-            carry, out[i] = divmod(out[i] + carry, base)
-        return tuple(out)
-
-    def restrict(self, tail: Word) -> "OdometerPiece":
-        """The same map on the sub-cylinder [source.tail]."""
-        return OdometerPiece(self.source + tail, self.power)
-
-    def inverse(self, base: int) -> "OdometerPiece":
-        return OdometerPiece(self.range_word(base), -self.power)
-
-    def after(self, inner: "OdometerPiece") -> "OdometerPiece":
-        """self o inner, for an inner piece whose range lies in the source."""
-        return OdometerPiece(inner.source, inner.power + self.power)
-
-    def pull_back(self, run: Sequence["OdometerPiece"],
-                  base: int) -> list["OdometerPiece"]:
-        """q o self on the preimage of each q.source, sorted by source, for
-        a sorted run of pieces whose sources partition the range [v].  The
-        piece maps [source.y] to [v.(y + c)] with c its carry, so the
-        preimage of [v.s] is [source.s'] with s' = s - c mod b^|s|: the
-        tails are rotated by c, which breaks their order unless c = 0."""
-        d = len(self.source)
-        carry = self.carry(base)
-        pieces = [OdometerPiece(
-            self.source + OdometerPiece(q.source[d:], -carry).range_word(base),
-            self.power + q.power) for q in run]
-        return sorted(pieces, key=_source) if carry else pieces
-
-    @staticmethod
-    def merge_siblings(parent: Word,
-                       family: Sequence["OdometerPiece"]) -> "OdometerPiece | None":
-        """One piece on [parent] for a complete sorted sibling family, or
-        None: the powers must agree."""
-        power = family[0].power
-        if any(p.power != power for p in family[1:]):
-            return None
-        return OdometerPiece(parent, power)
-
-    def image_point(self, point: PointName, base: int) -> PointName:
-        """Image of a point of the source: the carry of value(source) +
-        power propagates into the tail."""
-        d = len(self.source)
-        return point.drop(d).add_integer(self.carry(base)).prepend(self.range_word(base))
-
-    def carry(self, base: int) -> int:
-        """What adding power to value(source) carries into the tail."""
-        return (word_value(self.source, base) + self.power) // base ** len(self.source)
-
-    def separated_word(self, base: int) -> Word:
-        """A word extending the source whose cylinder the piece moves off
-        itself (power nonzero): the shallowest one along the 0 digits."""
-        word = self.source
-        while self.power % base ** len(word) == 0:
-            word = word + (0,)
-        return word
-
-
-@dataclass(frozen=True)
-class ShiftPiece:
-    """Prefix rewrite source.y -> target.y (lengths may differ)."""
+class Piece(NamedTuple):
+    """The map source.w -> target.(w + carry) on the cylinder [source],
+    for tails w read as base-b integers, least-significant digit first;
+    carry is the tail-group element (0 on the shift).  A tuple, as every
+    group operation builds and compares pieces."""
 
     source: Word
     target: Word
+    carry: int = 0
 
     def is_identity(self) -> bool:
-        return self.source == self.target
+        return self.source == self.target and not self.carry
 
-    def range_word(self, base: int) -> Word:
-        return self.target
+    def restrict(self, tail: Word, base: int) -> "Piece":
+        """The same map on the sub-cylinder [source.tail]: the carry is
+        added to tail digit by digit from the least significant end, the
+        digits above the one where it reaches 0 are copied, and what it
+        carries out of the last digit moves the rest of the tail."""
+        carry = self.carry
+        if not carry:
+            return Piece(self.source + tail, self.target + tail)
+        out = list(tail)
+        for i in range(len(out)):
+            carry, out[i] = divmod(out[i] + carry, base)
+            if not carry:
+                break
+        return Piece(self.source + tail, self.target + tuple(out), carry)
 
-    def restrict(self, tail: Word) -> "ShiftPiece":
-        """The same map on the sub-cylinder [source.tail]."""
-        return ShiftPiece(self.source + tail, self.target + tail)
+    def inverse(self) -> "Piece":
+        return Piece(self.target, self.source, -self.carry)
 
-    def inverse(self, base: int) -> "ShiftPiece":
-        return ShiftPiece(self.target, self.source)
+    def after(self, inner: "Piece", base: int) -> "Piece":
+        """self o inner, for an inner piece whose range lies in the source:
+        self restricted to that range, with the carries added."""
+        outer = self.restrict(inner.target[len(self.source):], base)
+        return Piece(inner.source, outer.target, inner.carry + outer.carry)
 
-    def after(self, inner: "ShiftPiece") -> "ShiftPiece":
-        """self o inner, for an inner piece whose range lies in the source."""
-        return ShiftPiece(inner.source,
-                          self.target + inner.target[len(self.source):])
-
-    def pull_back(self, run: Sequence["ShiftPiece"], base: int) -> list["ShiftPiece"]:
-        """q o self on the preimage of each q.source, for a sorted run of
-        pieces whose sources partition the range [target]: the preimage of
-        [target.t] is [source.t], so the run's order is kept."""
-        k = len(self.target)
-        return [ShiftPiece(self.source + q.source[k:], q.target) for q in run]
+    def pull_back(self, run: Sequence["Piece"], base: int) -> list["Piece"]:
+        """q o self on the preimage of each q.source, sorted by source, for
+        a sorted run of pieces whose sources partition the range [target].
+        The preimage of [target.s] is the range of self^-1 restricted to s;
+        a nonzero carry rotates the tails, which breaks the run's order, so
+        only then are the pieces sorted."""
+        k, back = len(self.target), self.inverse()
+        pieces = []
+        for q in run:
+            r = back.restrict(q.source[k:], base)
+            pieces.append(Piece(r.target, q.target, q.carry - r.carry))
+        return sorted(pieces, key=_source) if self.carry else pieces
 
     @staticmethod
-    def merge_siblings(parent: Word,
-                       family: Sequence["ShiftPiece"]) -> "ShiftPiece | None":
-        """One piece on [parent] for a complete sorted sibling family, or
-        None: every target must end in its source's last digit after a
-        common stem."""
-        if any(not p.target or p.target[-1] != p.source[-1] for p in family):
+    def merge_siblings(parent: Word, family: Sequence["Piece"]) -> "Piece | None":
+        """One piece (parent, stem, c) on [parent] for a complete sorted
+        sibling family of b pieces, or None.  Its restriction to the child
+        parent.a is (parent.a, stem.t, k) with t + b*k = a + c, so every
+        target must be one digit t after a common stem, with one
+        c = t + b*k - a for all children a."""
+        base, (_, first, carry) = len(family), family[0]
+        if not first:
             return None
-        stem = family[0].target[:-1]
-        if any(p.target[:-1] != stem for p in family[1:]):
-            return None
-        return ShiftPiece(parent, stem)
+        stem, carry = first[:-1], first[-1] + base * carry
+        for a in range(1, base):
+            _, t, c = family[a]
+            if not t or t[-1] + base * c - a != carry or t[:-1] != stem:
+                return None
+        return Piece(parent, stem, carry)
 
-    def image_point(self, point: PointName, base: int) -> PointName:
-        """Image of a point of the source: the prefix is rewritten."""
-        return point.drop(len(self.source)).prepend(self.target)
-
-    def separated_word(self, base: int) -> Word:
-        """A child of the source whose cylinder the piece moves off itself
-        (source != target).  When one of source and target extends the
-        other, the child's digit after the shorter one disagrees with the
-        image; otherwise source and target are disjoint and the first
-        child serves."""
-        u, v = self.source, self.target
-        if is_prefix(u, v) and u != v:
-            return u + (((v[len(u)] + 1) % base),)
-        if is_prefix(v, u):
-            return u + (((u[len(v)] + 1) % base),)
-        return u + (0,)
-
-
-Piece = Union[OdometerPiece, ShiftPiece]
+    def image_point(self, point: PointName) -> PointName:
+        """Image of a point of the source: the carry moves the tail and the
+        prefix is rewritten."""
+        return point.drop(len(self.source)).add_integer(self.carry).prepend(self.target)
 
 
 def word_value(word: Word, base: int) -> int:
@@ -238,22 +164,50 @@ def value_word(value: int, depth: int, base: int) -> Word:
     return tuple(out)
 
 
+def OdometerPiece(source: Word, power: int, base: int = 2) -> Piece:
+    """The odometer piece (u;+n), "add n" on [u] in base `base`: the
+    whole-space piece (ε, ε, n) restricted to u, so v is the low |u|
+    digits of value(u) + n and c what the sum carries into the tail."""
+    return Piece((), (), power).restrict(source, base)
+
+
 @dataclass(frozen=True)
 class Odometer(BackendId):
     """The odometer, whose one invariant measure is Bernoulli measure."""
 
     prefix = "odo"
-    piece = OdometerPiece
     is_odometer = True
 
-    def piece_between(self, u: Word, v: Word) -> OdometerPiece:
+    def power_of(self, piece: Piece) -> int:
+        """The n of (u;+n) for the piece (u, v, c), the inverse of
+        `OdometerPiece`: value(v) - value(u) + c*b^|u|, where the digits
+        above the highest one in which u and v differ cancel."""
+        u, v = piece.source, piece.target
+        k = next((i + 1 for i in reversed(range(len(u))) if u[i] != v[i]), 0)
+        return (word_value(v[:k], self.base) - word_value(u[:k], self.base)
+                + piece.carry * self.base ** len(u))
+
+    def check_pieces(self, pieces: Iterable[Piece]) -> None:
+        """Reject pieces that change the depth, which "add n" keeps."""
+        for p in pieces:
+            if len(p.source) != len(p.target):
+                raise MalformedInput(f"piece {p!r} does not belong to backend {self.tag}: "
+                                     "odometer pieces keep the depth")
+
+    def piece_between(self, u: Word, v: Word) -> Piece:
         """The carry-free translation of [u] onto the same-depth [v]."""
         if len(u) != len(v):
             raise PreconditionError(
                 f"odometer pieces keep the depth: {u} and {v} differ in length")
-        # the digits above the highest one where u and v differ cancel
-        k = 0 if u == v else next(i + 1 for i in reversed(range(len(u))) if u[i] != v[i])
-        return OdometerPiece(u, word_value(v[:k], self.base) - word_value(u[:k], self.base))
+        return Piece(u, v)
+
+    def separated_word(self, piece: Piece) -> Word:
+        """A word extending the source whose cylinder the piece moves off
+        itself (power nonzero): the shallowest one along the 0 digits."""
+        power, word = self.power_of(piece), piece.source
+        while power % self.base ** len(word) == 0:
+            word = word + (0,)
+        return word
 
     def measure_below(self, A: ClopenSet, B: ClopenSet | Fraction,
                       factor: int = 1) -> bool:
@@ -274,12 +228,12 @@ class Odometer(BackendId):
         """Nothing: measure leaves a transfer into S its room."""
         return ClopenSet.empty(self.base)
 
-    def pair_into(self, A: ClopenSet, B: ClopenSet) -> list[OdometerPiece]:
+    def pair_into(self, A: ClopenSet, B: ClopenSet) -> list[Piece]:
         """Pieces from all of A into B, for mu(A) < mu(B): cylinders
         matched in lexicographic order at a common depth."""
         return pair_cylinders(self, A, B)
 
-    def pair_onto(self, S: ClopenSet, T: ClopenSet) -> list[OdometerPiece]:
+    def pair_onto(self, S: ClopenSet, T: ClopenSet) -> list[Piece]:
         """Pieces from S onto T, for mu(S) = mu(T)."""
         return pair_cylinders(self, S, T, onto=True)
 
@@ -289,12 +243,31 @@ class FullShift(BackendId):
     """The full shift: no invariant measure, so measure conditions are vacuous."""
 
     prefix = "shift"
-    piece = ShiftPiece
     is_odometer = False
 
-    def piece_between(self, u: Word, v: Word) -> ShiftPiece:
+    def check_pieces(self, pieces: Iterable[Piece]) -> None:
+        """Reject pieces with a carry: the shift's tail group is trivial."""
+        for p in pieces:
+            if p.carry:
+                raise MalformedInput(f"piece {p!r} does not belong to backend {self.tag}: "
+                                     "shift pieces carry nothing into the tail")
+
+    def piece_between(self, u: Word, v: Word) -> Piece:
         """The prefix rewrite u.y -> v.y."""
-        return ShiftPiece(u, v)
+        return Piece(u, v)
+
+    def separated_word(self, piece: Piece) -> Word:
+        """A child of the source whose cylinder the piece moves off itself
+        (source != target).  When one of source and target extends the
+        other, the child's digit after the shorter one disagrees with the
+        image; otherwise source and target are disjoint and the first
+        child serves."""
+        u, v = piece.source, piece.target
+        if is_prefix(u, v) and u != v:
+            return u + (((v[len(u)] + 1) % self.base),)
+        if is_prefix(v, u):
+            return u + (((u[len(v)] + 1) % self.base),)
+        return u + (0,)
 
     def measure_below(self, A: ClopenSet, B: ClopenSet | Fraction,
                       factor: int = 1) -> bool:
@@ -310,15 +283,15 @@ class FullShift(BackendId):
         """`proper_subcylinder(S)`, or nothing when S is empty."""
         return ClopenSet.empty(self.base) if S.is_empty() else proper_subcylinder(S)
 
-    def pair_into(self, A: ClopenSet, B: ClopenSet) -> list[ShiftPiece]:
+    def pair_into(self, A: ClopenSet, B: ClopenSet) -> list[Piece]:
         """Pieces from all of A into B: each cylinder of A is rewritten into
         B's picked cylinder with a distinct suffix, in counting order."""
         v = B.pick()
         width = _suffix_length(len(A.words), self.base)
-        return [ShiftPiece(u, v + value_word(i, width, self.base)[::-1])
+        return [Piece(u, v + value_word(i, width, self.base)[::-1])
                 for i, u in enumerate(A.words)]
 
-    def pair_onto(self, S: ClopenSet, T: ClopenSet) -> list[ShiftPiece]:
+    def pair_onto(self, S: ClopenSet, T: ClopenSet) -> list[Piece]:
         """Pieces from nonempty S onto nonempty T.  Cylinder counts must
         agree modulo base - 1 (splitting one cylinder into its children
         adds base - 1); the smaller list, depth first, is split until the
@@ -335,7 +308,7 @@ class FullShift(BackendId):
             w = words.pop(0)
             words.extend(w + (a,) for a in range(base))
             words.sort(key=word_key)
-        return [ShiftPiece(u, v) for u, v in zip(src, dst)]
+        return [Piece(u, v) for u, v in zip(src, dst)]
 
 
 odometer = Odometer
@@ -361,7 +334,7 @@ class Bisection:
         return tuple(p.source for p in self.pieces)
 
     def range_words(self) -> tuple[Word, ...]:
-        return tuple(p.range_word(self.base) for p in self.pieces)
+        return tuple(p.target for p in self.pieces)
 
 
 def validate_bisection(bis: Bisection) -> str | None:

@@ -28,12 +28,10 @@ from .decompose import decompose_small_support, displaced_set, separated_cylinde
 from .elements import (GroupElement, commutator, compose, conjugate, identity,
                        image_of_clopen, involution_from_partial, inverse,
                        restrict, support)
-from .encoding import (format_backend, format_clopen, format_element,
-                       parse_backend, parse_element)
+from .encoding import (FORMAT_VERSION, encode_artifact, format_backend, format_clopen,
+                       format_element, parse_backend, parse_element)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 from .transfers import commutator_transfer, full_group_transfer
-
-FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -558,7 +556,6 @@ def product_to_dict(cp: ConjugateProduct, env: Environment) -> dict:
 def certificate_to_dict(cp: ConjugateProduct, env: Environment,
                         target: GroupElement, trace: dict | None = None) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
         "backend": format_backend(env.backend),
         **product_to_dict(cp, env),
         "target": format_element(target),
@@ -600,8 +597,7 @@ def certificate_from_dict(data: dict) -> tuple[ConjugateProduct, Environment, Gr
 
 def dump_certificate(cp: ConjugateProduct, env: Environment,
                      target: GroupElement, trace: dict | None = None) -> str:
-    return json.dumps(certificate_to_dict(cp, env, target, trace),
-                      sort_keys=True, indent=2) + "\n"
+    return encode_artifact(certificate_to_dict(cp, env, target, trace))
 
 
 def load_certificate(text: str) -> tuple[ConjugateProduct, Environment, GroupElement]:

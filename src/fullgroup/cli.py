@@ -14,19 +14,17 @@ failed postcondition or an unexpected exception, reported on one line).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from functools import reduce
 
 from .backends import compare_clopen, source_range
-from .certificates import (FORMAT_VERSION, Environment,
-                           commutator_in_normal_closure, dump_certificate,
+from .certificates import (Environment, commutator_in_normal_closure, dump_certificate,
                            load_certificate, product_to_dict,
                            split_nontrivial_support, verify_certificate)
 from .decompose import decompose_small_support
 from .elements import commutator, compose, identity, image_of_clopen, support
-from .encoding import (format_bisection, format_clopen, format_element,
+from .encoding import (encode_artifact, format_bisection, format_clopen, format_element,
                        parse_backend, parse_clopen, parse_element)
 from .errors import MalformedInput, PreconditionError
 from .selftest import SUITES, RunConfig, run_selftest
@@ -44,10 +42,9 @@ def _emit(artifact: dict | str, summary: list[str], out_path: str | None,
           noun: str = "artifact") -> None:
     """Write the artifact to `out_path`, if given, before anything is
     printed; then print the summary and either where the artifact went
-    or its text.  A dict is encoded here, under the format version; a
-    str is a file already encoded (a certificate)."""
-    text = artifact if isinstance(artifact, str) else json.dumps(
-        {"format_version": FORMAT_VERSION, **artifact}, sort_keys=True, indent=2) + "\n"
+    or its text.  A dict is encoded here (`encode_artifact`); a str is a
+    file already encoded (a certificate)."""
+    text = artifact if isinstance(artifact, str) else encode_artifact(artifact)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -215,8 +212,21 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_VERIFY
 
 
+class _ParserExit(Exception):
+    """argparse's exit status: 0 after --help, 2 after a usage error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that hands its exit status back to `main`."""
+
+    def exit(self, status=0, message=None):
+        if message:
+            sys.stderr.write(message)
+        raise _ParserExit(status)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fullgroup",
         description="Exact witness synthesis and certificate checking for "
                     "full groups of Cantor-space groupoids.")
@@ -283,8 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _ParserExit as stop:
+        return stop.args[0]
     try:
         return args.func(args) or EXIT_OK
     except MalformedInput as exc:

@@ -110,7 +110,7 @@ def merge_families(blocks: Iterable[Sequence[T]], base: int, word_of: Callable[[
     of merging in any order.  A longer block is checked at its last item
     only, as no other item of compose's pulled-back runs completes a
     mergeable family (run lemma: their families pull back canonical f's,
-    same targets on the shift, same powers on the odometer).  The top
+    whose pieces are not the restrictions of one piece).  The top
     `base` words increase strictly, so they are that family exactly when
     the first is parent.0 and all have one depth.
     """

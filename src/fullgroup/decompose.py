@@ -44,7 +44,7 @@ def separated_cylinder(tau: GroupElement) -> ClopenSet:
         raise PreconditionError("the identity has no moved cylinder")
     base = tau.base
     piece = next(p for p in tau.pieces if not p.is_identity())
-    word = piece.separated_word(base)
+    word = tau.backend.separated_word(piece)
     while True:
         A = ClopenSet.from_words(base, [word])
         image = image_of_clopen(tau, A)
@@ -140,7 +140,7 @@ def _decompose_odometer(alpha: GroupElement, eps: Fraction) -> DecompositionResu
         if all(p.is_identity() for p in inside):
             continue                  # supp(residual) misses the cell
         cell = ClopenSet.from_words(base, [cell_word])
-        moved = ClopenSet.from_words(base, [p.range_word(base) for p in inside])
+        moved = ClopenSet.from_words(base, [p.target for p in inside])
         extra = cell - moved          # A_i' : needs to receive the swap-back
         surplus = moved - cell        # B_i' : image overflow outside the cell
         # the pieces map the cell onto moved, so surplus and extra have equal

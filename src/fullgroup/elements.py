@@ -1,12 +1,13 @@
 """Group algebra of finitely piecewise homeomorphisms.
 
-A group element is a backend together with finitely many pieces whose
-source and range cylinders both partition the whole space (a compact
-open bisection with full source and range).  Elements are kept in
-canonical form: complete sibling families of pieces with the same
-behaviour are merged (odometer: equal powers; shift: suffix-compatible
-targets) and pieces are sorted by source, so syntactic equality
-coincides with equality of the underlying homeomorphisms.
+A group element is a backend together with finitely many pieces
+(source, target, carry) whose source and target cylinders both
+partition the whole space (a compact open bisection with full source
+and range).  Elements are kept in canonical form: a complete sibling
+family of pieces that are the restrictions of one piece is merged into
+it (`Piece.merge_siblings`), and pieces are sorted by source, so
+syntactic equality coincides with equality of the underlying
+homeomorphisms.
 
 Composition f * g denotes x -> f(g(x)); group words read left to right
 in the same order.
@@ -48,12 +49,12 @@ class GroupElement:
         check_cylinders([p.source for p in ordered], base, "source", cover=True)
         canon = tuple(merge_families(zip(ordered), base, _source, _join))
         object.__setattr__(self, "pieces", canon)
-        check_cylinders([p.range_word(base) for p in canon], base, "range", cover=True)
+        check_cylinders([p.target for p in canon], base, "range", cover=True)
 
     @classmethod
     def _trusted(cls, backend: BackendId, pieces: tuple[Piece, ...]) -> "GroupElement":
         """An element from pieces already in canonical form, without
-        piece-class, partition or merge work; each caller states why its
+        model, partition or merge work; each caller states why its
         pieces are valid and canonical."""
         elem = object.__new__(cls)
         object.__setattr__(elem, "backend", backend)
@@ -96,14 +97,14 @@ def involution_from_partial(backend: BackendId, pieces: Iterable[Piece],
                             own: str | None = None) -> GroupElement:
     """The involution acting by the given pieces on their disjoint sources,
     by their inverses on the ranges, and trivially elsewhere, for pieces of
-    the backend's class.  Two sources, two ranges or a source and a range
+    the backend.  Two sources, two ranges or a source and a range
     meeting is an overlap among the sources of the pieces and their
     inverses, which the element's source check reports: a
     PreconditionError for a caller's pieces.  Pieces the library paired
     itself, named by `own`, make an overlap a bug (a PostconditionError
     "{own} overlap: ...") and are checked as alpha = alpha^-1."""
     pieces = list(pieces)
-    both = pieces + [p.inverse(backend.base) for p in pieces]
+    both = pieces + [p.inverse() for p in pieces]
     try:
         alpha = element_from_pieces(backend, both, fill_identity=True)
     except MalformedInput as err:
@@ -122,16 +123,18 @@ def compose(f: GroupElement, g: GroupElement) -> GroupElement:
     result has q o p on p's source [u].  Otherwise the pieces of f inside
     [v] are one run of f's sorted sources that partitions [v], and p
     pulls it back: q o p on the preimage of each q.source, sorted by
-    source (the shift keeps the run's order; the odometer rotates the
-    tails by p's carry, so it sorts them; an identity p keeps the run).
+    source (a carry-free p keeps the run's order; p's carry rotates the
+    tails, so then they are sorted; an identity p keeps the run).
     The sources thus increase strictly; each covering piece, and each
     run whole, goes onto the sibling-merge stack as one block, and the
     result is the canonical merge of the pieces of f * g (valid, since
     the preimages partition the sources of g and f and g are bijections).
     Run lemma: a family that a run piece completes lies in the run (all
-    extend u) and pulls back a family of f inside [v] (same targets on
-    the shift; on the odometer the carry rotation maps sibling tails to
-    sibling tails, powers shifted by p's), so like f's it cannot merge."""
+    extend u), and p, which is one piece on the family's parent, maps it
+    onto a complete family of f's pieces inside [v].  Were the family
+    the restrictions of one piece P, those pieces of f would be the
+    restrictions of P o p^-1, which f's canonical form excludes; so,
+    like f's, it cannot merge."""
     f._check_backend(g)
     return GroupElement._trusted(f.backend, tuple(merge_families(
         _composed_pieces(f, g), f.base, _source, _join)))
@@ -140,9 +143,9 @@ def compose(f: GroupElement, g: GroupElement) -> GroupElement:
 def _composed_pieces(f: GroupElement, g: GroupElement) -> Iterator[Sequence[Piece]]:
     base, pieces = f.base, f.pieces
     for p in g.pieces:
-        i, j = _meeting(pieces, p.range_word(base), base)
+        i, j = _meeting(pieces, p.target, base)
         if j == i + 1:
-            yield (pieces[i].after(p),)
+            yield (pieces[i].after(p, base),)
         else:
             yield pieces[i:j] if p.is_identity() else p.pull_back(pieces[i:j], base)
 
@@ -161,19 +164,13 @@ def _meeting(pieces: Sequence[Piece], w: Word, base: int) -> tuple[int, int]:
 
 
 def inverse(f: GroupElement) -> GroupElement:
-    """The inverse pieces sorted by source, with no merge: a complete
-    sibling family of them that merged would be the inverse of a
-    mergeable family of f, which f's canonical form excludes.
-    Odometer: if the pieces (parent.a, -n) merge, their inverses
-    (s_a, n) have s_a = value(parent.a) - n mod b^d for d = |parent| + 1,
-    which are the values s_0 + a*b^(d-1) mod b^d: the complete family of
-    s_0's parent, all with power n.  Shift: if the pieces parent.a ->
-    stem.a merge, their inverses stem.a -> parent.a are the complete
-    family of stem, with targets ending in their sources' last digits
-    after the common stem parent."""
-    base = f.base
+    """The inverse pieces (target, source, -carry) sorted by source, with
+    no merge: a complete sibling family of them that merged would be the
+    restrictions of one piece P, so their inverses, pieces of f, would be
+    the restrictions of P^-1 to the complete family of P^-1's source, a
+    mergeable family of f, which f's canonical form excludes."""
     return GroupElement._trusted(
-        f.backend, tuple(sorted((p.inverse(base) for p in f.pieces), key=_source)))
+        f.backend, tuple(sorted((p.inverse() for p in f.pieces), key=_source)))
 
 
 def equals(f: GroupElement, g: GroupElement) -> bool:
@@ -183,9 +180,9 @@ def equals(f: GroupElement, g: GroupElement) -> bool:
 
 def support(f: GroupElement) -> ClopenSet:
     """Closure of the moved points: the union of the sources of the
-    non-identity pieces.  Exact on both backends (odometer pieces with
-    nonzero power are fixed-point free; a shift piece with distinct
-    source and target moves a dense subset of its source)."""
+    non-identity pieces.  Exact on both backends (odometer pieces that
+    move are fixed-point free; a shift piece with distinct source and
+    target moves a dense subset of its source)."""
     return ClopenSet(f.base, [p.source for p in f.pieces if not p.is_identity()])
 
 
@@ -196,7 +193,7 @@ def restrict(f: GroupElement, w: Word) -> list[Piece]:
     i, j = _meeting(f.pieces, w, f.base)
     if j == i + 1:
         p = f.pieces[i]
-        return [p.restrict(w[len(p.source):])]
+        return [p.restrict(w[len(p.source):], f.base)]
     return list(f.pieces[i:j])
 
 
@@ -204,7 +201,7 @@ def image_of_clopen(f: GroupElement, A: ClopenSet) -> ClopenSet:
     if A.base != f.base:
         raise MalformedInput("base mismatch between element and clopen set")
     return ClopenSet(
-        f.base, [p.range_word(f.base) for w in A.words for p in restrict(f, w)])
+        f.base, [p.target for w in A.words for p in restrict(f, w)])
 
 
 def apply_point(f: GroupElement, point: PointName) -> PointName:
@@ -214,7 +211,7 @@ def apply_point(f: GroupElement, point: PointName) -> PointName:
     i = covering(f.pieces, point.prefix(depth), _source)
     if i is None:
         raise PostconditionError("element sources do not cover the point")
-    return f.pieces[i].image_point(point, f.base)
+    return f.pieces[i].image_point(point)
 
 
 def commutator(f: GroupElement, g: GroupElement) -> tuple[GroupElement, "DerivedWitness"]:

@@ -1,4 +1,5 @@
-"""Textual encodings for clopen sets, pieces, bisections and elements.
+"""Textual encodings for clopen sets, pieces, bisections and elements,
+and the one JSON encoding of the artifacts that carry them.
 
 Formats (digits restricted to bases 2..10):
 
@@ -9,19 +10,23 @@ Formats (digits restricted to bases 2..10):
   (written, never read); pieces are separated by single commas
   (whitespace allowed around them)
 * element      bisection encoding with an ``elem:`` header
+* artifact     JSON object under ``format_version``, keys sorted, indented
+  by two, with a final newline (`encode_artifact`)
 """
 
 from __future__ import annotations
 
+import json
 import re
 
-from .backends import (BackendId, Bisection, FullShift, Odometer,
-                       OdometerPiece, Piece, ShiftPiece)
+from .backends import BackendId, Bisection, FullShift, Odometer, OdometerPiece, Piece
 from .clopen import ClopenSet, Word, word_key
 from .elements import GroupElement
 from .errors import MalformedInput
 
 EPSILON = "ε"
+
+FORMAT_VERSION = 1
 
 # The most digits a word may have: a deeper one is malformed input,
 # refused before any cylinder or piece is built from it.
@@ -36,6 +41,12 @@ _SHIFT_PIECE_RE = re.compile(r"^\(([0-9]+|ε)>([0-9]+|ε)\)$")
 def _check_encodable(base: int) -> None:
     if base > 10:
         raise MalformedInput(f"textual encodings support bases 2..10, got {base}")
+
+
+def encode_artifact(fields: dict) -> str:
+    """The text of a JSON artifact: its fields under the format version."""
+    return json.dumps({"format_version": FORMAT_VERSION, **fields},
+                      sort_keys=True, indent=2) + "\n"
 
 
 def format_word(word: Word) -> str:
@@ -93,17 +104,19 @@ def parse_backend(tag: str) -> BackendId:
     return model(int(m.group(2)))
 
 
-def format_piece(piece: Piece) -> str:
-    """The piece's text; an odometer power that `parse_piece` would refuse
-    as too long is refused here too, so what is written reads back."""
-    if isinstance(piece, OdometerPiece):
-        try:
-            power = f"{piece.power:+d}"
-        except ValueError:  # over the interpreter's integer-conversion limit
-            raise MalformedInput(f"odometer power of {piece.power.bit_length()} bits "
-                                 "is too long to write") from None
-        return f"({format_word(piece.source)};{power})"
-    return f"({format_word(piece.source)}>{format_word(piece.target)})"
+def format_piece(piece: Piece, backend: BackendId) -> str:
+    """The piece's text in the backend's syntax; an odometer power that
+    `parse_piece` would refuse as too long is refused here too, so what
+    is written reads back."""
+    if not backend.is_odometer:
+        return f"({format_word(piece.source)}>{format_word(piece.target)})"
+    power = backend.power_of(piece)
+    try:
+        text = f"{power:+d}"
+    except ValueError:  # over the interpreter's integer-conversion limit
+        raise MalformedInput(f"odometer power of {power.bit_length()} bits "
+                             "is too long to write") from None
+    return f"({format_word(piece.source)};{text})"
 
 
 def parse_piece(text: str, backend: BackendId) -> Piece:
@@ -117,17 +130,17 @@ def parse_piece(text: str, backend: BackendId) -> Piece:
         except ValueError:  # over the interpreter's integer-conversion limit
             raise MalformedInput(
                 f"odometer power of {len(m.group(2))} characters is too long") from None
-        return OdometerPiece(parse_word(m.group(1), backend.base), power)
+        return OdometerPiece(parse_word(m.group(1), backend.base), power, backend.base)
     m = _SHIFT_PIECE_RE.match(text)
     if not m:
         raise MalformedInput(f"bad shift piece {text!r}")
-    return ShiftPiece(parse_word(m.group(1), backend.base),
-                      parse_word(m.group(2), backend.base))
+    return Piece(parse_word(m.group(1), backend.base),
+                 parse_word(m.group(2), backend.base))
 
 
 def _format_pieces(backend: BackendId, pieces: tuple[Piece, ...]) -> str:
     _check_encodable(backend.base)
-    return f"{backend.tag}:[{','.join(format_piece(p) for p in pieces)}]"
+    return f"{backend.tag}:[{','.join(format_piece(p, backend) for p in pieces)}]"
 
 
 def _parse_pieces(text: str) -> tuple[BackendId, tuple[Piece, ...]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-from .backends import BackendId, OdometerPiece, ShiftPiece
+from .backends import BackendId, OdometerPiece, Piece
 from .clopen import ClopenSet, Word
 from .elements import GroupElement, compose, element_from_pieces, identity
 from .transfers import exact_swap_involution
@@ -107,7 +107,7 @@ def rotation_element(backend: BackendId, rng: random.Random) -> GroupElement:
             backend, [OdometerPiece((), rng.randint(1, base))], fill_identity=False)
     shift = rng.randint(1, base - 1)
     return element_from_pieces(
-        backend, [ShiftPiece((a,), (((a + shift) % base),)) for a in range(base)],
+        backend, [Piece((a,), (((a + shift) % base),)) for a in range(base)],
         fill_identity=False)
 
 

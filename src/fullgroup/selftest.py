@@ -275,7 +275,8 @@ SUITES = {
 
 
 def run_selftest(suite_name: str, config: RunConfig) -> dict:
-    """Run one named suite; returns the JSON-ready report."""
+    """Run one named suite at depth max(3, max_depth); returns the
+    JSON-ready report, which names the depth that ran."""
     if suite_name not in SUITES:
         raise MalformedInput(
             f"unknown suite {suite_name!r}; available: {', '.join(sorted(SUITES))}")
@@ -290,7 +291,7 @@ def run_selftest(suite_name: str, config: RunConfig) -> dict:
         "suite": suite_name,
         "backend": config.backend.tag,
         "seed": config.seed,
-        "max_depth": config.max_depth,
+        "max_depth": depth,
         "trial_count": config.trial_count,
         "properties": properties,
         "ok": all(p["failures"] == 0 for p in properties),

@@ -13,7 +13,7 @@ import signal
 
 import pytest
 
-from fullgroup.backends import full_shift, odometer, word_value
+from fullgroup.backends import full_shift, odometer
 from fullgroup.clopen import ClopenSet, PointName
 from fullgroup.errors import PreconditionError
 
@@ -39,13 +39,43 @@ def same_set(A: ClopenSet, B: ClopenSet) -> bool:
     return clopen_bitmap(A, depth) == clopen_bitmap(B, depth)
 
 
+def word_int(word, base: int) -> int:
+    """Base-b value of a word read least-significant digit first, by
+    Python's own integer parser (bases 2..10)."""
+    return int("".join(map(str, reversed(word))) or "0", base)
+
+
+def int_word(value: int, depth: int, base: int):
+    """The `depth` digits of value mod base**depth, least significant first."""
+    digits = []
+    for _ in range(depth):
+        value, digit = divmod(value, base)
+        digits.append(digit)
+    return tuple(digits)
+
+
+def piece_image(piece, word, base: int):
+    """Image of the cylinder [word] inside the piece's source, with what
+    the map adds to the tail after it, by whole-integer arithmetic on the
+    two models' semantics: a piece that keeps the depth is (u;+n) with
+    n = value(v) - value(u) + c*b^|u|, which adds n to value(word) mod
+    b^|word| and carries the quotient; any other is the prefix rewrite
+    (u>v), which carries nothing."""
+    u, v, c = piece.source, piece.target, piece.carry
+    if word[: len(u)] != u:
+        raise PreconditionError(f"cylinder {word} not contained in piece source {u}")
+    if len(u) == len(v):
+        total = word_int(word, base) + word_int(v, base) - word_int(u, base) + c * base ** len(u)
+        return int_word(total, len(word), base), total // base ** len(word)
+    if c:
+        raise AssertionError(f"no model has the piece {piece}")
+    return v + word[len(u):], 0
+
+
 def apply_piece(piece, word, base: int):
     """Exact image word of the cylinder [word], which must lie inside the
     piece's source."""
-    if word[: len(piece.source)] != piece.source:
-        raise PreconditionError(
-            f"cylinder {word} not contained in piece source {piece.source}")
-    return piece.restrict(word[len(piece.source):]).range_word(base)
+    return piece_image(piece, word, base)[0]
 
 
 def _acting_piece(elem, w):
@@ -56,30 +86,26 @@ def _acting_piece(elem, w):
     raise AssertionError("element sources do not cover the word")
 
 
+def element_image(elem, word):
+    """`piece_image` of [word] under the piece of elem whose source
+    contains it."""
+    return piece_image(_acting_piece(elem, word), word, elem.base)
+
+
 def oracle_equal(f, g) -> bool:
     """Pointwise equality of two elements, independent of canonical forms.
 
     Both elements are refined to their common source depth; every
-    cylinder at that depth is pushed through the piece acting on it and
-    the image words are compared.  On the odometer the image of the
-    eventually-zero point of the cylinder is compared as an exact base-b
-    integer, which pins down the carry into the tail.
+    cylinder at that depth is pushed through the piece acting on it, and
+    the image words, with what each map adds to the tail after them, are
+    compared: together they pin the map on the cylinder.
     """
     if f.backend != g.backend:
         return False
-    base = f.base
     depth = max(max(len(p.source) for p in f.pieces),
                 max(len(p.source) for p in g.pieces), 1)
-    for w in itertools.product(range(base), repeat=depth):
-        pf = _acting_piece(f, w)
-        pg = _acting_piece(g, w)
-        if apply_piece(pf, w, base) != apply_piece(pg, w, base):
-            return False
-        if f.backend.is_odometer:
-            value = word_value(w, base)
-            if value + pf.power != value + pg.power:
-                return False
-    return True
+    return all(element_image(f, w) == element_image(g, w)
+               for w in itertools.product(range(f.base), repeat=depth))
 
 
 def overlapping_pairing(backend, S, T, **_):
@@ -108,7 +134,7 @@ def first_range_emptied(source_range):
 
 def odometer_point_value(point: PointName, digits: int) -> int:
     """Base-b value of the first `digits` digits, for hand-check math."""
-    return word_value(point.prefix(digits), point.base)
+    return word_int(point.prefix(digits), point.base)
 
 
 # Above the largest acceptance budget (120 s), so a near hang, such as a

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullgroup.backends import (Bisection, FullShift, Odometer,
-                                OdometerPiece, ShiftPiece, compare_clopen,
+                                OdometerPiece, Piece, compare_clopen,
                                 full_shift, odometer, pair_cylinders,
                                 source_range, validate_bisection, value_word,
                                 word_value)
@@ -45,7 +45,7 @@ class TestApplyPiece:
         assert apply_piece(OdometerPiece((1, 1), 1), (1, 1), 2) == (0, 0)
 
     def test_shift_suffix(self):
-        assert apply_piece(ShiftPiece((0,), (1, 1, 0)), (0, 1), 2) == (1, 1, 0, 1)
+        assert apply_piece(Piece((0,), (1, 1, 0)), (0, 1), 2) == (1, 1, 0, 1)
 
     def test_requires_containment(self):
         with pytest.raises(PreconditionError):
@@ -60,18 +60,18 @@ def test_range_word_matches_integer_sum(base, power, data):
     word = data.draw(st.lists(st.integers(0, base - 1), max_size=40).map(tuple))
     d = len(word)
     want = value_word((word_value(word, base) + power) % base ** d, d, base)
-    assert OdometerPiece(word, power).range_word(base) == want
+    assert OdometerPiece(word, power, base).target == want
 
 
 class TestValidate:
     def test_ok_shift(self):
         bis = Bisection(full_shift(2), (
-            ShiftPiece((0,), (1, 1)), ShiftPiece((1, 1), (0,)), ShiftPiece((1, 0), (1, 0))))
+            Piece((0,), (1, 1)), Piece((1, 1), (0,)), Piece((1, 0), (1, 0))))
         assert validate_bisection(bis) is None
 
     def test_range_violation(self):
         bis = Bisection(full_shift(2), (
-            ShiftPiece((0,), (1,)), ShiftPiece((1, 0), (1, 1))))
+            Piece((0,), (1,)), Piece((1, 0), (1, 1))))
         assert validate_bisection(bis) == "range cylinders overlap: (1,) vs (1, 1)"
 
     def test_odometer_involution(self):
@@ -81,8 +81,14 @@ class TestValidate:
         assert rng.is_whole()
 
     def test_wrong_piece_kind(self):
+        # each model rejects a piece that breaks its rule: the odometer
+        # keeps the depth, the shift carries nothing into the tail
         with pytest.raises(MalformedInput):
-            Bisection(odometer(2), (ShiftPiece((0,), (1,)),))
+            Bisection(odometer(2), (Piece((0,), (1, 1)),))
+        with pytest.raises(MalformedInput):
+            Bisection(full_shift(2), (Piece((0,), (1,), 1),))
+        # (0)->(1) is the odometer piece (0;+1)
+        assert Bisection(odometer(2), (Piece((0,), (1,)),)).pieces == (OdometerPiece((0,), 1),)
 
 
 class TestSourceRange:
@@ -97,7 +103,7 @@ class TestSourceRange:
 
     def test_whole(self):
         bis = Bisection(full_shift(2), (
-            ShiftPiece((0,), (1, 1)), ShiftPiece((1, 1), (0,)), ShiftPiece((1, 0), (1, 0))))
+            Piece((0,), (1, 1)), Piece((1, 1), (0,)), Piece((1, 0), (1, 0))))
         src, rng = source_range(bis)
         assert src.is_whole() and rng.is_whole()
 
@@ -116,7 +122,7 @@ class TestCompare:
 
     def test_shift_example(self):
         U = compare_clopen(full_shift(2), cs(2, (0,)), cs(2, (1, 1)))
-        assert U.pieces == (ShiftPiece((0,), (1, 1, 0)),)
+        assert U.pieces == (Piece((0,), (1, 1, 0)),)
         src, rng = source_range(U)
         assert src == cs(2, (0,))
         assert rng.is_subset(cs(2, (1, 1)))
@@ -180,7 +186,7 @@ class TestFreeness:
     def test_shift_piece_single_fixed_point(self):
         # (u > u t) fixes exactly the point u t t t ...
         from fullgroup.clopen import PointName
-        piece = ShiftPiece((0,), (0, 1))
+        piece = Piece((0,), (0, 1))
         fixed = PointName(2, (0,), (1,))
         assert apply_piece(piece, fixed.prefix(5), 2) == fixed.prefix(6)
 
@@ -188,9 +194,9 @@ class TestFreeness:
 class TestPieceProtocol:
     def test_piece_between(self):
         assert odometer(2).piece_between((0, 1), (1, 1)) == OdometerPiece((0, 1), 1)
-        assert odometer(3).piece_between((2,), (0,)) == OdometerPiece((2,), -2)
+        assert odometer(3).piece_between((2,), (0,)) == OdometerPiece((2,), -2, 3)
         assert odometer(2).piece_between((), ()) == OdometerPiece((), 0)
-        assert full_shift(2).piece_between((0,), (1, 1)) == ShiftPiece((0,), (1, 1))
+        assert full_shift(2).piece_between((0,), (1, 1)) == Piece((0,), (1, 1))
         with pytest.raises(PreconditionError):
             odometer(2).piece_between((0,), (1, 1))
 
@@ -207,30 +213,33 @@ class TestPieceProtocol:
 
     def test_restrict_inverse_after(self):
         p = OdometerPiece((1,), 1)
-        assert p.restrict((0, 1)) == OdometerPiece((1, 0, 1), 1)
-        assert p.inverse(2) == OdometerPiece((0,), -1)
-        assert p.after(p.inverse(2)) == OdometerPiece((0,), 0)
-        q = ShiftPiece((0,), (1, 1))
-        assert q.restrict((1,)) == ShiftPiece((0, 1), (1, 1, 1))
-        assert q.inverse(2) == ShiftPiece((1, 1), (0,))
+        assert p == Piece((1,), (0,), 1)
+        assert p.restrict((0, 1), 2) == OdometerPiece((1, 0, 1), 1)
+        assert p.inverse() == OdometerPiece((0,), -1)
+        assert p.after(p.inverse(), 2) == OdometerPiece((0,), 0)
+        q = Piece((0,), (1, 1))
+        assert q.restrict((1,), 2) == Piece((0, 1), (1, 1, 1))
+        assert q.inverse() == Piece((1, 1), (0,))
         # (1 -> 00) after (0 -> 11) sends 0.y to 001.y
-        assert ShiftPiece((1,), (0, 0)).after(q) == ShiftPiece((0,), (0, 0, 1))
+        assert Piece((1,), (0, 0)).after(q, 2) == Piece((0,), (0, 0, 1))
 
     def test_merge_siblings(self):
-        assert OdometerPiece.merge_siblings(
+        assert Piece.merge_siblings(
             (1,), [OdometerPiece((1, 0), 2), OdometerPiece((1, 1), 2)]) == OdometerPiece((1,), 2)
-        assert OdometerPiece.merge_siblings(
+        assert Piece.merge_siblings(
             (1,), [OdometerPiece((1, 0), 2), OdometerPiece((1, 1), 0)]) is None
-        assert ShiftPiece.merge_siblings(
-            (0,), [ShiftPiece((0, 0), (1, 0)), ShiftPiece((0, 1), (1, 1))]) == ShiftPiece((0,), (1,))
-        assert ShiftPiece.merge_siblings(
-            (0,), [ShiftPiece((0, 0), (1, 0)), ShiftPiece((0, 1), (0, 1))]) is None
+        assert Piece.merge_siblings(
+            (0,), [Piece((0, 0), (1, 0)), Piece((0, 1), (1, 1))]) == Piece((0,), (1,))
+        assert Piece.merge_siblings(
+            (0,), [Piece((0, 0), (1, 0)), Piece((0, 1), (0, 1))]) is None
 
-    @pytest.mark.parametrize("piece", [
-        OdometerPiece((), 4), OdometerPiece((1,), -2), OdometerPiece((0, 1), 3),
-        ShiftPiece((0,), (0, 1)), ShiftPiece((0, 1), (0,)), ShiftPiece((0,), (1, 1))])
-    def test_separated_word_is_moved_off_itself(self, piece):
-        word = piece.separated_word(2)
+    @pytest.mark.parametrize("model, piece", [
+        (odometer(2), OdometerPiece((), 4)), (odometer(2), OdometerPiece((1,), -2)),
+        (odometer(2), OdometerPiece((0, 1), 3)), (full_shift(2), Piece((0,), (0, 1))),
+        (full_shift(2), Piece((0, 1), (0,))), (full_shift(2), Piece((0,), (1, 1)))],
+        ids=[f"piece{i}" for i in range(6)])
+    def test_separated_word_is_moved_off_itself(self, model, piece):
+        word = model.separated_word(piece)
         assert word[:len(piece.source)] == piece.source
         image = apply_piece(piece, word, 2)
         assert word[:len(image)] != image[:len(word)]

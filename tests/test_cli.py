@@ -340,7 +340,36 @@ class TestInternalErrors:
         assert err.count("\n") == 1
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["gw", "b2:{0}", "b2:{1}"], "the following arguments are required: --rounds"),
+        (["swap", "-b2:{0}", "b2:{1}"], "the following arguments are required: B"),
+        (["selftest", "--suite", "comparison", "--trials", "x"],
+         "argument --trials: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["missing-option", "leading-dash", "bad-int", "no-command"])
+    def test_usage_error_returns_2(self, capsys, argv, message):
+        # argparse's message goes to stderr and main returns, never exits
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("usage: fullgroup") and err.endswith(f"error: {message}\n")
+
+    def test_help_returns_0(self, capsys):
+        code, out, err = run(capsys, "swap", "--help")
+        assert code == 0 and out.startswith("usage: fullgroup swap") and not err
+
+
 class TestSelftest:
+    def test_reports_the_depth_that_ran(self, capsys):
+        # a suite runs at depth max(3, --max-depth), and its report says so
+        reports = []
+        for depth in ("1", "3"):
+            code, out, _ = run(capsys, "selftest", "--suite", "clopen-algebra", "--seed", "5",
+                               "--trials", "20", "--max-depth", depth)
+            assert code == 0
+            reports.append(artifact_of(out))
+        assert reports[0] == reports[1] and reports[0]["max_depth"] == 3
+
     def test_deterministic_artifacts(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from fullgroup import certificates
-from fullgroup.backends import OdometerPiece, ShiftPiece, full_shift, odometer
+from fullgroup.backends import OdometerPiece, Piece, full_shift, odometer
 from fullgroup.clopen import ClopenSet
 from fullgroup.certificates import split_nontrivial_support, verify_certificate
 from fullgroup.decompose import (decompose_small_support, displaced_set,
@@ -27,7 +27,7 @@ def cs(base, *words):
 
 def full_flip(base=2):
     return element_from_pieces(
-        full_shift(base), [ShiftPiece((0,), (1,)), ShiftPiece((1,), (0,))],
+        full_shift(base), [Piece((0,), (1,)), Piece((1,), (0,))],
         fill_identity=True)
 
 
@@ -71,8 +71,8 @@ class TestSeparatedCylinder:
     def test_nested_shift_piece(self):
         # source a prefix of target: the single fixed point must be avoided
         e = element_from_pieces(full_shift(2), [
-            ShiftPiece((0,), (0, 0)), ShiftPiece((1, 0), (0, 1)),
-            ShiftPiece((1, 1), (1,))], fill_identity=False)
+            Piece((0,), (0, 0)), Piece((1, 0), (0, 1)),
+            Piece((1, 1), (1,))], fill_identity=False)
         A = separated_cylinder(e)
         assert A.intersect(image_of_clopen(e, A)).is_empty()
 
@@ -305,7 +305,7 @@ class TestSplit:
             for targets in (t for t in parts if len(t) == len(sources)):
                 for order in permutations(targets):
                     tau = element_from_pieces(
-                        backend, [ShiftPiece(u, v) for u, v in zip(sources, order)])
+                        backend, [Piece(u, v) for u, v in zip(sources, order)])
                     if not tau.is_identity() and tau.pieces not in seen:
                         seen.add(tau.pieces)
                         check_split(tau)

@@ -1,13 +1,14 @@
 """Group laws, canonical equality, support, measure invariance."""
 
 import itertools
+import random
 from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fullgroup.backends import OdometerPiece, ShiftPiece, full_shift, odometer
+from fullgroup.backends import OdometerPiece, Piece, full_shift, odometer
 from fullgroup.clopen import (ClopenSet, PointName, canonical_words, check_cylinders,
                               covering, merge_families)
 from fullgroup.elements import (DerivedWitness, GroupElement, _composed_pieces, _join,
@@ -15,11 +16,11 @@ from fullgroup.elements import (DerivedWitness, GroupElement, _composed_pieces, 
                                 commutator, compose, conjugate,
                                 element_from_pieces, equals, identity,
                                 image_of_clopen, inverse, involution_from_partial,
-                                support)
+                                restrict, support)
 from fullgroup.errors import MalformedInput, PreconditionError
-from fullgroup.randomize import random_clopen, random_element, substream
+from fullgroup.randomize import random_clopen, random_element, rotation_element, substream
 
-from conftest import apply_piece, bitmap, oracle_equal
+from conftest import apply_piece, bitmap, element_image, oracle_equal, piece_image
 
 
 def cs(base, *words):
@@ -28,13 +29,13 @@ def cs(base, *words):
 
 def odo_elem(base, *pieces):
     return element_from_pieces(odometer(base),
-                               [OdometerPiece(s, n) for s, n in pieces],
+                               [OdometerPiece(s, n, base) for s, n in pieces],
                                fill_identity=True)
 
 
 def shift_elem(base, *pieces):
     return element_from_pieces(full_shift(base),
-                               [ShiftPiece(s, t) for s, t in pieces],
+                               [Piece(s, t) for s, t in pieces],
                                fill_identity=True)
 
 
@@ -59,7 +60,7 @@ class TestCanonicalForm:
 
     def test_shift_merge(self):
         e = shift_elem(2, ((0, 0), (1, 0)), ((0, 1), (1, 1)), ((1,), (0,)))
-        assert e.pieces == (ShiftPiece((0,), (1,)), ShiftPiece((1,), (0,)))
+        assert e.pieces == (Piece((0,), (1,)), Piece((1,), (0,)))
 
     def test_two_presentations_equal(self):
         # [00] and [01] have values 0 and 2, so +-2 swaps them
@@ -171,10 +172,14 @@ def test_partition_check_reports_overlap_before_gap():
 
 class TestConstructor:
     def test_foreign_piece_class_rejected(self):
-        with pytest.raises(MalformedInput):
-            GroupElement(odometer(2), (ShiftPiece((), ()),))
-        with pytest.raises(MalformedInput):
-            GroupElement(full_shift(2), (OdometerPiece((), 0),))
+        # a valid shift element changes the depth, which no odometer piece
+        # does; the adding machine carries into the tail, which no shift
+        # piece does
+        with pytest.raises(MalformedInput, match="keep the depth"):
+            GroupElement(odometer(2), (Piece((0,), (0, 0)), Piece((1, 0), (0, 1)),
+                                       Piece((1, 1), (1,))))
+        with pytest.raises(MalformedInput, match="carry nothing"):
+            GroupElement(full_shift(2), (Piece((), (), 1),))
 
     def test_trusted_results_pass_the_checked_constructor(self, backend):
         # compose and inverse skip the checks and build canonical pieces
@@ -214,7 +219,7 @@ class TestElementFromPieces:
 class TestInvolutionFromPartial:
     @pytest.mark.parametrize("backend, pieces, overlap", [
         # [0] -> [01]: the range lies inside the piece's own source
-        (full_shift(2), [ShiftPiece((0,), (0, 1))], r"\(0,\) vs \(0, 1\)"),
+        (full_shift(2), [Piece((0,), (0, 1))], r"\(0,\) vs \(0, 1\)"),
         # [00] -> [10] and [010] -> [100]: disjoint sources, overlapping ranges
         (odometer(2), [OdometerPiece((0, 0), 1), OdometerPiece((0, 1, 0), -1)],
          r"\(1, 0\) vs \(1, 0, 0\)"),
@@ -241,7 +246,7 @@ class TestPresentationIndependence:
                 if rng.random() < 0.5:
                     tails = itertools.product(range(backend.base),
                                               repeat=rng.randint(1, 3))
-                    pieces.extend(p.restrict(t) for t in tails)
+                    pieces.extend(p.restrict(t, backend.base) for t in tails)
                 else:
                     pieces.append(p)
             rng.shuffle(pieces)
@@ -288,11 +293,11 @@ def reference_composed_pieces(f, g):
     stack = list(reversed(g.pieces))
     while stack:
         p = stack.pop()
-        i = covering(f.pieces, p.range_word(base), attrgetter("source"))
+        i = covering(f.pieces, p.target, attrgetter("source"))
         if i is None:
-            stack.extend(p.restrict((a,)) for a in reversed(range(base)))
+            stack.extend(p.restrict((a,), base) for a in reversed(range(base)))
         else:
-            leaves.append(f.pieces[i].after(p))
+            leaves.append(f.pieces[i].after(p, base))
     return leaves
 
 
@@ -302,8 +307,8 @@ def carrying_element(rng, backend, max_depth):
     keeps the range and gives negative powers, powers of at least
     b^|source| and powers near +-b^k."""
     base = backend.base
-    pieces = [OdometerPiece(p.source, p.power + rng.choice([-2, -1, 1, 2])
-                            * base ** (len(p.source) + rng.randint(0, 3)))
+    pieces = [OdometerPiece(p.source, backend.power_of(p) + rng.choice([-2, -1, 1, 2])
+                            * base ** (len(p.source) + rng.randint(0, 3)), base)
               for p in random_element(rng, backend, max_depth).pieces]
     return GroupElement(backend, tuple(pieces))
 
@@ -402,9 +407,9 @@ class TestPullBack:
         self._check(f, g)
 
     def test_shift_keeps_the_run_order(self):
-        run = [ShiftPiece((0, 0, 0), (1,)), ShiftPiece((0, 0, 1), (0, 1))]
-        assert ShiftPiece((1,), (0, 0)).pull_back(run, 2) == [
-            ShiftPiece((1, 0), (1,)), ShiftPiece((1, 1), (0, 1))]
+        run = [Piece((0, 0, 0), (1,)), Piece((0, 0, 1), (0, 1))]
+        assert Piece((1,), (0, 0)).pull_back(run, 2) == [
+            Piece((1, 0), (1,)), Piece((1, 1), (0, 1))]
 
 
 class TestInverse:
@@ -616,3 +621,70 @@ class TestPointwiseDifferential:
             got = image_of_clopen(f, A).words
             deepest = max([len(w) for w in pushed + list(got)], default=0)
             assert bitmap(got, base, deepest) == bitmap(pushed, base, deepest)
+
+
+DEEP_BACKENDS = [odometer(2), odometer(3), full_shift(2), full_shift(3)]
+
+
+def deep_words(base):
+    return st.lists(st.integers(0, base - 1), min_size=20, max_size=60).map(tuple)
+
+
+@st.composite
+def deep_elements(draw, backend):
+    """A product of one or two involutions of cylinders of depth 20 to 60
+    (odometer: (u;+n) with n up to three times b^|u|, so the piece can
+    carry; shift: u -> v with free lengths), then perhaps a rotation,
+    which moves the deep pieces' tails by its carry."""
+    base = backend.base
+    elem = identity(backend)
+    for _ in range(draw(st.integers(1, 2))):
+        u = draw(deep_words(base))
+        if backend.is_odometer:
+            bound = 3 * base ** len(u)
+            n = draw(st.one_of(st.integers(-5, 5), st.integers(-bound, bound)))
+            assume(n % base ** len(u))
+            piece = OdometerPiece(u, n, base)
+        else:
+            v = draw(deep_words(base))
+            assume(u[:len(v)] != v[:len(u)])
+            piece = Piece(u, v)
+        elem = compose(elem, involution_from_partial(backend, [piece]))
+    if draw(st.booleans()):
+        elem = compose(elem, rotation_element(backend, random.Random(draw(st.integers(0, 9)))))
+    return elem
+
+
+def deep_sample(rng, elem, length):
+    """A word of the given length inside the source of a random piece."""
+    p = rng.choice(elem.pieces)
+    return p.source + tuple(rng.randrange(elem.base) for _ in range(length - len(p.source)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(DEEP_BACKENDS), st.data())
+def test_deep_words_agree_with_the_oracle(backend, data):
+    """compose, inverse and restrict on pieces 20 to 60 digits deep,
+    beyond the bitmap oracle's reach, against the pointwise images and
+    tail carries of `conftest.piece_image`."""
+    f, g = data.draw(deep_elements(backend)), data.draw(deep_elements(backend))
+    fg, f_inv = compose(f, g), inverse(f)
+    deepest = max(len(p.source) for p in f.pieces) + max(len(p.source) for p in g.pieces)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    for _ in range(4):
+        # a word this long keeps its image under g at least as deep as f's sources
+        w = deep_sample(rng, g, deepest + 2)
+        w1, k1 = element_image(g, w)
+        w2, k2 = element_image(f, w1)
+        assert element_image(fg, w) == (w2, k1 + k2)
+        x = deep_sample(rng, f, deepest + 2)
+        y, k = element_image(f, x)
+        assert element_image(f_inv, y) == (x, -k)
+        cut = x[:rng.randrange(len(x) - 1)]
+        pieces = restrict(f, cut)
+        assert ClopenSet.from_words(f.base, [p.source for p in pieces]) == \
+            ClopenSet.from_words(f.base, [cut])
+        for p in pieces:
+            z = p.source + x[len(p.source):] if x[:len(p.source)] == p.source else \
+                p.source + (0,) * (deepest + 2)
+            assert piece_image(p, z, f.base) == element_image(f, z)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fullgroup.backends import (Bisection, OdometerPiece, ShiftPiece,
+from fullgroup.backends import (Bisection, OdometerPiece, Piece,
                                 full_shift, odometer)
 from fullgroup.clopen import ClopenSet
 from fullgroup.elements import element_from_pieces
@@ -74,13 +74,13 @@ class TestBisectionCodec:
         assert format_element(parse_element(text)) == text
 
     def test_shift_example(self):
-        bis = Bisection(full_shift(2), (ShiftPiece((0,), (1, 1)), ShiftPiece((1, 1), (0,)),
-                                        ShiftPiece((1, 0), (1, 0))))
+        bis = Bisection(full_shift(2), (Piece((0,), (1, 1)), Piece((1, 1), (0,)),
+                                        Piece((1, 0), (1, 0))))
         assert format_bisection(bis) == "shift2:[(0>11),(11>0),(10>10)]"
         # an element's pieces come back sorted by source
         elem = parse_element("elem:shift2:[(0>11),(11>0),(10>10)]")
-        assert elem.pieces == (ShiftPiece((0,), (1, 1)), ShiftPiece((1, 0), (1, 0)),
-                               ShiftPiece((1, 1), (0,)))
+        assert elem.pieces == (Piece((0,), (1, 1)), Piece((1, 0), (1, 0)),
+                               Piece((1, 1), (0,)))
         assert format_element(elem) == "elem:shift2:[(0>11),(10>10),(11>0)]"
 
     def test_negative_power(self):
@@ -92,9 +92,9 @@ class TestBisectionCodec:
         # limit, so format_piece does not write one
         for power in (2 ** 14400, -(2 ** 14400)):
             with pytest.raises(MalformedInput, match="too long to write"):
-                format_piece(OdometerPiece((0,), power))
+                format_piece(OdometerPiece((0,), power), odometer(2))
         longest = OdometerPiece((0,), -(10 ** 4299))
-        assert parse_piece(format_piece(longest), odometer(2)) == longest
+        assert parse_piece(format_piece(longest, odometer(2)), odometer(2)) == longest
 
     def test_epsilon_source(self):
         assert parse_element("elem:odo2:[(ε;+1)]").pieces == (OdometerPiece((), 1),)

@@ -1,8 +1,8 @@
 """Module layering: imports sit at module level, the decomposition
 layer stays below the certificate layer, the model questions are
-answered by the model classes of `backends.py`, and the front end does
-each job once (one artifact writer, one self-test loop, exit codes
-returned)."""
+answered by the model classes of `backends.py` over one piece class,
+and the front end does each job once (one artifact writer, one JSON
+encoder, one self-test loop, exit codes returned)."""
 
 import ast
 from pathlib import Path
@@ -14,19 +14,20 @@ MODULES = sorted(SRC.glob("*.py"))
 
 # The algorithm choices that still ask which model they run on, outside
 # backends.py: the closure parking set (certificates), the small-support
-# decomposition (decompose), piece parsing (encoding) and the samplers
-# (randomize).  A measure condition that is vacuous on the shift goes
-# through a method of the model class instead.
-IS_ODOMETER_SITES = {"certificates.py": 1, "decompose.py": 1, "encoding.py": 1,
+# decomposition (decompose), piece syntax (encoding: parse and format) and
+# the samplers (randomize).  A measure condition that is vacuous on the
+# shift goes through a method of the model class instead.
+IS_ODOMETER_SITES = {"certificates.py": 1, "decompose.py": 1, "encoding.py": 2,
                      "randomize.py": 2}
-PIECE_CLASS_MODULES = {"__init__.py", "backends.py", "encoding.py", "randomize.py"}
+# Where the (u;+n) form of an odometer piece is built or read.
+POWER_FORM_MODULES = {"__init__.py", "backends.py", "encoding.py", "randomize.py"}
 # What every model class of backends.py sets, and what it answers.
-MODEL_ATTRIBUTES = {"prefix", "piece", "is_odometer"}
-MODEL_PROTOCOL = {"piece_between", "measure_below", "measure_equal", "measure_depth",
-                  "reserved_cylinder", "pair_into", "pair_onto"}
-# What compose, inverse and restrict call on a piece of any class.
-PIECE_PROTOCOL = {"range_word", "restrict", "after", "pull_back", "inverse",
-                  "merge_siblings"}
+MODEL_ATTRIBUTES = {"prefix", "is_odometer"}
+MODEL_PROTOCOL = {"check_pieces", "piece_between", "separated_word", "measure_below",
+                  "measure_equal", "measure_depth", "reserved_cylinder", "pair_into",
+                  "pair_onto"}
+# What compose, inverse and restrict call on a piece.
+PIECE_PROTOCOL = {"restrict", "after", "pull_back", "inverse", "merge_siblings"}
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
@@ -103,33 +104,46 @@ def test_split_reads_no_bernoulli_volume():
     assert not calls, f"volume() called on lines {calls}"
 
 
-def test_piece_classes_named_only_where_pieces_are_built_or_read():
-    naming = set()
+def test_power_form_named_only_where_pieces_are_built_or_read():
+    # the (u;+n) conversion is OdometerPiece one way and Odometer.power_of
+    # the other; no piece has a power to read
+    naming, reading, powers = set(), set(), []
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names = ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-                 | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
                  | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     for alias in node.names})
-        if names & {"OdometerPiece", "ShiftPiece"}:
+        if "OdometerPiece" in names:
             naming.add(path.name)
-    assert naming <= PIECE_CLASS_MODULES
+        reading |= {f"{path.name}:{name}" for name in _callers(path, "power_of")}
+        powers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "power"]
+    assert naming <= POWER_FORM_MODULES
+    assert reading == {"encoding.py:format_piece", "backends.py:Odometer.separated_word"}
+    assert not powers, f"power read on {powers}"
 
 
-def test_piece_classes_define_the_piece_protocol():
-    # a piece class is a class of backends.py with a `source` field; each
-    # is named in the `Piece` union and defines every method of the protocol
+def test_one_piece_class_defines_the_piece_protocol():
+    # the piece class is the one class of backends.py with a `source`
+    # field; it defines every method of the protocol, and no union of
+    # piece classes is left
     tree = ast.parse((SRC / "backends.py").read_text(encoding="utf-8"))
     pieces = {node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
               and any(isinstance(field, ast.AnnAssign) and field.target.id == "source"
                       for field in node.body)}
-    union = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                 and [t.id for t in node.targets] == ["Piece"])
-    assert {elt.id for elt in union.slice.elts} == set(pieces)
-    missing = {name: sorted(PIECE_PROTOCOL - methods) for name, methods in pieces.items()
-               if not PIECE_PROTOCOL <= methods}
-    assert len(pieces) >= 2 and not missing, f"piece methods missing: {missing}"
+    assert set(pieces) == {"Piece"}
+    assert PIECE_PROTOCOL <= pieces["Piece"], sorted(PIECE_PROTOCOL - pieces["Piece"])
+    assert not [node for node in tree.body if isinstance(node, ast.Assign)
+                and "Piece" in [getattr(t, "id", None) for t in node.targets]]
+
+
+def test_no_isinstance_on_pieces():
+    # a model's rule on its pieces is its check_pieces, never a type test
+    found = [f"{path.name}:{call.lineno}" for path in MODULES
+             for call in _calls(ast.parse(path.read_text(encoding="utf-8")), "isinstance")
+             if "Piece" in ast.unparse(call.args[1])]
+    assert not found, f"isinstance on a piece class: {found}"
 
 
 def test_one_overlap_rule():
@@ -270,6 +284,18 @@ def test_exit_codes_are_returned():
     assert exits and all(any(call is node for node in ast.walk(guard)) for call in exits)
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Name)
                 and node.id == "SystemExit"]
+
+
+def test_one_json_encoder():
+    # every JSON artifact, certificates included, is encoded by
+    # encoding.encode_artifact, which adds the format version
+    dumping = {f"{path.name}:{name}" for path in MODULES
+               for name in _callers(path, "dumps")}
+    assert dumping == {"encoding.py:encode_artifact"}
+    versioned = {path.name for path in MODULES
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Constant) and node.value == "format_version"}
+    assert versioned == {"encoding.py", "certificates.py"}
 
 
 def test_one_selftest_loop():

@@ -2,12 +2,13 @@
 one piece shape: (u, v, c) maps u.w to v.(w + c), where the tail w is
 read as a base-b integer, least-significant digit first, and c is an
 element of the model's tail group G, the normal form of V_b(G)
-(Nekrashevych, *Self-similar groups*, AMS 2005).  Only `Piece.restrict`
+(Nekrashevych, *Self-similar groups*, AMS 2005).  Only `add_to_tail`
 adds c to a tail digit by digit; the other piece rules are generic.
 
 * Odometer: G = Z acting by the adding machine ("+1 with carry"), with
-  |u| = |v|.  The piece (u;+n), "add n" on [u], is (u, v, c) with v the
-  low |u| digits of value(u) + n and c the carry into the tail, so
+  |u| = |v| (`Odometer.check_pieces`).  The piece (u;+n), "add n" on
+  [u], is (u, v, c) with v the low |u| digits of value(u) + n and c the
+  carry into the tail, so
   n = value(v) - value(u) + c*b^|u| (`OdometerPiece`, `Odometer.power_of`).
   Uniquely ergodic: the Bernoulli measure is the single invariant measure.
 
@@ -17,9 +18,8 @@ adds c to a tail digit by digit; the other piece rules are generic.
 
 A backend is its model class, `Odometer` or `FullShift`: a frozen
 subclass of `BackendId`, whose one field is the base.  A model class
-states which pieces are its own (`check_pieces`), builds pieces
-(`piece_between`), picks a word a piece moves off itself
-(`separated_word`), states the comparison hypothesis (`measure_below`,
+states which pieces are its own (`check_pieces`), picks a word a piece
+moves off itself (`separated_word`), states the comparison hypothesis (`measure_below`,
 `measure_equal`: vacuous on the shift), gives the depth below which
 cylinders have small measure (`measure_depth`) and the cylinder a
 transfer keeps free (`reserved_cylinder`), and pairs cylinders into a
@@ -90,40 +90,33 @@ class Piece(NamedTuple):
 
     def restrict(self, tail: Word, base: int) -> "Piece":
         """The same map on the sub-cylinder [source.tail]: the carry is
-        added to tail digit by digit from the least significant end, the
-        digits above the one where it reaches 0 are copied, and what it
-        carries out of the last digit moves the rest of the tail."""
-        carry = self.carry
-        if not carry:
-            return Piece(self.source + tail, self.target + tail)
-        out = list(tail)
-        for i in range(len(out)):
-            carry, out[i] = divmod(out[i] + carry, base)
-            if not carry:
-                break
-        return Piece(self.source + tail, self.target + tuple(out), carry)
+        added to the tail, and what it carries out of the tail moves the
+        rest of the sequence."""
+        moved, carry = add_to_tail(tail, self.carry, base)
+        return Piece(self.source + tail, self.target + moved, carry)
 
     def inverse(self) -> "Piece":
         return Piece(self.target, self.source, -self.carry)
 
     def after(self, inner: "Piece", base: int) -> "Piece":
-        """self o inner, for an inner piece whose range lies in the source:
-        self restricted to that range, with the carries added."""
-        outer = self.restrict(inner.target[len(self.source):], base)
-        return Piece(inner.source, outer.target, inner.carry + outer.carry)
+        """self o inner, for an inner piece whose range [source.t] lies in
+        the source: self's carry is added to t, and the carries add."""
+        moved, carry = add_to_tail(inner.target[len(self.source):], self.carry, base)
+        return Piece(inner.source, self.target + moved, inner.carry + carry)
 
     def pull_back(self, run: Sequence["Piece"], base: int) -> list["Piece"]:
         """q o self on the preimage of each q.source, sorted by source, for
         a sorted run of pieces whose sources partition the range [target].
-        The preimage of [target.s] is the range of self^-1 restricted to s;
-        a nonzero carry rotates the tails, which breaks the run's order, so
-        only then are the pieces sorted."""
-        k, back = len(self.target), self.inverse()
+        The preimage of [target.s] is [source.t] for t = s - carry, and
+        q o self carries q's carry less what t carries out; a nonzero carry
+        rotates the tails, which breaks the run's order, so only then are
+        the pieces sorted."""
+        k, minus = len(self.target), -self.carry
         pieces = []
         for q in run:
-            r = back.restrict(q.source[k:], base)
-            pieces.append(Piece(r.target, q.target, q.carry - r.carry))
-        return sorted(pieces, key=_source) if self.carry else pieces
+            t, out = add_to_tail(q.source[k:], minus, base)
+            pieces.append(Piece(self.source + t, q.target, q.carry - out))
+        return sorted(pieces, key=_source) if minus else pieces
 
     @staticmethod
     def merge_siblings(parent: Word, family: Sequence["Piece"]) -> "Piece | None":
@@ -146,6 +139,22 @@ class Piece(NamedTuple):
         """Image of a point of the source: the carry moves the tail and the
         prefix is rewritten."""
         return point.drop(len(self.source)).add_integer(self.carry).prepend(self.target)
+
+
+def add_to_tail(tail: Word, carry: int, base: int) -> tuple[Word, int]:
+    """tail + carry, with the tail read as a base-b integer,
+    least-significant digit first: the carry is added digit by digit from
+    the least significant end, the digits above the one where it reaches
+    0 are copied, and what it carries out of the last digit is returned
+    with the new tail."""
+    if not carry:
+        return tail, 0
+    out = list(tail)
+    for i in range(len(out)):
+        carry, out[i] = divmod(out[i] + carry, base)
+        if not carry:
+            break
+    return tuple(out), carry
 
 
 def word_value(word: Word, base: int) -> int:
@@ -193,13 +202,6 @@ class Odometer(BackendId):
             if len(p.source) != len(p.target):
                 raise MalformedInput(f"piece {p!r} does not belong to backend {self.tag}: "
                                      "odometer pieces keep the depth")
-
-    def piece_between(self, u: Word, v: Word) -> Piece:
-        """The carry-free translation of [u] onto the same-depth [v]."""
-        if len(u) != len(v):
-            raise PreconditionError(
-                f"odometer pieces keep the depth: {u} and {v} differ in length")
-        return Piece(u, v)
 
     def separated_word(self, piece: Piece) -> Word:
         """A word extending the source whose cylinder the piece moves off
@@ -251,10 +253,6 @@ class FullShift(BackendId):
             if p.carry:
                 raise MalformedInput(f"piece {p!r} does not belong to backend {self.tag}: "
                                      "shift pieces carry nothing into the tail")
-
-    def piece_between(self, u: Word, v: Word) -> Piece:
-        """The prefix rewrite u.y -> v.y."""
-        return Piece(u, v)
 
     def separated_word(self, piece: Piece) -> Word:
         """A child of the source whose cylinder the piece moves off itself
@@ -367,7 +365,7 @@ def pair_cylinders(backend: BackendId, S: ClopenSet, T: ClopenSet, *,
     dst = (v for w in T.words for v in expand_word(w, base, depth))
     if onto and len(src) != sum(base ** (depth - len(w)) for w in T.words):
         raise PostconditionError("equal measures must refine to equal counts")
-    return [backend.piece_between(u, v) for u, v in zip(src, dst)]
+    return [Piece(u, v) for u, v in zip(src, dst)]
 
 
 def proper_subcylinder(S: ClopenSet) -> ClopenSet:

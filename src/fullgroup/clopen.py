@@ -4,8 +4,9 @@ A clopen set is stored as the canonical antichain of cylinder prefixes,
 in lexicographic order: no prefix extends another, and no complete
 family of b siblings is ever present (such a family merges into its
 parent).  Canonical forms make equality of clopen sets a tuple
-comparison, and the order makes "which word covers u" one binary search
-(`covering`).
+comparison, and the order makes "which words meet [u]" one index range
+found by binary search (`meeting`), for the words of a set and for the
+sources of an element alike.
 
 Words are tuples of digits; index 0 is the first coordinate of the
 infinite sequence (for the odometer, the least-significant digit).
@@ -72,20 +73,21 @@ def check_cylinders(words: Iterable[Word], base: int, which: str, *, cover: bool
         raise MalformedInput(f"{which} cylinders do not cover the whole space")
 
 
-def covering(items: Sequence[T], word: Word,
-             key: Callable[[T], Word] | None = None) -> int | None:
-    """The index of the item whose word (`key` of it, or the item itself)
-    is a prefix of `word`, itself included, or None.  `items` must be a
-    lexicographically sorted antichain: the words that extend a prefix p
-    of `word` are exactly those sorting between p and `word`, so only the
-    last item not after `word` can be its prefix.  For a canonical
-    antichain S, [u] lies inside S exactly when u has a prefix in S: else
-    the words of S covering [u] extend u, and the deepest one's complete
-    sibling family is in S, which canonical form merges."""
+def meeting(items: Sequence[T], word: Word, base: int,
+            key: Callable[[T], Word] | None = None) -> tuple[int, int]:
+    """The index range [i, j) of the items whose words (`key` of each, or
+    the item itself) meet [word], for a lexicographically sorted antichain
+    `items`.  Words extending a prefix p of `word` sort between p and
+    `word`, so only the last item not after `word` can be its prefix, and
+    it is then the one item meeting [word]; else the items meeting it are
+    those extending it, the run between `word` and word + (base,).  In a
+    canonical antichain S, [u] lies inside S exactly when u has a prefix
+    in S: else the deepest word of S inside [u] has its complete sibling
+    family in S, which canonical form merges."""
     i = bisect_right(items, word, key=key)
     if i and is_prefix(items[i - 1] if key is None else key(items[i - 1]), word):
-        return i - 1
-    return None
+        return i - 1, i
+    return i, bisect_left(items, word + (base,), lo=i, key=key)
 
 
 def expand_word(word: Word, base: int, depth: int) -> Iterator[Word]:
@@ -306,24 +308,21 @@ class ClopenSet:
         return ClopenSet(self.base, self.words + other.words)
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
-        """One pass over self: a word that other covers is dropped, a
-        word that no word of other extends is kept, and any other word u
-        is replaced by the gaps the run of other's words extending u
-        leaves inside [u]; the run sorts after u and before u + (base,).
-        Canonical: a kept word is maximal in self, and each gap is maximal
-        in [u] minus other (`_gaps`); the output follows self's order, and
-        each gap run is sorted inside [u]."""
+        """One pass over self: each word u is kept when no word of other
+        meets [u] (`meeting`), dropped when the one word meeting it is no
+        longer than u (a prefix of u), and else replaced by the gaps the
+        run of other's words extending u leaves inside [u].  Canonical: a
+        kept word is maximal in self, and each gap is maximal in [u]
+        minus other (`_gaps`); the output follows self's order, and each
+        gap run is sorted inside [u]."""
         self._check_base(other)
         theirs = other.words
         out: list[Word] = []
         for u in self.words:
-            if covering(theirs, u) is not None:
-                continue
-            i = bisect_right(theirs, u)
-            j = bisect_left(theirs, u + (self.base,), lo=i)
+            i, j = meeting(theirs, u, self.base)
             if i == j:
                 out.append(u)
-            else:
+            elif len(theirs[i]) > len(u):
                 out.extend(_gaps(theirs[i:j], self.base, len(u)))
         return ClopenSet._trusted(self.base, tuple(out))
 
@@ -400,9 +399,11 @@ class ClopenSet:
         return tuple(v for w in self.words for v in expand_word(w, self.base, depth))
 
     def word_containing(self, point: "PointName") -> Word | None:
-        """The word of the set whose cylinder contains the point, if any."""
-        i = covering(self.words, point.prefix(self.max_depth()))
-        return None if i is None else self.words[i]
+        """The word of the set whose cylinder contains the point, if any:
+        the one word meeting the point's prefix as deep as the deepest
+        word, which no word extends properly."""
+        i, j = meeting(self.words, point.prefix(self.max_depth()), self.base)
+        return self.words[i] if i < j else None
 
     def contains_point(self, point: "PointName") -> bool:
         return self.word_containing(point) is not None

@@ -15,15 +15,13 @@ in the same order.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .backends import BackendId, Piece
-from .clopen import (ClopenSet, PointName, Word, check_cylinders, covering, is_prefix,
-                     merge_families)
+from .clopen import ClopenSet, PointName, Word, check_cylinders, meeting, merge_families
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 _source = attrgetter("source")
@@ -75,7 +73,7 @@ class GroupElement:
 
 
 def identity(backend: BackendId) -> GroupElement:
-    return GroupElement(backend, (backend.piece_between((), ()),))
+    return GroupElement(backend, (Piece((), ()),))
 
 
 def element_from_pieces(backend: BackendId, pieces: Iterable[Piece],
@@ -89,7 +87,7 @@ def element_from_pieces(backend: BackendId, pieces: Iterable[Piece],
     pieces = list(pieces)
     if fill_identity:
         sources = ClopenSet.from_words(backend.base, [p.source for p in pieces])
-        pieces += [backend.piece_between(w, w) for w in sources.complement().words]
+        pieces += [Piece(w, w) for w in sources.complement().words]
     return GroupElement(backend, tuple(pieces))
 
 
@@ -143,24 +141,11 @@ def compose(f: GroupElement, g: GroupElement) -> GroupElement:
 def _composed_pieces(f: GroupElement, g: GroupElement) -> Iterator[Sequence[Piece]]:
     base, pieces = f.base, f.pieces
     for p in g.pieces:
-        i, j = _meeting(pieces, p.target, base)
-        if j == i + 1:
+        i, j = meeting(pieces, p.target, base, _source)
+        if j == i + 1:  # one piece of f meets [v] only if it covers it
             yield (pieces[i].after(p, base),)
         else:
             yield pieces[i:j] if p.is_identity() else p.pull_back(pieces[i:j], base)
-
-
-def _meeting(pieces: Sequence[Piece], w: Word, base: int) -> tuple[int, int]:
-    """The index range [i, j) of the pieces whose sources meet [w], for
-    pieces whose sorted sources partition the space.  Either one source
-    contains [w]: it is a prefix of w, so the last source not after w.
-    Or the sources inside [w] partition it, and there are at least base
-    of them: those extending w, which sort after w and before
-    w + (base,)."""
-    i = bisect_right(pieces, w, key=_source)
-    if i and is_prefix(pieces[i - 1].source, w):
-        return i - 1, i
-    return i, bisect_left(pieces, w + (base,), lo=i, key=_source)
 
 
 def inverse(f: GroupElement) -> GroupElement:
@@ -188,9 +173,9 @@ def support(f: GroupElement) -> ClopenSet:
 
 def restrict(f: GroupElement, w: Word) -> list[Piece]:
     """The pieces of f on the cylinder [w]: the piece whose source
-    contains [w], restricted to [w], or else the run of pieces whose
-    sources lie inside [w]."""
-    i, j = _meeting(f.pieces, w, f.base)
+    contains [w], restricted to [w], or else the run of at least base
+    pieces whose sources partition [w]."""
+    i, j = meeting(f.pieces, w, f.base, _source)
     if j == i + 1:
         p = f.pieces[i]
         return [p.restrict(w[len(p.source):], f.base)]
@@ -208,8 +193,8 @@ def apply_point(f: GroupElement, point: PointName) -> PointName:
     if point.base != f.base:
         raise MalformedInput("base mismatch between element and point")
     depth = max(len(p.source) for p in f.pieces)
-    i = covering(f.pieces, point.prefix(depth), _source)
-    if i is None:
+    i, j = meeting(f.pieces, point.prefix(depth), f.base, _source)
+    if i == j:
         raise PostconditionError("element sources do not cover the point")
     return f.pieces[i].image_point(point)
 

@@ -104,7 +104,7 @@ def rotation_element(backend: BackendId, rng: random.Random) -> GroupElement:
     base = backend.base
     if backend.is_odometer:
         return element_from_pieces(
-            backend, [OdometerPiece((), rng.randint(1, base))], fill_identity=False)
+            backend, [OdometerPiece((), rng.randint(1, base), base)], fill_identity=False)
     shift = rng.randint(1, base - 1)
     return element_from_pieces(
         backend, [Piece((a,), (((a + shift) % base),)) for a in range(base)],

@@ -13,8 +13,8 @@ import signal
 
 import pytest
 
-from fullgroup.backends import full_shift, odometer
-from fullgroup.clopen import ClopenSet, PointName
+from fullgroup.backends import Piece, full_shift, odometer
+from fullgroup.clopen import ClopenSet
 from fullgroup.errors import PreconditionError
 
 
@@ -114,7 +114,7 @@ def overlapping_pairing(backend, S, T, **_):
     so the ranges overlap whenever S has two or more."""
     depth = max(S.max_depth(), T.max_depth())
     v = T.refine_to(depth)[0]
-    return [backend.piece_between(u, v) for u in S.refine_to(depth)]
+    return [Piece(u, v) for u in S.refine_to(depth)]
 
 
 def first_range_emptied(source_range):
@@ -130,11 +130,6 @@ def first_range_emptied(source_range):
         return (source, ClopenSet.empty(image.base)) if len(calls) == 1 else (source, image)
 
     return emptied
-
-
-def odometer_point_value(point: PointName, digits: int) -> int:
-    """Base-b value of the first `digits` digits, for hand-check math."""
-    return word_int(point.prefix(digits), point.base)
 
 
 # Above the largest acceptance budget (120 s), so a near hang, such as a

@@ -166,8 +166,7 @@ def test_lazy_pairing_matches_refined_pairing(base):
     for _ in range(60):
         S, T = comparison_pair(rng, backend, 5)
         depth = max(S.max_depth(), T.max_depth())
-        want = [backend.piece_between(u, v)
-                for u, v in zip(S.refine_to(depth), T.refine_to(depth))]
+        want = [Piece(u, v) for u, v in zip(S.refine_to(depth), T.refine_to(depth))]
         assert pair_cylinders(backend, S, T) == want
 
 
@@ -193,12 +192,11 @@ class TestFreeness:
 
 class TestPieceProtocol:
     def test_piece_between(self):
-        assert odometer(2).piece_between((0, 1), (1, 1)) == OdometerPiece((0, 1), 1)
-        assert odometer(3).piece_between((2,), (0,)) == OdometerPiece((2,), -2, 3)
-        assert odometer(2).piece_between((), ()) == OdometerPiece((), 0)
-        assert full_shift(2).piece_between((0,), (1, 1)) == Piece((0,), (1, 1))
-        with pytest.raises(PreconditionError):
-            odometer(2).piece_between((0,), (1, 1))
+        # the carry-free piece from [u] onto the same-depth [v] is the
+        # odometer piece adding value(v) - value(u)
+        assert Piece((0, 1), (1, 1)) == OdometerPiece((0, 1), 1)
+        assert Piece((2,), (0,)) == OdometerPiece((2,), -2, 3)
+        assert Piece((), ()) == OdometerPiece((), 0)
 
     def test_measure_hypothesis(self):
         A, B = cs(2, (0,)), cs(2, (1, 0))

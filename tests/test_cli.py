@@ -16,7 +16,7 @@ from fullgroup.encoding import MAX_WORD_DEPTH
 from fullgroup.errors import PostconditionError
 
 from conftest import first_range_emptied, overlapping_pairing
-from test_golden import INPUTS
+from test_golden import INPUTS, certify_argv
 
 
 def run(capsys, *argv):
@@ -453,20 +453,20 @@ def mutated(draw, text: str) -> str:
 
 @st.composite
 def mutated_runs(draw) -> list[str]:
-    """A golden decompose, split, compare or swap run with one of its
-    encodings mutated."""
+    """A golden decompose, split, compare, transfer (plain or
+    --commutator), swap, gw or certify run with one of its encodings
+    mutated."""
     tag = draw(st.sampled_from(list(INPUTS)))
-    x = INPUTS[tag]
-    command = draw(st.sampled_from(["decompose", "split", "compare", "swap"]))
-    if command in ("decompose", "split"):
-        elem = draw(mutated(x[draw(st.sampled_from(["rotation", "alpha", "beta"]))]))
-        return [command, elem, *(["--eps", "1/8"] if command == "decompose" else [])]
-    A, B = x[command]
-    if draw(st.booleans()):
-        A = draw(mutated(A))
-    else:
-        B = draw(mutated(B))
-    return [command, A, B, "--backend", tag]
+    x, b = INPUTS[tag], ["--backend", tag]
+    elem = x[draw(st.sampled_from(["rotation", "alpha", "beta"]))]
+    argv = draw(st.sampled_from([
+        ["decompose", elem, "--eps", "1/8"], ["split", elem],
+        ["compare", *x["compare"], *b], ["transfer", *x["compare"], *b],
+        ["transfer", *x["commutator"], "--commutator", *b], ["swap", *x["swap"], *b],
+        ["gw", *x["swap"], "--rounds", "4", *b], certify_argv(tag)]))
+    texts = {t for v in x.values() for t in (v if isinstance(v, tuple) else (v,))}
+    i = draw(st.sampled_from([i for i, arg in enumerate(argv) if arg in texts]))
+    return argv[:i] + [draw(mutated(argv[i]))] + argv[i + 1:]
 
 
 @settings(max_examples=200, deadline=None)
@@ -474,9 +474,6 @@ def mutated_runs(draw) -> list[str]:
 def test_mutated_encodings_exit_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:   # argparse: an encoding mutated to start with "-"
-            code = exc.code
+        code = main(argv)
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()

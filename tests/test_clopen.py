@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullgroup.clopen import (SHORT_DEPTH, ClopenSet, MeasureValue, PointName,
-                             covering, depth_for_measure_below, expand_word)
+                             depth_for_measure_below, expand_word, meeting)
 from fullgroup.errors import MalformedInput, PreconditionError
 from fullgroup.randomize import random_clopen
 
@@ -176,8 +176,9 @@ def test_prefix_lookup_matches_pairwise_scan(base, data):
     """B has up to 40 words of up to 12 digits, deeper than bitmaps
     reach; A has up to 40 extensions of B's words (cut to 12 digits), so
     containment and nesting are common, plus up to 2 free words.  Each
-    operand is stored in lexicographic order, and `covering` finds the
-    one word prefixing a probe exactly when a linear scan does."""
+    operand is stored in lexicographic order, and `meeting` gives the
+    index range of exactly the words a linear scan finds meeting a probe:
+    those that prefix it or extend it."""
     word = st.integers(0, 12).flatmap(
         lambda n: st.tuples(*[st.integers(0, base - 1)] * n))
     def some(words, most):
@@ -193,9 +194,9 @@ def test_prefix_lookup_matches_pairwise_scan(base, data):
     for X, Y in ((A, B), (B, A)):
         assert X.words == tuple(sorted(X.words))
         for u in Y.words + tuple(free):
-            i = covering(X.words, u)
-            scan = [j for j, w in enumerate(X.words) if u[:len(w)] == w]
-            assert scan == ([] if i is None else [i])
+            i, j = meeting(X.words, u, base)
+            scan = [k for k, w in enumerate(X.words) if u[:len(w)] == w or w[:len(u)] == u]
+            assert list(range(i, j)) == scan
         assert X & Y == pairwise_intersect(X, Y)
         assert X - Y == pairwise_intersect(X, Y.complement())
         assert X.is_subset(Y) == pairwise_intersect(X, Y.complement()).is_empty()

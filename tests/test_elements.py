@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fullgroup.backends import OdometerPiece, Piece, full_shift, odometer
 from fullgroup.clopen import (ClopenSet, PointName, canonical_words, check_cylinders,
-                              covering, merge_families)
+                              merge_families)
 from fullgroup.elements import (DerivedWitness, GroupElement, _composed_pieces, _join,
                                 apply_point, check_measure_invariance,
                                 commutator, compose, conjugate,
@@ -287,17 +287,18 @@ class TestCompose:
 def reference_composed_pieces(f, g):
     """The composition rule the pull-back replaced: each piece of g, in
     source order, is split depth first in digit order until a source of f
-    covers its range, and the leaves are composed in that order."""
+    covers its range, found by a linear scan for a prefix, and the leaves
+    are composed in that order."""
     base = f.base
     leaves = []
     stack = list(reversed(g.pieces))
     while stack:
         p = stack.pop()
-        i = covering(f.pieces, p.target, attrgetter("source"))
-        if i is None:
+        q = next((q for q in f.pieces if p.target[:len(q.source)] == q.source), None)
+        if q is None:
             stack.extend(p.restrict((a,), base) for a in reversed(range(base)))
         else:
-            leaves.append(f.pieces[i].after(p, base))
+            leaves.append(q.after(p, base))
     return leaves
 
 

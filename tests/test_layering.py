@@ -1,8 +1,10 @@
 """Module layering: imports sit at module level, the decomposition
 layer stays below the certificate layer, the model questions are
 answered by the model classes of `backends.py` over one piece class,
-and the front end does each job once (one artifact writer, one JSON
-encoder, one self-test loop, exit codes returned)."""
+each kernel fact has one rule (one overlap rule, one antichain lookup,
+one tail addition, one sibling-merge loop), and the front end does each
+job once (one artifact writer, one JSON encoder, one self-test loop,
+exit codes returned)."""
 
 import ast
 from pathlib import Path
@@ -23,7 +25,7 @@ IS_ODOMETER_SITES = {"certificates.py": 1, "decompose.py": 1, "encoding.py": 2,
 POWER_FORM_MODULES = {"__init__.py", "backends.py", "encoding.py", "randomize.py"}
 # What every model class of backends.py sets, and what it answers.
 MODEL_ATTRIBUTES = {"prefix", "is_odometer"}
-MODEL_PROTOCOL = {"check_pieces", "piece_between", "separated_word", "measure_below",
+MODEL_PROTOCOL = {"check_pieces", "separated_word", "measure_below",
                   "measure_equal", "measure_depth", "reserved_cylinder", "pair_into",
                   "pair_onto"}
 # What compose, inverse and restrict call on a piece.
@@ -136,6 +138,36 @@ def test_one_piece_class_defines_the_piece_protocol():
     assert PIECE_PROTOCOL <= pieces["Piece"], sorted(PIECE_PROTOCOL - pieces["Piece"])
     assert not [node for node in tree.body if isinstance(node, ast.Assign)
                 and "Piece" in [getattr(t, "id", None) for t in node.targets]]
+
+
+def test_odometer_pieces_name_their_base():
+    # OdometerPiece's base defaults to 2, so a call in the library that
+    # left it out would build a valid but wrong piece on any other base
+    calls = [f"{path.name}:{call.lineno}" for path in MODULES
+             for call in _calls(ast.parse(path.read_text(encoding="utf-8")), "OdometerPiece")
+             if len(call.args) < 3 and not any(k.arg == "base" for k in call.keywords)]
+    assert not calls, f"OdometerPiece without a base: {calls}"
+
+
+def test_one_antichain_lookup():
+    # "which items of a sorted antichain meet [w]" is clopen.meeting, so
+    # only clopen.py bisects
+    importing = {path.name for path in MODULES
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.ImportFrom) and node.module == "bisect"
+                 or isinstance(node, ast.Import) and "bisect" in [a.name for a in node.names]}
+    assert importing == {"clopen.py"}
+
+
+def test_one_tail_addition():
+    # the piece rules that move a tail add the carry through add_to_tail;
+    # after and pull_back build only the pieces they return, never a
+    # restricted or inverted piece first
+    functions = dict(_functions(ast.parse((SRC / "backends.py").read_text(encoding="utf-8"))))
+    assert _callers(SRC / "backends.py", "add_to_tail") == {
+        "Piece.restrict", "Piece.after", "Piece.pull_back"}
+    for name in ("Piece.after", "Piece.pull_back"):
+        assert not _calls(functions[name], "restrict") + _calls(functions[name], "inverse")
 
 
 def test_no_isinstance_on_pieces():

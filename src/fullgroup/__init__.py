@@ -8,14 +8,14 @@ conjugate-product certificates with a CLI front end.
 """
 
 from .backends import (BackendId, Bisection, FullShift, Odometer,
-                       OdometerPiece, Piece, compare_clopen, full_shift,
-                       odometer, source_range, validate_bisection)
+                       OdometerPiece, Piece, compare_clopen, source_range,
+                       validate_bisection)
 from .certificates import (ConjugateFactor, ConjugateProduct, Environment,
                            GroupWord, SplitResult,
                            commutator_in_normal_closure, dump_certificate,
                            expand_commutator_product, load_certificate,
-                           normality_certificate, simplicity_certificate,
-                           split_nontrivial_support, verify_certificate)
+                           normality_certificate, split_nontrivial_support,
+                           verify_certificate)
 from .clopen import ClopenSet, MeasureValue, PointName
 from .decompose import DecompositionResult, decompose_small_support
 from .elements import (DerivedWitness, GroupElement, apply_point,

@@ -64,9 +64,6 @@ class BackendId:
     def tag(self) -> str:
         return self.prefix + str(self.base)
 
-    def __str__(self):
-        return self.tag
-
     def check_sets(self, A: ClopenSet, B: ClopenSet) -> None:
         """Reject clopen sets over another base than the backend's."""
         for S in (A, B):
@@ -163,14 +160,6 @@ def word_value(word: Word, base: int) -> int:
     for d in reversed(word):
         value = value * base + d
     return value
-
-
-def value_word(value: int, depth: int, base: int) -> Word:
-    out = []
-    for _ in range(depth):
-        value, digit = divmod(value, base)
-        out.append(digit)
-    return tuple(out)
 
 
 def OdometerPiece(source: Word, power: int, base: int = 2) -> Piece:
@@ -282,12 +271,13 @@ class FullShift(BackendId):
         return ClopenSet.empty(self.base) if S.is_empty() else proper_subcylinder(S)
 
     def pair_into(self, A: ClopenSet, B: ClopenSet) -> list[Piece]:
-        """Pieces from all of A into B: each cylinder of A is rewritten into
-        B's picked cylinder with a distinct suffix, in counting order."""
-        v = B.pick()
-        width = _suffix_length(len(A.words), self.base)
-        return [Piece(u, v + value_word(i, width, self.base)[::-1])
-                for i, u in enumerate(A.words)]
+        """Pieces from all of A into B: the cylinders of A are rewritten,
+        in order, onto the extensions of B's picked word v by the fewest
+        digits that give enough of them (`expand_word`, lexicographic)."""
+        v, width = B.pick(), 1
+        while self.base ** width < len(A.words):
+            width += 1
+        return [Piece(u, w) for u, w in zip(A.words, expand_word(v, self.base, len(v) + width))]
 
     def pair_onto(self, S: ClopenSet, T: ClopenSet) -> list[Piece]:
         """Pieces from nonempty S onto nonempty T.  Cylinder counts must
@@ -309,10 +299,6 @@ class FullShift(BackendId):
         return [Piece(u, v) for u, v in zip(src, dst)]
 
 
-odometer = Odometer
-full_shift = FullShift
-
-
 @dataclass(frozen=True)
 class Bisection:
     """A compact open bisection given by finitely many pieces: the
@@ -328,27 +314,21 @@ class Bisection:
     def base(self) -> int:
         return self.backend.base
 
-    def source_words(self) -> tuple[Word, ...]:
-        return tuple(p.source for p in self.pieces)
-
-    def range_words(self) -> tuple[Word, ...]:
-        return tuple(p.target for p in self.pieces)
-
 
 def validate_bisection(bis: Bisection) -> str | None:
     """None if sources and ranges are both pairwise disjoint, else the
     message naming the first overlapping pair (`check_cylinders`)."""
     try:
-        check_cylinders(bis.source_words(), bis.base, "source", cover=False)
-        check_cylinders(bis.range_words(), bis.base, "range", cover=False)
+        check_cylinders([p.source for p in bis.pieces], bis.base, "source", cover=False)
+        check_cylinders([p.target for p in bis.pieces], bis.base, "range", cover=False)
     except MalformedInput as err:
         return str(err)
     return None
 
 
 def source_range(bis: Bisection) -> tuple[ClopenSet, ClopenSet]:
-    return (ClopenSet.from_words(bis.base, bis.source_words()),
-            ClopenSet.from_words(bis.base, bis.range_words()))
+    return (ClopenSet.from_words(bis.base, [p.source for p in bis.pieces]),
+            ClopenSet.from_words(bis.base, [p.target for p in bis.pieces]))
 
 
 def pair_cylinders(backend: BackendId, S: ClopenSet, T: ClopenSet, *,
@@ -373,14 +353,6 @@ def proper_subcylinder(S: ClopenSet) -> ClopenSet:
     child of the picked cylinder."""
     w = S.pick()
     return ClopenSet.from_words(S.base, [w + (0,)])
-
-
-def _suffix_length(count: int, base: int) -> int:
-    """Length of the disjointness suffixes for shift comparison witnesses."""
-    width = 1
-    while base ** width < count:
-        width += 1
-    return width
 
 
 def compare_clopen(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Bisection:

@@ -4,11 +4,11 @@ synthesizers and verifier.
 A ConjugateProduct over a named generator tau0 denotes a product
 prod_i g_i tau0^{s_i} g_i^-1 with each conjugator g_i a word over named
 elements of an Environment.  Certificates of this shape witness
-membership in the normal closure of tau0; the synthesizers below emit
-them for commutators and products of commutators, and
-`verify_certificate` replays them exactly.  `split_nontrivial_support`
-writes any nontrivial element as a product of two elements with proper
-supports, with a two-conjugate certificate for the first factor.
+membership in the normal closure of tau0; the synthesizer below emits
+them for commutators, and `verify_certificate` replays them exactly.
+`split_nontrivial_support` writes any nontrivial element as a product
+of two elements with proper supports, with a two-conjugate certificate
+for the first factor.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from .decompose import decompose_small_support, displaced_set, separated_cylinde
 from .elements import (GroupElement, commutator, compose, conjugate, identity,
                        image_of_clopen, involution_from_partial, inverse,
                        restrict, support)
-from .encoding import (FORMAT_VERSION, encode_artifact, format_backend, format_clopen,
-                       format_element, parse_backend, parse_element)
+from .encoding import (FORMAT_VERSION, encode_artifact, format_clopen, format_element,
+                       parse_backend, parse_element)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 from .transfers import commutator_transfer, full_group_transfer
 
@@ -179,11 +179,6 @@ class ConjugateProduct:
         if not self.generator:
             raise MalformedInput("conjugate product needs a generator name")
 
-    def __mul__(self, other: "ConjugateProduct") -> "ConjugateProduct":
-        if other.generator != self.generator:
-            raise MalformedInput("cannot concatenate certificates over different generators")
-        return ConjugateProduct(self.generator, self.factors + other.factors)
-
     def evaluate(self, env: "Environment") -> GroupElement:
         """Evaluate the flat word g1 tau0^s1 g1^-1 g2 ..., whose free
         reduction cancels the prefixes consecutive conjugators share."""
@@ -234,39 +229,20 @@ class Environment:
         return sorted(self._map.items())
 
 
-@dataclass(frozen=True)
-class CommutatorExpansion:
-    """The pair of words ([g1..gn, h1..hm], expansion) together with the
-    conjugated atomic pairs the expansion is made of."""
-
-    lhs: GroupWord
-    rhs: GroupWord
-    pairs: tuple[tuple[GroupWord, str, str], ...]
-
-
-def _expand_pairs(gs: list[str], hs: list[str]) -> list[tuple[GroupWord, str, str]]:
-    """The conjugated atomic pairs of [g1..gn, h1..hm], from the
-    identities [g1 R, H] = g1 [R, H] g1^-1 * [g1, H] and
+def expand_commutator_product(gs: list[str],
+                              hs: list[str]) -> list[tuple[GroupWord, str, str]]:
+    """[g1..gn, h1..hm] as the product, in list order, of the conjugates
+    c [g_i, h_j] c^-1 of its atomic commutators, listed as (c, g_i, h_j);
+    an exact identity in every environment, from the identities
+    [g1 R, H] = g1 [R, H] g1^-1 * [g1, H] and
     [g, h1 R] = [g, h1] * h1 [g, R] h1^-1: the pair (g_i, h_j) comes with
     conjugator g1..g_{i-1} h1..h_{j-1}, i descending, then j ascending."""
+    if not gs or not hs:
+        raise MalformedInput("commutator expansion needs nonempty name lists")
     g_prefix = list(accumulate((((g, 1),) for g in gs[:-1]), add, initial=()))
     h_prefix = list(accumulate((((h, 1),) for h in hs[:-1]), add, initial=()))
     return [(GroupWord(g_prefix[i] + h_prefix[j]), gs[i], hs[j])
             for i in reversed(range(len(gs))) for j in range(len(hs))]
-
-
-def expand_commutator_product(gs: list[str], hs: list[str]) -> CommutatorExpansion:
-    """Express [g1..gn, h1..hm] as a product of conjugates of the atomic
-    commutators [g_i, h_j]; an exact identity in every environment."""
-    if not gs or not hs:
-        raise MalformedInput("commutator expansion needs nonempty name lists")
-    pairs = tuple(_expand_pairs(list(gs), list(hs)))
-    gw = GroupWord(tuple((n, 1) for n in gs))
-    hw = GroupWord(tuple((n, 1) for n in hs))
-    lhs = gw * hw * gw.inverse() * hw.inverse()
-    rhs = [token for conj, a, b in pairs
-           for token in (conj * commutator_word(a, b) * conj.inverse()).tokens]
-    return CommutatorExpansion(lhs, GroupWord(tuple(rhs)), pairs)
 
 
 def _proper_support_factors(name: str, env: Environment,
@@ -475,7 +451,8 @@ def commutator_in_normal_closure(alpha_name: str, beta_name: str,
     a_factors = _proper_support_factors(alpha_name, env, eta / 2)
     a_bounds = dict(a_factors)
     b_bounds = dict(b_factors)
-    expansion = _expand_pairs([n for n, _ in a_factors], [n for n, _ in b_factors])
+    expansion = expand_commutator_product([n for n, _ in a_factors],
+                                          [n for n, _ in b_factors])
     factors: list[ConjugateFactor] = []
     tags: set[str] = set()
     pairs = 0
@@ -497,25 +474,6 @@ def commutator_in_normal_closure(alpha_name: str, beta_name: str,
             "pairs": pairs,
             "tags": sorted(tags),
         })
-    return cert
-
-
-def simplicity_certificate(tau0_name: str,
-                           targets: list[tuple[str, str]],
-                           env: Environment) -> ConjugateProduct:
-    """Concatenated closure certificates: the normal closure of any
-    nontrivial tau0 swallows any product of commutators."""
-    tau0 = env.get(tau0_name)
-    if tau0.is_identity():
-        raise PreconditionError("the generator tau0 must be nontrivial")
-    cert = ConjugateProduct(tau0_name, ())
-    product = identity(env.backend)
-    for alpha_name, beta_name in targets:
-        cert = cert * commutator_in_normal_closure(alpha_name, beta_name, tau0_name, env)
-        alpha, beta = env.get(alpha_name), env.get(beta_name)
-        product = compose(product, commutator(alpha, beta)[0])
-    if not cert.evaluate(env) == product:
-        raise PostconditionError("concatenated certificate does not evaluate to the product")
     return cert
 
 
@@ -556,7 +514,7 @@ def product_to_dict(cp: ConjugateProduct, env: Environment) -> dict:
 def certificate_to_dict(cp: ConjugateProduct, env: Environment,
                         target: GroupElement, trace: dict | None = None) -> dict:
     return {
-        "backend": format_backend(env.backend),
+        "backend": env.backend.tag,
         **product_to_dict(cp, env),
         "target": format_element(target),
         "trace": trace or {},

@@ -19,13 +19,13 @@ from fractions import Fraction
 from functools import reduce
 
 from .backends import compare_clopen, source_range
-from .certificates import (Environment, commutator_in_normal_closure, dump_certificate,
+from .certificates import (Environment, certificate_to_dict, commutator_in_normal_closure,
                            load_certificate, product_to_dict,
                            split_nontrivial_support, verify_certificate)
 from .decompose import decompose_small_support
 from .elements import commutator, compose, identity, image_of_clopen, support
-from .encoding import (encode_artifact, format_bisection, format_clopen, format_element,
-                       parse_backend, parse_clopen, parse_element)
+from .encoding import (MAX_WORD_DEPTH, encode_artifact, format_bisection, format_clopen,
+                       format_element, parse_backend, parse_clopen, parse_element)
 from .errors import MalformedInput, PreconditionError
 from .selftest import SUITES, RunConfig, run_selftest
 from .transfers import (exact_swap_involution, full_group_transfer,
@@ -38,13 +38,12 @@ EXIT_VERIFY = 3
 EXIT_INTERNAL = 4
 
 
-def _emit(artifact: dict | str, summary: list[str], out_path: str | None,
+def _emit(artifact: dict, summary: list[str], out_path: str | None,
           noun: str = "artifact") -> None:
-    """Write the artifact to `out_path`, if given, before anything is
-    printed; then print the summary and either where the artifact went
-    or its text.  A dict is encoded here (`encode_artifact`); a str is a
-    file already encoded (a certificate)."""
-    text = artifact if isinstance(artifact, str) else encode_artifact(artifact)
+    """Encode the artifact (`encode_artifact`) and write it to `out_path`,
+    if given, before anything is printed; then print the summary and
+    either where the artifact went or its text."""
+    text = encode_artifact(artifact)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -131,7 +130,16 @@ def _cmd_gw(args) -> None:
 
 
 def _parse_eps(text: str) -> Fraction:
+    """An exact rational in ASCII digits (1/8, 0.125, 125e-3).  Its decimal
+    exponent is at most MAX_WORD_DEPTH in size, so no power of ten longer
+    than that is built: 10^-MAX_WORD_DEPTH is below the measure of every
+    cylinder a word can name."""
+    _, e, exponent = text.lower().partition("e")
     try:
+        if not text.isascii():
+            raise ValueError("digits must be ASCII 0-9")
+        if e and abs(int(exponent)) > MAX_WORD_DEPTH:
+            raise ValueError(f"decimal exponent over the limit of {MAX_WORD_DEPTH}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"bad epsilon {text!r}: {exc}") from exc
@@ -179,9 +187,9 @@ def _cmd_certify(args) -> None:
     trace: dict = {}
     cert = commutator_in_normal_closure("alpha", "beta", "tau0", env, trace)
     target = commutator(alpha, beta)[0]
-    text = dump_certificate(cert, env, target, trace)
-    _emit(text, [f"certify [alpha, beta] in normal closure of tau0 ({tau0.backend.tag})",
-                 f"  factors {len(cert.factors)}"],
+    _emit(certificate_to_dict(cert, env, target, trace),
+          [f"certify [alpha, beta] in normal closure of tau0 ({tau0.backend.tag})",
+           f"  factors {len(cert.factors)}"],
           args.out, "certificate")
 
 

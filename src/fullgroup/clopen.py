@@ -17,6 +17,7 @@ floats.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -193,11 +194,15 @@ def _gaps(words: Sequence[Word], base: int, k: int) -> list[Word]:
 
 
 def depth_for_measure_below(base: int, bound: Fraction) -> int:
-    """Smallest depth d with base**(-d) strictly below `bound`."""
+    """Smallest depth d with base**(-d) strictly below `bound`, that is
+    with base**d above q = floor(1/bound): the count of q's base-b
+    digits.  The float estimate starts at most two below it, so a few
+    integer powers settle it at any depth."""
     if bound <= 0:
         raise MalformedInput("bound must be positive")
-    d = 0
-    while Fraction(1, base ** d) >= bound:
+    q = bound.denominator // bound.numerator
+    d = max(0, int(q.bit_length() / math.log2(base)) - 1)
+    while base ** d <= q:
         d += 1
     return d
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clopen import ClopenSet, depth_for_measure_below, expand_word, word_key
+from .clopen import SHORT_DEPTH, ClopenSet, depth_for_measure_below, expand_word, word_key
 from .elements import (GroupElement, compose, element_from_pieces,
                        image_of_clopen, inverse, involution_from_partial,
                        restrict, support)
@@ -127,9 +127,11 @@ def _decompose_odometer(alpha: GroupElement, eps: Fraction) -> DecompositionResu
     # partition depth: cells measure below eps/2, and at least 2 so that
     # each bound A_i u residual(A_i) stays proper
     depth = max(2, depth_for_measure_below(base, eps / 2))
-    if base ** depth > MAX_DECOMPOSITION_CELLS:
+    # base**depth is formed only for a depth that could keep it under the limit
+    if depth >= MAX_DECOMPOSITION_CELLS.bit_length() or base ** depth > MAX_DECOMPOSITION_CELLS:
+        cells = base ** depth if depth <= SHORT_DEPTH else f"{base}^{depth}"
         raise MalformedInput(
-            f"odometer decomposition needs {base ** depth} cells at depth {depth}, "
+            f"odometer decomposition needs {cells} cells at depth {depth}, "
             f"over the limit of {MAX_DECOMPOSITION_CELLS}")
     factors: list[GroupElement] = []
     bounds: list[ClopenSet] = []

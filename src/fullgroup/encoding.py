@@ -32,10 +32,14 @@ FORMAT_VERSION = 1
 # refused before any cylinder or piece is built from it.
 MAX_WORD_DEPTH = 4096
 
-_CLOPEN_RE = re.compile(r"^b(\d+):\{(.*)\}$")
-_BACKEND_RE = re.compile(r"^(odo|shift)(\d+)$")
-_ODO_PIECE_RE = re.compile(r"^\(([0-9]+|ε);([+-]?\d+)\)$")
+# Digits are the ASCII 0-9 only: `\d`, `str.isdigit` and `int` also take
+# other Unicode digits, which no encoding writes.  A base has at most two
+# digits, so no base is too long for `int` to read.
+_CLOPEN_RE = re.compile(r"^b([0-9]{1,2}):\{(.*)\}$")
+_BACKEND_RE = re.compile(r"^(odo|shift)([0-9]{1,2})$")
+_ODO_PIECE_RE = re.compile(r"^\(([0-9]+|ε);([+-]?[0-9]+)\)$")
 _SHIFT_PIECE_RE = re.compile(r"^\(([0-9]+|ε)>([0-9]+|ε)\)$")
+_WORD_RE = re.compile(r"[0-9]+")
 
 
 def _check_encodable(base: int) -> None:
@@ -60,7 +64,7 @@ def parse_word(text: str, base: int) -> Word:
     if len(text) > MAX_WORD_DEPTH:
         raise MalformedInput(
             f"word of depth {len(text)} is over the limit of {MAX_WORD_DEPTH}")
-    if not text.isdigit():
+    if not _WORD_RE.fullmatch(text):
         raise MalformedInput(f"bad word {text!r}")
     word = tuple(int(c) for c in text)
     if any(d >= base for d in word):
@@ -90,10 +94,6 @@ def parse_clopen(text: str) -> ClopenSet:
         raise MalformedInput(f"empty word in clopen encoding {text!r}; "
                              f"use {EPSILON} for the whole space")
     return ClopenSet.from_words(base, [parse_word(w, base) for w in parts])
-
-
-def format_backend(backend: BackendId) -> str:
-    return backend.tag
 
 
 def parse_backend(tag: str) -> BackendId:

@@ -13,7 +13,7 @@ import signal
 
 import pytest
 
-from fullgroup.backends import Piece, full_shift, odometer
+from fullgroup.backends import FullShift, Odometer, Piece
 from fullgroup.clopen import ClopenSet
 from fullgroup.errors import PreconditionError
 
@@ -161,14 +161,14 @@ def base(request):
 
 @pytest.fixture(params=["odometer", "shift"], ids=["odo", "shift"])
 def backend(request, base):
-    return odometer(base) if request.param == "odometer" else full_shift(base)
+    return Odometer(base) if request.param == "odometer" else FullShift(base)
 
 
 @pytest.fixture
 def odo2():
-    return odometer(2)
+    return Odometer(2)
 
 
 @pytest.fixture
 def shift2():
-    return full_shift(2)
+    return FullShift(2)

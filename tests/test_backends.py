@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from fullgroup.backends import (Bisection, FullShift, Odometer,
                                 OdometerPiece, Piece, compare_clopen,
-                                full_shift, odometer, pair_cylinders,
-                                source_range, validate_bisection, value_word,
+                                pair_cylinders, source_range, validate_bisection,
                                 word_value)
 from fullgroup.clopen import ClopenSet
 from fullgroup.encoding import parse_backend
@@ -23,14 +22,14 @@ def cs(base, *words):
 
 class TestBackendId:
     def test_tags(self):
-        assert odometer(2).tag == "odo2"
-        assert full_shift(3).tag == "shift3"
+        assert Odometer(2).tag == "odo2"
+        assert FullShift(3).tag == "shift3"
 
     def test_models_stay_distinct(self):
         # equality is by model class and base, so one base gives two keys
-        assert odometer(2) != full_shift(2)
-        assert odometer(2) == Odometer(2) and full_shift(2) == FullShift(2)
-        assert len({odometer(2): "odo", full_shift(2): "shift"}) == 2
+        assert Odometer(2) != FullShift(2)
+        assert Odometer(2) == Odometer(2) and FullShift(2) == FullShift(2)
+        assert len({Odometer(2): "odo", FullShift(2): "shift"}) == 2
         assert isinstance(parse_backend("odo3"), Odometer)
         assert isinstance(parse_backend("shift3"), FullShift)
 
@@ -59,23 +58,24 @@ def test_range_word_matches_integer_sum(base, power, data):
     mod base**depth, for words of 0 to 40 digits."""
     word = data.draw(st.lists(st.integers(0, base - 1), max_size=40).map(tuple))
     d = len(word)
-    want = value_word((word_value(word, base) + power) % base ** d, d, base)
+    value = (word_value(word, base) + power) % base ** d
+    want = tuple(value // base ** i % base for i in range(d))
     assert OdometerPiece(word, power, base).target == want
 
 
 class TestValidate:
     def test_ok_shift(self):
-        bis = Bisection(full_shift(2), (
+        bis = Bisection(FullShift(2), (
             Piece((0,), (1, 1)), Piece((1, 1), (0,)), Piece((1, 0), (1, 0))))
         assert validate_bisection(bis) is None
 
     def test_range_violation(self):
-        bis = Bisection(full_shift(2), (
+        bis = Bisection(FullShift(2), (
             Piece((0,), (1,)), Piece((1, 0), (1, 1))))
         assert validate_bisection(bis) == "range cylinders overlap: (1,) vs (1, 1)"
 
     def test_odometer_involution(self):
-        bis = Bisection(odometer(2), (OdometerPiece((0,), 1), OdometerPiece((1,), -1)))
+        bis = Bisection(Odometer(2), (OdometerPiece((0,), 1), OdometerPiece((1,), -1)))
         assert validate_bisection(bis) is None
         _, rng = source_range(bis)
         assert rng.is_whole()
@@ -84,25 +84,25 @@ class TestValidate:
         # each model rejects a piece that breaks its rule: the odometer
         # keeps the depth, the shift carries nothing into the tail
         with pytest.raises(MalformedInput):
-            Bisection(odometer(2), (Piece((0,), (1, 1)),))
+            Bisection(Odometer(2), (Piece((0,), (1, 1)),))
         with pytest.raises(MalformedInput):
-            Bisection(full_shift(2), (Piece((0,), (1,), 1),))
+            Bisection(FullShift(2), (Piece((0,), (1,), 1),))
         # (0)->(1) is the odometer piece (0;+1)
-        assert Bisection(odometer(2), (Piece((0,), (1,)),)).pieces == (OdometerPiece((0,), 1),)
+        assert Bisection(Odometer(2), (Piece((0,), (1,)),)).pieces == (OdometerPiece((0,), 1),)
 
 
 class TestSourceRange:
     def test_empty(self):
-        src, rng = source_range(Bisection(odometer(2), ()))
+        src, rng = source_range(Bisection(Odometer(2), ()))
         assert src.is_empty() and rng.is_empty()
 
     def test_translation(self):
-        src, rng = source_range(Bisection(odometer(2), (OdometerPiece((0, 0), 1),)))
+        src, rng = source_range(Bisection(Odometer(2), (OdometerPiece((0, 0), 1),)))
         assert src == cs(2, (0, 0))
         assert rng == cs(2, (1, 0))
 
     def test_whole(self):
-        bis = Bisection(full_shift(2), (
+        bis = Bisection(FullShift(2), (
             Piece((0,), (1, 1)), Piece((1, 1), (0,)), Piece((1, 0), (1, 0))))
         src, rng = source_range(bis)
         assert src.is_whole() and rng.is_whole()
@@ -110,18 +110,18 @@ class TestSourceRange:
 
 class TestCompare:
     def test_odometer_example(self):
-        U = compare_clopen(odometer(2), cs(2, (0, 0)), cs(2, (1,)))
+        U = compare_clopen(Odometer(2), cs(2, (0, 0)), cs(2, (1,)))
         assert U.pieces == (OdometerPiece((0, 0), 1),)
         src, rng = source_range(U)
         assert src == cs(2, (0, 0))
         assert rng == cs(2, (1, 0))
 
     def test_empty_source(self):
-        U = compare_clopen(odometer(2), ClopenSet.empty(2), cs(2, (1,)))
+        U = compare_clopen(Odometer(2), ClopenSet.empty(2), cs(2, (1,)))
         assert U.pieces == ()
 
     def test_shift_example(self):
-        U = compare_clopen(full_shift(2), cs(2, (0,)), cs(2, (1, 1)))
+        U = compare_clopen(FullShift(2), cs(2, (0,)), cs(2, (1, 1)))
         assert U.pieces == (Piece((0,), (1, 1, 0)),)
         src, rng = source_range(U)
         assert src == cs(2, (0,))
@@ -129,21 +129,21 @@ class TestCompare:
 
     def test_odometer_measure_precondition(self):
         with pytest.raises(PreconditionError):
-            compare_clopen(odometer(2), cs(2, (0,)), cs(2, (1, 0)))
+            compare_clopen(Odometer(2), cs(2, (0,)), cs(2, (1, 0)))
 
     def test_empty_target(self):
         with pytest.raises(PreconditionError):
-            compare_clopen(full_shift(2), cs(2, (0,)), ClopenSet.empty(2))
+            compare_clopen(FullShift(2), cs(2, (0,)), ClopenSet.empty(2))
 
     def test_invalid_witness_is_internal_error(self, monkeypatch):
         monkeypatch.setattr("fullgroup.backends.pair_cylinders", overlapping_pairing)
         with pytest.raises(PostconditionError, match="range cylinders overlap"):
-            compare_clopen(odometer(2), cs(2, (0, 0), (0, 1, 0)), cs(2, (1,)))
+            compare_clopen(Odometer(2), cs(2, (0, 0), (0, 1, 0)), cs(2, (1,)))
 
     @pytest.mark.parametrize("kind", ["odometer", "shift"])
     @pytest.mark.parametrize("base", [2, 3])
     def test_randomized_postconditions(self, kind, base):
-        backend = odometer(base) if kind == "odometer" else full_shift(base)
+        backend = Odometer(base) if kind == "odometer" else FullShift(base)
         rng = substream(101, f"cmp:{backend.tag}")
         for _ in range(60):
             A, B = comparison_pair(rng, backend, 5)
@@ -161,7 +161,7 @@ class TestCompare:
 
 @pytest.mark.parametrize("base", [2, 3])
 def test_lazy_pairing_matches_refined_pairing(base):
-    backend = odometer(base)
+    backend = Odometer(base)
     rng = substream(102, f"pair:{backend.tag}")
     for _ in range(60):
         S, T = comparison_pair(rng, backend, 5)
@@ -175,7 +175,7 @@ class TestFreeness:
         # a nonzero power never fixes a base-b integer
         from fullgroup.elements import apply_point, element_from_pieces
         from fullgroup.clopen import PointName
-        elem = element_from_pieces(odometer(2), [OdometerPiece((), 1)],
+        elem = element_from_pieces(Odometer(2), [OdometerPiece((), 1)],
                                    fill_identity=False)
         for pre in ((0,), (1,), (0, 1), (1, 1)):
             p = PointName.zeros_tail(2, pre)
@@ -200,14 +200,14 @@ class TestPieceProtocol:
 
     def test_measure_hypothesis(self):
         A, B = cs(2, (0,)), cs(2, (1, 0))
-        assert not odometer(2).measure_below(A, B)
-        assert odometer(2).measure_below(B, A)
-        assert not odometer(2).measure_below(cs(2, (0, 0)), A, factor=2)
-        assert odometer(2).measure_equal(cs(2, (0, 0), (0, 1)), A)
-        assert not odometer(2).measure_equal(A, B)
+        assert not Odometer(2).measure_below(A, B)
+        assert Odometer(2).measure_below(B, A)
+        assert not Odometer(2).measure_below(cs(2, (0, 0)), A, factor=2)
+        assert Odometer(2).measure_equal(cs(2, (0, 0), (0, 1)), A)
+        assert not Odometer(2).measure_equal(A, B)
         # no invariant measure: both hold vacuously
-        assert full_shift(2).measure_below(A, B, factor=3)
-        assert full_shift(2).measure_equal(A, B)
+        assert FullShift(2).measure_below(A, B, factor=3)
+        assert FullShift(2).measure_equal(A, B)
 
     def test_restrict_inverse_after(self):
         p = OdometerPiece((1,), 1)
@@ -232,9 +232,9 @@ class TestPieceProtocol:
             (0,), [Piece((0, 0), (1, 0)), Piece((0, 1), (0, 1))]) is None
 
     @pytest.mark.parametrize("model, piece", [
-        (odometer(2), OdometerPiece((), 4)), (odometer(2), OdometerPiece((1,), -2)),
-        (odometer(2), OdometerPiece((0, 1), 3)), (full_shift(2), Piece((0,), (0, 1))),
-        (full_shift(2), Piece((0, 1), (0,))), (full_shift(2), Piece((0,), (1, 1)))],
+        (Odometer(2), OdometerPiece((), 4)), (Odometer(2), OdometerPiece((1,), -2)),
+        (Odometer(2), OdometerPiece((0, 1), 3)), (FullShift(2), Piece((0,), (0, 1))),
+        (FullShift(2), Piece((0, 1), (0,))), (FullShift(2), Piece((0,), (1, 1)))],
         ids=[f"piece{i}" for i in range(6)])
     def test_separated_word_is_moved_off_itself(self, model, piece):
         word = model.separated_word(piece)

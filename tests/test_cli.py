@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import time
 
 import pytest
@@ -52,6 +53,16 @@ class TestCompare:
                            "--backend", "odo2")
         assert code == 2
         assert "error" in err
+
+    # only ASCII digits are digits: '²' passes str.isdigit, and '١' and
+    # '٢' pass int() and the regular expression \d
+    @pytest.mark.parametrize("argv", [
+        ("b2:{²}", "b2:{1}"), ("b2:{0١}", "b2:{1}"), ("b٢:{0}", "b2:{1}"),
+        ("b2:{0}", "b2:{1}", "--backend", "odo٢")], ids=["word", "digit", "base", "tag"])
+    def test_non_ascii_digits_are_malformed(self, capsys, argv):
+        code, out, err = run(capsys, "compare", *argv)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_base_mismatch(self, capsys):
         code, _, _ = run(capsys, "compare", "b3:{0}", "b3:{1}",
@@ -165,6 +176,14 @@ class TestDecomposeSplit:
                              "elem:odo2:[(0;+1)junk(1;-1)]", "--eps", "3/8")
         assert code == 2
         assert "error" in err and not out
+
+    @pytest.mark.parametrize("elem, eps", [
+        ("elem:odo2:[(0;+١),(1;-1)]", "1/8"), ("elem:odo2:[(0;+1),(1;-1)]", "١/8")],
+        ids=["power", "eps"])
+    def test_non_ascii_digits_are_malformed(self, capsys, elem, eps):
+        code, out, err = run(capsys, "decompose", elem, "--eps", eps)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_overlong_power_exit_code(self, capsys):
         # 5000 digits is over the interpreter's integer-conversion limit
@@ -431,18 +450,46 @@ def test_failed_write_prints_only_its_error(capsys, tmp_path, name):
     assert err.startswith("i/o error: ") and err.count("\n") == 1
 
 
-# every character of the golden encodings, plus every digit, ε and a space
+# every character of the golden encodings, plus every digit, ε, a space
+# and three non-ASCII digits
 ALPHABET = sorted({c for x in INPUTS.values() for v in x.values()
                    for text in (v if isinstance(v, tuple) else (v,)) for c in text}
-                  | set("0123456789ε "))
+                  | set("0123456789ε ²١٢"))
+
+
+# the digits of a word: after "{" or "," in a set, after "(" or ">" in an
+# element; an odometer power; a piece of an element or a word of a set,
+# with the comma before it
+WORD_DIGIT = re.compile(r"(?<=[{,(>])[0-9]+")
+POWER = re.compile(r"(?<=;)[+-][0-9]+")
+PIECE = re.compile(r",?(\([^()]*\)|(?<=[{,])[0-9ε]+)")
 
 
 @st.composite
 def mutated(draw, text: str) -> str:
     """`text` with one character deleted, inserted or replaced, or one
-    slice of 3 characters duplicated."""
+    slice of 3 characters duplicated; or, keeping the encoding well
+    formed, one digit of a word replaced by another digit of the base,
+    an odometer power moved by 1, or a piece dropped."""
+    kind = draw(st.sampled_from(["delete", "insert", "replace", "duplicate",
+                                 "digit", "power", "piece"]))
+    if kind in ("digit", "power", "piece"):
+        spans = [m.span() for m in {"digit": WORD_DIGIT, "power": POWER,
+                                    "piece": PIECE}[kind].finditer(text)]
+        if spans:
+            i, j = draw(st.sampled_from(spans))
+            if kind == "piece":   # a first item takes the comma after it
+                new, j = "", j + (text[i] != "," and text[j:j + 1] == ",")
+            elif kind == "power":
+                new = f"{int(text[i:j]) + draw(st.sampled_from([-1, 1])):+d}"
+            else:
+                i = draw(st.integers(i, j - 1))
+                base = int(re.search(r"[0-9]+", text).group())
+                new = str(draw(st.sampled_from(
+                    [d for d in range(base) if str(d) != text[i]])))
+                j = i + 1
+            return text[:i] + new + text[j:]
     i = draw(st.integers(0, len(text) - 1))
-    kind = draw(st.sampled_from(["delete", "insert", "replace", "duplicate"]))
     if kind == "delete":
         return text[:i] + text[i + 1:]
     if kind == "duplicate":

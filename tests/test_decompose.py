@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from fullgroup import certificates
-from fullgroup.backends import OdometerPiece, Piece, full_shift, odometer
+from fullgroup.backends import FullShift, Odometer, OdometerPiece, Piece
 from fullgroup.clopen import ClopenSet
 from fullgroup.certificates import split_nontrivial_support, verify_certificate
 from fullgroup.decompose import (decompose_small_support, displaced_set,
@@ -27,17 +27,17 @@ def cs(base, *words):
 
 def full_flip(base=2):
     return element_from_pieces(
-        full_shift(base), [Piece((0,), (1,)), Piece((1,), (0,))],
+        FullShift(base), [Piece((0,), (1,)), Piece((1,), (0,))],
         fill_identity=True)
 
 
 def odo_flip():
     return element_from_pieces(
-        odometer(2), [OdometerPiece((0,), 1), OdometerPiece((1,), -1)],
+        Odometer(2), [OdometerPiece((0,), 1), OdometerPiece((1,), -1)],
         fill_identity=True)
 
 
-ALL_BACKENDS = [odometer(2), full_shift(2), odometer(3), full_shift(3)]
+ALL_BACKENDS = [Odometer(2), FullShift(2), Odometer(3), FullShift(3)]
 
 
 class TestSeparatedCylinder:
@@ -49,7 +49,7 @@ class TestSeparatedCylinder:
 
     def test_identity_rejected(self):
         with pytest.raises(PreconditionError):
-            separated_cylinder(identity(odometer(2)))
+            separated_cylinder(identity(Odometer(2)))
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
     def test_guarantees_hold_below_the_cylinder(self, backend):
@@ -70,7 +70,7 @@ class TestSeparatedCylinder:
 
     def test_nested_shift_piece(self):
         # source a prefix of target: the single fixed point must be avoided
-        e = element_from_pieces(full_shift(2), [
+        e = element_from_pieces(FullShift(2), [
             Piece((0,), (0, 0)), Piece((1, 0), (0, 1)),
             Piece((1, 1), (1,))], fill_identity=False)
         A = separated_cylinder(e)
@@ -90,10 +90,10 @@ def pointwise_image_words(tau, A):
 class TestDisplacedSet:
     def test_identity_rejected(self):
         with pytest.raises(PreconditionError):
-            displaced_set(identity(odometer(3)))
+            displaced_set(identity(Odometer(3)))
 
     def test_rotation_grows_past_one_cylinder(self):
-        rotation = element_from_pieces(odometer(2), [OdometerPiece((), 1)])
+        rotation = element_from_pieces(Odometer(2), [OdometerPiece((), 1)])
         C = displaced_set(rotation)
         assert C.volume() > separated_cylinder(rotation).volume()
 
@@ -101,7 +101,7 @@ class TestDisplacedSet:
         # tau swaps [00] with [10] and two depth-40 cylinders; refining the
         # whole support below its deepest word would draw ~2^41 candidates
         deep = (0, 1) + (0,) * 38
-        tau = element_from_pieces(odometer(2), [
+        tau = element_from_pieces(Odometer(2), [
             OdometerPiece((0, 0), 1), OdometerPiece((1, 0), -1),
             OdometerPiece(deep, 1), OdometerPiece((1,) + deep[1:], -1)],
             fill_identity=True)
@@ -134,13 +134,13 @@ class TestDisplacedSet:
 
 class TestDecompose:
     def test_identity_empty(self):
-        res = decompose_small_support(identity(odometer(2)), Fraction(1, 4))
+        res = decompose_small_support(identity(Odometer(2)), Fraction(1, 4))
         assert res.factors == () and res.bounds == ()
 
     def test_odometer_flip_three_eighths(self):
         alpha = odo_flip()
         res = decompose_small_support(alpha, Fraction(3, 8))
-        prod = reduce(compose, res.factors, identity(odometer(2)))
+        prod = reduce(compose, res.factors, identity(Odometer(2)))
         assert equals(prod, alpha)
         assert all(b.volume() < Fraction(3, 8) for b in res.bounds)
         assert all(b.is_proper() for b in res.bounds)
@@ -151,7 +151,7 @@ class TestDecompose:
         alpha = full_flip()
         res = decompose_small_support(alpha)
         assert len(res.factors) == 2
-        prod = reduce(compose, res.factors, identity(full_shift(2)))
+        prod = reduce(compose, res.factors, identity(FullShift(2)))
         assert equals(prod, alpha)
         assert all(b.is_proper() for b in res.bounds)
 
@@ -161,8 +161,8 @@ class TestDecompose:
         with pytest.raises(PreconditionError):
             decompose_small_support(odo_flip(), Fraction(0))
 
-    @pytest.mark.parametrize("alpha", [full_flip(), identity(full_shift(2)),
-                                       identity(odometer(2))],
+    @pytest.mark.parametrize("alpha", [full_flip(), identity(FullShift(2)),
+                                       identity(Odometer(2))],
                              ids=["shift-flip", "shift-identity", "odo-identity"])
     def test_nonpositive_epsilon_refused_on_every_backend(self, alpha):
         for eps in (Fraction(0), Fraction(-1)):
@@ -176,7 +176,7 @@ class TestDecompose:
     def test_residual_telescoping(self):
         # replay the peeling loop: after each factor the residual must be
         # the identity on everything peeled so far
-        alpha = random_element(substream(31, "tele"), odometer(2), 4,
+        alpha = random_element(substream(31, "tele"), Odometer(2), 4,
                                nontrivial=True)
         res = decompose_small_support(alpha, Fraction(1, 4))
         residual = alpha
@@ -269,7 +269,7 @@ class TestSplit:
 
     def test_identity_rejected(self):
         with pytest.raises(PreconditionError):
-            split_nontrivial_support(identity(full_shift(2)))
+            split_nontrivial_support(identity(FullShift(2)))
 
     def test_overlapping_own_pieces_are_a_postcondition_error(self, monkeypatch):
         # restrict reporting each piece twice makes sigma1's pieces overlap,
@@ -298,7 +298,7 @@ class TestSplit:
         check_split(parse_element(text))
 
     def test_every_small_shift2_element(self):
-        backend = full_shift(2)
+        backend = FullShift(2)
         parts = partitions(2, 4)
         seen = set()
         for sources in parts:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fullgroup.backends import (Bisection, OdometerPiece, Piece,
-                                full_shift, odometer)
+from fullgroup.backends import (Bisection, FullShift, Odometer, OdometerPiece,
+                                Piece)
 from fullgroup.clopen import ClopenSet
 from fullgroup.elements import element_from_pieces
 from fullgroup.encoding import (MAX_WORD_DEPTH, format_bisection, format_clopen,
@@ -15,7 +15,7 @@ from fullgroup.encoding import (MAX_WORD_DEPTH, format_bisection, format_clopen,
 from fullgroup.errors import MalformedInput
 from fullgroup.randomize import random_clopen, random_element, substream
 
-BACKENDS = [odometer(2), odometer(3), full_shift(2), full_shift(3)]
+BACKENDS = [Odometer(2), Odometer(3), FullShift(2), FullShift(3)]
 
 
 class TestClopenCodec:
@@ -35,8 +35,10 @@ class TestClopenCodec:
         assert parse_clopen("b2:{}").is_empty()
         assert parse_clopen("b2:{ε}").is_whole()
 
+    # a base of 5000 digits is over what int() reads
     @pytest.mark.parametrize("bad", ["b2:{2}", "x2:{0}", "b1:{0}", "b2:(0)",
-                                     "b2:{0,}", "{0}"])
+                                     "b2:{0,}", "{0}", "b" + "2" * 5000 + ":{0}"],
+                             ids=lambda bad: bad[:8])
     def test_malformed(self, bad):
         with pytest.raises(MalformedInput):
             parse_clopen(bad)
@@ -54,10 +56,11 @@ class TestClopenCodec:
 
 class TestBackendCodec:
     def test_roundtrip(self):
-        for backend in (odometer(2), full_shift(3)):
+        for backend in (Odometer(2), FullShift(3)):
             assert parse_backend(backend.tag) == backend
 
-    @pytest.mark.parametrize("bad", ["odo", "shift", "odo1", "torus2", "2odo"])
+    @pytest.mark.parametrize("bad", ["odo", "shift", "odo1", "torus2", "2odo",
+                                     "odo" + "2" * 5000], ids=lambda bad: bad[:8])
     def test_malformed(self, bad):
         with pytest.raises(MalformedInput):
             parse_backend(bad)
@@ -68,13 +71,13 @@ class TestBisectionCodec:
     inside element encodings."""
 
     def test_odometer_example(self):
-        bis = Bisection(odometer(2), (OdometerPiece((0, 0), 1),))
+        bis = Bisection(Odometer(2), (OdometerPiece((0, 0), 1),))
         assert format_bisection(bis) == "odo2:[(00;+1)]"
         text = "elem:odo2:[(00;+1),(01;+0),(10;-1),(11;+0)]"
         assert format_element(parse_element(text)) == text
 
     def test_shift_example(self):
-        bis = Bisection(full_shift(2), (Piece((0,), (1, 1)), Piece((1, 1), (0,)),
+        bis = Bisection(FullShift(2), (Piece((0,), (1, 1)), Piece((1, 1), (0,)),
                                         Piece((1, 0), (1, 0))))
         assert format_bisection(bis) == "shift2:[(0>11),(11>0),(10>10)]"
         # an element's pieces come back sorted by source
@@ -92,9 +95,9 @@ class TestBisectionCodec:
         # limit, so format_piece does not write one
         for power in (2 ** 14400, -(2 ** 14400)):
             with pytest.raises(MalformedInput, match="too long to write"):
-                format_piece(OdometerPiece((0,), power), odometer(2))
+                format_piece(OdometerPiece((0,), power), Odometer(2))
         longest = OdometerPiece((0,), -(10 ** 4299))
-        assert parse_piece(format_piece(longest, odometer(2)), odometer(2)) == longest
+        assert parse_piece(format_piece(longest, Odometer(2)), Odometer(2)) == longest
 
     def test_epsilon_source(self):
         assert parse_element("elem:odo2:[(ε;+1)]").pieces == (OdometerPiece((), 1),)
@@ -134,7 +137,7 @@ class TestBisectionCodec:
 class TestElementCodec:
     def test_roundtrip(self):
         elem = element_from_pieces(
-            odometer(2), [OdometerPiece((0,), 1), OdometerPiece((1,), -1)],
+            Odometer(2), [OdometerPiece((0,), 1), OdometerPiece((1,), -1)],
             fill_identity=False)
         assert parse_element(format_element(elem)) == elem
 

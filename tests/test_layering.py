@@ -1,10 +1,10 @@
-"""Module layering: imports sit at module level, the decomposition
-layer stays below the certificate layer, the model questions are
-answered by the model classes of `backends.py` over one piece class,
-each kernel fact has one rule (one overlap rule, one antichain lookup,
-one tail addition, one sibling-merge loop), and the front end does each
-job once (one artifact writer, one JSON encoder, one self-test loop,
-exit codes returned)."""
+"""Module layering: every public name is called, imports sit at module
+level, the decomposition layer stays below the certificate layer, the
+model questions are answered by the model classes of `backends.py` over
+one piece class, each kernel fact has one rule (one overlap rule, one
+antichain lookup, one tail addition, one sibling-merge loop), and the
+front end does each job once (one artifact writer, one JSON encoder, one
+self-test loop, exit codes returned)."""
 
 import ast
 from pathlib import Path
@@ -12,7 +12,15 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fullgroup"
+BENCH = SRC.parent.parent / "bench"
 MODULES = sorted(SRC.glob("*.py"))
+
+# Public functions and classes that nothing in src/ or bench/ calls, each
+# with the reason it stays.
+UNCALLED_PUBLIC = {
+    "apply_point": "the pointwise oracle: the compose and inverse tests "
+                   "compare elements against it point by point",
+}
 
 # The algorithm choices that still ask which model they run on, outside
 # backends.py: the closure parking set (certificates), the small-support
@@ -44,6 +52,41 @@ def imported_modules(tree: ast.AST) -> set[str]:
             elif node.module and node.module.startswith("fullgroup."):
                 names.add(node.module.split(".")[1])
     return names
+
+
+def _referenced(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The names a tree reads, bare or as an attribute, outside `skip`."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_public_api_is_called():
+    # every module-level public function and class of the library is
+    # referenced in src/ or bench/ outside its own definition; the
+    # re-exports of __init__.py do not count
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES if path.name != "__init__.py"}
+    outside = set().union(*(_referenced(ast.parse(path.read_text(encoding="utf-8")))
+                            for path in BENCH.glob("*.py")))
+    uncalled = set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in outside
+                    and not any(node.name in _referenced(other, node if other is tree else None)
+                                for other in trees.values())):
+                uncalled.add(node.name)
+    assert uncalled == set(UNCALLED_PUBLIC), f"public names nothing calls: {sorted(uncalled)}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -8,11 +8,12 @@ import resource
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from fullgroup.backends import OdometerPiece, odometer
+from fullgroup.backends import Odometer, OdometerPiece
 from fullgroup.clopen import MAX_REFINED_CELLS
 from fullgroup.decompose import MAX_DECOMPOSITION_CELLS
 from fullgroup.elements import involution_from_partial
@@ -73,10 +74,28 @@ def test_fine_decomposition_is_refused():
     assert str(MAX_DECOMPOSITION_CELLS) in done.stderr
 
 
+# an epsilon finer than the cell limit allows is refused from its depth
+# alone, and one with a decimal exponent over MAX_WORD_DEPTH as it is
+# parsed: before 10^20000 or 10^999999999 is built
+@pytest.mark.parametrize("eps, message", [
+    ("1e-2000", "needs 2^6645 cells at depth 6645"),
+    (f"1e-{MAX_WORD_DEPTH}", f"over the limit of {MAX_DECOMPOSITION_CELLS}"),
+    ("1e-20000", f"decimal exponent over the limit of {MAX_WORD_DEPTH}"),
+    ("1e-60000", f"decimal exponent over the limit of {MAX_WORD_DEPTH}"),
+    ("1e-999999999", f"decimal exponent over the limit of {MAX_WORD_DEPTH}")])
+def test_tiny_epsilon_is_refused_fast(eps, message):
+    started = time.perf_counter()
+    done = cli("decompose", ALPHA, "--eps", eps)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert message in done.stderr and len(done.stderr) < 200
+    assert time.perf_counter() - started < 5
+
+
 def test_certify_against_deep_tau0_is_refused():
     # tau0 swaps [0^40] and [1 0^39]: the decomposition it asks for
     # refines the whole space to depth 43
-    tau0 = involution_from_partial(odometer(2), [OdometerPiece((0,) * 40, 1)])
+    tau0 = involution_from_partial(Odometer(2), [OdometerPiece((0,) * 40, 1)])
     done = cli("certify", "--tau0", format_element(tau0), "--alpha", ALPHA,
                "--beta", BETA)
     assert done.returncode == 2, done.stderr
@@ -96,6 +115,15 @@ def test_too_many_selftest_trials_are_refused():
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert f"over the limit of {MAX_TRIALS}" in done.stderr
+
+
+def test_selftest_words_over_the_depth_limit_are_refused():
+    # the samplers draw words up to --max-depth digits deep
+    done = cli("selftest", "--suite", "clopen-algebra", "--trials", "3",
+               "--max-depth", "20000")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert f"over the word depth limit of {MAX_WORD_DEPTH}" in done.stderr
 
 
 # a shallow odometer source paired against a deep word refines to the

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fullgroup import transfers
-from fullgroup.backends import compare_clopen, full_shift, odometer
+from fullgroup.backends import FullShift, Odometer, compare_clopen
 from fullgroup.clopen import ClopenSet
 from fullgroup.elements import (compose, equals, identity, image_of_clopen,
                                 inverse, involution_from_partial, support)
@@ -25,7 +25,7 @@ def cs(base, *words):
     return ClopenSet.from_words(base, words)
 
 
-ALL_BACKENDS = [odometer(2), full_shift(2), odometer(3), full_shift(3)]
+ALL_BACKENDS = [Odometer(2), FullShift(2), Odometer(3), FullShift(3)]
 
 SYNTHESIZERS = {
     "compare_clopen": compare_clopen,
@@ -36,7 +36,7 @@ SYNTHESIZERS = {
 }
 
 
-@pytest.mark.parametrize("backend", [odometer(2), full_shift(2)], ids=lambda b: b.tag)
+@pytest.mark.parametrize("backend", [Odometer(2), FullShift(2)], ids=lambda b: b.tag)
 @pytest.mark.parametrize("name", list(SYNTHESIZERS))
 def test_sets_over_another_base_rejected(name, backend):
     # without the base check these sets reach a measure test or a base
@@ -50,7 +50,7 @@ def test_sets_over_another_base_rejected(name, backend):
 class TestFullGroupTransfer:
     def test_odometer_example(self):
         A, B = cs(2, (0, 0)), cs(2, (1,))
-        res = full_group_transfer(odometer(2), A, B)
+        res = full_group_transfer(Odometer(2), A, B)
         alpha = res.element
         assert res.postcondition_tag == INVOLUTION_SMALL_SUPPORT
         assert image_of_clopen(alpha, A) == cs(2, (1, 0))
@@ -59,27 +59,27 @@ class TestFullGroupTransfer:
         assert support(alpha).is_subset(A | image_of_clopen(alpha, A))
 
     def test_subset_gives_identity(self):
-        res = full_group_transfer(odometer(2), cs(2, (0, 0)), cs(2, (0,)))
+        res = full_group_transfer(Odometer(2), cs(2, (0, 0)), cs(2, (0,)))
         assert res.element.is_identity()
 
     def test_shift_inside_case(self):
         A, B = cs(2, (0,)), cs(2, (0, 0))
-        res = full_group_transfer(full_shift(2), A, B)
+        res = full_group_transfer(FullShift(2), A, B)
         assert res.postcondition_tag == INSIDE_CASE_SUPPORT_BOUND
         assert image_of_clopen(res.element, A).is_subset(B)
         assert not (A | support(res.element)).is_whole()
 
     def test_whole_source_rejected(self):
         with pytest.raises(PreconditionError):
-            full_group_transfer(full_shift(2), ClopenSet.whole(2), cs(2, (0,)))
+            full_group_transfer(FullShift(2), ClopenSet.whole(2), cs(2, (0,)))
 
     def test_empty_target_rejected(self):
         with pytest.raises(PreconditionError):
-            full_group_transfer(odometer(2), cs(2, (0, 0)), ClopenSet.empty(2))
+            full_group_transfer(Odometer(2), cs(2, (0, 0)), ClopenSet.empty(2))
 
     def test_odometer_measure_precondition(self):
         with pytest.raises(PreconditionError):
-            full_group_transfer(odometer(2), cs(2, (0,)), cs(2, (1, 1)))
+            full_group_transfer(Odometer(2), cs(2, (0,)), cs(2, (1, 1)))
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
     def test_randomized_postconditions(self, backend):
@@ -102,7 +102,7 @@ class TestFullGroupTransfer:
 class TestCommutatorTransfer:
     def test_odometer_cycle(self):
         A, B = cs(2, (0, 0, 0)), cs(2, (1,))
-        res = commutator_transfer(odometer(2), A, B)
+        res = commutator_transfer(Odometer(2), A, B)
         gamma = res.element
         assert res.postcondition_tag == COMMUTATOR_CYCLIC
         g1 = image_of_clopen(gamma, A)
@@ -113,28 +113,28 @@ class TestCommutatorTransfer:
         assert image_of_clopen(gamma, g2) == A
 
     def test_empty_source(self):
-        res = commutator_transfer(odometer(2), ClopenSet.empty(2), cs(2, (1,)))
+        res = commutator_transfer(Odometer(2), ClopenSet.empty(2), cs(2, (1,)))
         assert res.element.is_identity()
         assert res.witness is not None and res.witness.factors == ()
 
     def test_witness_reduces_to_beta_alpha(self):
         # [alpha, beta] = beta alpha for the constructed involutions
         A, B = cs(2, (0, 0, 0)), cs(2, (1,))
-        res = commutator_transfer(odometer(2), A, B)
+        res = commutator_transfer(Odometer(2), A, B)
         (alpha, beta), = res.witness.factors
         assert equals(res.element, compose(beta, alpha))
 
     def test_measure_threshold(self):
         with pytest.raises(PreconditionError):
-            commutator_transfer(odometer(2), cs(2, (0, 0)), cs(2, (1,)))
+            commutator_transfer(Odometer(2), cs(2, (0, 0)), cs(2, (1,)))
 
     def test_shift_inside_case(self):
         A, B = cs(2, (0,)), cs(2, (0, 0))
-        res = commutator_transfer(full_shift(2), A, B)
+        res = commutator_transfer(FullShift(2), A, B)
         assert res.postcondition_tag == COMMUTATOR_INSIDE_CASE
         assert image_of_clopen(res.element, A).is_subset(B)
         assert not (A | support(res.element)).is_whole()
-        assert equals(res.witness.evaluate(full_shift(2)), res.element)
+        assert equals(res.witness.evaluate(FullShift(2)), res.element)
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
     def test_randomized_postconditions(self, backend):
@@ -158,23 +158,23 @@ class TestCommutatorTransfer:
 class TestExactSwap:
     def test_odometer_example(self):
         A, B = cs(2, (0, 0)), cs(2, (1, 0))
-        alpha = exact_swap_involution(odometer(2), A, B)
+        alpha = exact_swap_involution(Odometer(2), A, B)
         assert image_of_clopen(alpha, A) == B
         assert compose(alpha, alpha).is_identity()
         assert support(alpha) == A | B
 
     def test_equal_sets_identity(self):
         A = cs(2, (0, 1))
-        assert exact_swap_involution(odometer(2), A, A).is_identity()
+        assert exact_swap_involution(Odometer(2), A, A).is_identity()
 
     def test_shift_full_flip(self):
-        alpha = exact_swap_involution(full_shift(2), cs(2, (0,)), cs(2, (1,)))
+        alpha = exact_swap_involution(FullShift(2), cs(2, (0,)), cs(2, (1,)))
         assert [(p.source, p.target) for p in alpha.pieces] == [((0,), (1,)), ((1,), (0,))]
 
     def test_shift_unequal_counts(self):
         # one cylinder against two: splitting bridges the count difference (base 2)
         A, B = cs(2, (0, 0)), cs(2, (0, 1), (1, 0))
-        alpha = exact_swap_involution(full_shift(2), A, B)
+        alpha = exact_swap_involution(FullShift(2), A, B)
         assert image_of_clopen(alpha, A) == B
         assert compose(alpha, alpha).is_identity()
 
@@ -182,11 +182,11 @@ class TestExactSwap:
         # base 3: one cylinder vs two is unreachable by splitting
         A, B = cs(3, (0,)), cs(3, (1,), (2,))
         with pytest.raises(PreconditionError):
-            exact_swap_involution(full_shift(3), A, B)
+            exact_swap_involution(FullShift(3), A, B)
 
     def test_odometer_measure_mismatch(self):
         with pytest.raises(PreconditionError):
-            exact_swap_involution(odometer(2), cs(2, (0,)), cs(2, (1, 0)))
+            exact_swap_involution(Odometer(2), cs(2, (0,)), cs(2, (1, 0)))
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
     def test_randomized_postconditions(self, backend):
@@ -202,14 +202,14 @@ class TestExactSwap:
 class TestIntertwining:
     def test_zero_rounds(self):
         A, B = cs(2, (0, 0)), cs(2, (1, 0))
-        state = gw_intertwining(odometer(2), A, B, 0)
+        state = gw_intertwining(Odometer(2), A, B, 0)
         assert state.round == 0
         assert state.partial.is_identity()
         assert (state.residual_a, state.residual_b) == (A, B)
 
     def test_three_rounds_odometer(self):
         A, B = cs(2, (0, 0)), cs(2, (1, 0))
-        state = gw_intertwining(odometer(2), A, B, 3)
+        state = gw_intertwining(Odometer(2), A, B, 3)
         assert state.residual_a.diameter_bound() < Fraction(1, 4)
         assert state.residual_a.contains_point(state.anchor_a)
         assert state.residual_b.contains_point(state.anchor_b)
@@ -221,7 +221,7 @@ class TestIntertwining:
 
     def test_prefix_property(self):
         A, B = cs(2, (0, 0)), cs(2, (1, 0))
-        for backend in (odometer(2), full_shift(2)):
+        for backend in (Odometer(2), FullShift(2)):
             for k in range(4):
                 small = gw_intertwining(backend, A, B, k)
                 big = gw_intertwining(backend, A, B, k + 1)
@@ -234,7 +234,7 @@ class TestIntertwining:
     def test_overlapping_inputs(self):
         # identity on the intersection, residuals inside the differences
         A, B = cs(2, (0,)), cs(2, (0, 0), (1, 0))
-        state = gw_intertwining(odometer(2), A, B, 2)
+        state = gw_intertwining(Odometer(2), A, B, 2)
         inter = A & B
         assert image_of_clopen(state.partial, inter) == inter
         assert state.residual_a.is_subset(A - B)
@@ -244,7 +244,7 @@ class TestIntertwining:
         A, B = cs(2, (0,)), cs(2, (1,))
         vol = (A - B).volume()
         for n in (1, 2, 3, 4):
-            state = gw_intertwining(odometer(2), A, B, n)
+            state = gw_intertwining(Odometer(2), A, B, n)
             assert state.residual_a.volume() <= vol / 2 ** n
             assert state.residual_a.volume() == state.residual_b.volume()
 
@@ -347,12 +347,12 @@ class TestIntertwining:
                             first_range_emptied(transfers.source_range))
         with pytest.raises(PostconditionError, match="round 2 comparison refused: "
                                                      "comparison unavailable"):
-            gw_intertwining(odometer(3), cs(3, (0,)), cs(3, (1,)), 2)
+            gw_intertwining(Odometer(3), cs(3, (0,)), cs(3, (1,)), 2)
 
     def test_negative_rounds_rejected(self):
         with pytest.raises(PreconditionError):
-            gw_intertwining(odometer(2), cs(2, (0, 0)), cs(2, (1, 0)), -1)
+            gw_intertwining(Odometer(2), cs(2, (0, 0)), cs(2, (1, 0)), -1)
 
     def test_precondition_differences(self):
         with pytest.raises(PreconditionError):
-            gw_intertwining(odometer(2), cs(2, (0,)), cs(2, (0,)), 1)
+            gw_intertwining(Odometer(2), cs(2, (0,)), cs(2, (0,)), 1)

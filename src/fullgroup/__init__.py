@@ -18,11 +18,10 @@ from .certificates import (ConjugateFactor, ConjugateProduct, Environment,
                            verify_certificate)
 from .clopen import ClopenSet, MeasureValue, PointName
 from .decompose import DecompositionResult, decompose_small_support
-from .elements import (DerivedWitness, GroupElement, apply_point,
-                       check_measure_invariance, commutator, compose,
-                       conjugate, element_from_pieces, equals, identity,
-                       image_of_clopen, inverse, involution_from_partial,
-                       support)
+from .elements import (GroupElement, apply_point, check_measure_invariance,
+                       commutator, compose, conjugate, element_from_pieces,
+                       equals, identity, image_of_clopen, inverse,
+                       involution_from_partial, support)
 from .errors import (FullGroupError, MalformedInput, PostconditionError,
                      PreconditionError)
 from .transfers import (GWState, TransferResult, commutator_transfer,

@@ -49,8 +49,8 @@ class GroupWord:
                 raise MalformedInput("empty name in group word")
 
     @classmethod
-    def gen(cls, name: str, exp: int = 1) -> "GroupWord":
-        return cls(((name, exp),))
+    def gen(cls, name: str) -> "GroupWord":
+        return cls(((name, 1),))
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         return GroupWord(self.tokens + other.tokens)
@@ -553,9 +553,8 @@ def certificate_from_dict(data: dict) -> tuple[ConjugateProduct, Environment, Gr
     return cp, env, target
 
 
-def dump_certificate(cp: ConjugateProduct, env: Environment,
-                     target: GroupElement, trace: dict | None = None) -> str:
-    return encode_artifact(certificate_to_dict(cp, env, target, trace))
+def dump_certificate(cp: ConjugateProduct, env: Environment, target: GroupElement) -> str:
+    return encode_artifact(certificate_to_dict(cp, env, target))
 
 
 def load_certificate(text: str) -> tuple[ConjugateProduct, Environment, GroupElement]:

@@ -14,6 +14,7 @@ failed postcondition or an unexpected exception, reported on one line).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from functools import reduce
@@ -220,6 +221,17 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_VERIFY
 
 
+def _ascii_int(text: str) -> int:
+    """An integer option: ASCII digits after an optional minus sign, where
+    `int` also takes other Unicode digits, `_` separators and spaces."""
+    try:
+        if re.fullmatch(r"-?[0-9]+", text):
+            return int(text)
+    except ValueError:  # over the interpreter's integer-conversion limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 class _ParserExit(Exception):
     """argparse's exit status: 0 after --help, 2 after a usage error."""
 
@@ -254,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    help="synthesize a derived-subgroup transfer instead")}),
             ("swap", _cmd_swap, "exact swap involution between A and B", {}),
             ("gw", _cmd_gw, "truncated anchored intertwining",
-             {"--rounds": dict(type=int, required=True)})):
+             {"--rounds": dict(type=_ascii_int, required=True)})):
         p = sub.add_parser(name, help=text)
         p.add_argument("A")
         p.add_argument("B")
@@ -290,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run a randomized property suite")
     p.add_argument("--suite", required=True,
                    help="one of: " + ", ".join(sorted(SUITES)))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--max-depth", type=int, default=4, dest="max_depth")
+    p.add_argument("--seed", type=_ascii_int, default=0)
+    p.add_argument("--trials", type=_ascii_int, default=50)
+    p.add_argument("--max-depth", type=_ascii_int, default=4, dest="max_depth")
     add_backend(p)
     add_out(p)
     p.set_defaults(func=_cmd_selftest)

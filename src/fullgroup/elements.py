@@ -16,7 +16,6 @@ in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -199,30 +198,17 @@ def apply_point(f: GroupElement, point: PointName) -> PointName:
     return f.pieces[i].image_point(point)
 
 
-def commutator(f: GroupElement, g: GroupElement) -> tuple[GroupElement, "DerivedWitness"]:
-    """f g f^-1 g^-1 together with its one-leaf derived witness."""
+def commutator(f: GroupElement,
+               g: GroupElement) -> tuple[GroupElement, tuple[GroupElement, GroupElement]]:
+    """f g f^-1 g^-1 together with its witness, the pair (f, g)."""
     f._check_backend(g)
     elem = compose(compose(compose(f, g), inverse(f)), inverse(g))
-    return elem, DerivedWitness(((f, g),))
+    return elem, (f, g)
 
 
 def conjugate(g: GroupElement, f: GroupElement) -> GroupElement:
     """g f g^-1."""
     return compose(compose(g, f), inverse(g))
-
-
-@dataclass(frozen=True)
-class DerivedWitness:
-    """A product of commutator leaves certifying membership in the
-    derived subgroup; evaluates to the element it accompanies."""
-
-    factors: tuple[tuple[GroupElement, GroupElement], ...]
-
-    def evaluate(self, backend: BackendId) -> GroupElement:
-        if not self.factors:
-            return identity(backend)
-        leaves = [commutator(f, g)[0] for f, g in self.factors]
-        return reduce(compose, leaves)
 
 
 def check_measure_invariance(f: GroupElement,

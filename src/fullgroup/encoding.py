@@ -33,10 +33,12 @@ FORMAT_VERSION = 1
 MAX_WORD_DEPTH = 4096
 
 # Digits are the ASCII 0-9 only: `\d`, `str.isdigit` and `int` also take
-# other Unicode digits, which no encoding writes.  A base has at most two
-# digits, so no base is too long for `int` to read.
-_CLOPEN_RE = re.compile(r"^b([0-9]{1,2}):\{(.*)\}$")
-_BACKEND_RE = re.compile(r"^(odo|shift)([0-9]{1,2})$")
+# other Unicode digits, which no encoding writes.  A base is spelled as
+# it is written, 2 to 10 with no leading zero, so the pattern alone
+# refuses every other base.
+_BASE = r"([2-9]|10)"
+_CLOPEN_RE = re.compile(rf"^b{_BASE}:\{{(.*)\}}$")
+_BACKEND_RE = re.compile(rf"^(odo|shift){_BASE}$")
 _ODO_PIECE_RE = re.compile(r"^\(([0-9]+|ε);([+-]?[0-9]+)\)$")
 _SHIFT_PIECE_RE = re.compile(r"^\(([0-9]+|ε)>([0-9]+|ε)\)$")
 _WORD_RE = re.compile(r"[0-9]+")
@@ -83,9 +85,6 @@ def parse_clopen(text: str) -> ClopenSet:
     if not m:
         raise MalformedInput(f"bad clopen encoding {text!r}")
     base = int(m.group(1))
-    if base < 2:
-        raise MalformedInput(f"bad base {base}")
-    _check_encodable(base)
     body = m.group(2).strip()
     if not body:
         return ClopenSet.empty(base)

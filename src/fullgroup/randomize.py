@@ -22,8 +22,9 @@ def substream(seed: int, label: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def random_word(rng: random.Random, base: int, max_len: int, min_len: int = 0) -> Word:
-    return tuple(rng.randrange(base) for _ in range(rng.randint(min_len, max_len)))
+def random_word(rng: random.Random, base: int, max_len: int) -> Word:
+    """A word of 1 to max_len random digits."""
+    return tuple(rng.randrange(base) for _ in range(rng.randint(1, max_len)))
 
 
 def random_clopen(rng: random.Random, base: int, max_depth: int, *,
@@ -31,7 +32,7 @@ def random_clopen(rng: random.Random, base: int, max_depth: int, *,
     """A clopen set from a handful of random cylinder words."""
     while True:
         count = rng.randint(0 if not nonempty else 1, 4)
-        words = [random_word(rng, base, max_depth, 1) for _ in range(count)]
+        words = [random_word(rng, base, max_depth) for _ in range(count)]
         A = ClopenSet.from_words(base, words)
         if nonempty and A.is_empty():
             continue
@@ -40,26 +41,19 @@ def random_clopen(rng: random.Random, base: int, max_depth: int, *,
         return A
 
 
-def equal_measure_pair(rng: random.Random, base: int, max_depth: int, *,
-                       region: ClopenSet | None = None) -> tuple[ClopenSet, ClopenSet]:
-    """Two distinct equal-measure clopen sets (equal cylinder counts at a
-    common depth), optionally inside a given region."""
-    lo = 2 if region is None else max(2, region.max_depth())
+def equal_measure_pair(rng: random.Random, region: ClopenSet,
+                       max_depth: int) -> tuple[ClopenSet, ClopenSet]:
+    """Two equal-measure clopen sets inside `region` (equal cylinder
+    counts at a common depth), neither inside the other."""
+    lo = max(2, region.max_depth())
     while True:
         depth = rng.randint(lo, max(lo, max_depth))
-        if region is None:
-            pool = list(ClopenSet.whole(base).refine_to(depth))
-        else:
-            pool = list(region.refine_to(depth))
+        pool = list(region.refine_to(depth))
         if len(pool) < 2:
             continue
         k = rng.randint(1, max(1, min(3, len(pool) // 2)))
-        aw = rng.sample(pool, k)
-        bw = rng.sample(pool, k)
-        A = ClopenSet.from_words(base, aw)
-        B = ClopenSet.from_words(base, bw)
-        if set(aw) == set(bw):
-            continue
+        A = ClopenSet.from_words(region.base, rng.sample(pool, k))
+        B = ClopenSet.from_words(region.base, rng.sample(pool, k))
         if A.is_subset(B) or B.is_subset(A):
             continue
         return A, B
@@ -68,16 +62,16 @@ def equal_measure_pair(rng: random.Random, base: int, max_depth: int, *,
 def swap_equivalent_pair(rng: random.Random, backend: BackendId,
                          max_depth: int, *,
                          region: ClopenSet | None = None) -> tuple[ClopenSet, ClopenSet]:
-    """An admissible input pair for exact_swap_involution: equal measures
-    on the odometer, congruent cylinder counts mod base-1 on the shift."""
+    """An admissible input pair for exact_swap_involution inside `region`
+    (by default the whole space): equal measures on the odometer,
+    congruent cylinder counts mod base-1 on the shift."""
     base = backend.base
+    region = region or ClopenSet.whole(base)
     if backend.is_odometer:
-        return equal_measure_pair(rng, base, max_depth, region=region)
+        return equal_measure_pair(rng, region, max_depth)
     while True:
-        A = random_clopen(rng, base, max_depth, nonempty=True, proper=True)
-        B = random_clopen(rng, base, max_depth, nonempty=True, proper=True)
-        if region is not None:
-            A, B = A & region, B & region
+        A = random_clopen(rng, base, max_depth, nonempty=True, proper=True) & region
+        B = random_clopen(rng, base, max_depth, nonempty=True, proper=True) & region
         A1, B1 = A - B, B - A
         if A1.is_empty() or B1.is_empty():
             continue
@@ -122,10 +116,9 @@ def random_element(rng: random.Random, backend: BackendId, max_depth: int, *,
     reserved cylinder, so the support is never the whole space.
     """
     base = backend.base
-    region = None
+    region = ClopenSet.whole(base)
     if proper_support:
-        reserve = random_word(rng, base, 2, 1)
-        region = ClopenSet.from_words(base, [reserve]).complement()
+        region = ClopenSet.from_words(base, [random_word(rng, base, 2)]).complement()
     while True:
         result = identity(backend)
         for _ in range(moves if moves is not None else rng.randint(1, 3)):

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .backends import BackendId, Piece, compare_clopen, source_range
 from .clopen import ClopenSet, PointName
-from .elements import (DerivedWitness, GroupElement, commutator, compose, identity,
-                       image_of_clopen, involution_from_partial, support)
+from .elements import (GroupElement, commutator, compose, identity, image_of_clopen,
+                       involution_from_partial, support)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 INVOLUTION_SMALL_SUPPORT = "InvolutionSmallSupport"
@@ -30,13 +30,24 @@ MAX_GW_ROUNDS = 64
 @dataclass(frozen=True)
 class TransferResult:
     element: GroupElement
-    witness: DerivedWitness | None
+    # (alpha, beta) with element = [alpha, beta]; None for a full-group transfer
+    witness: tuple[GroupElement, GroupElement] | None
     postcondition_tag: str
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise PostconditionError(message)
+
+
+def _check_transfer_sets(backend: BackendId, A: ClopenSet, B: ClopenSet) -> None:
+    """The sets every transfer needs: on the backend's base, a source
+    that is not the whole space and a nonempty target."""
+    backend.check_sets(A, B)
+    if A.is_whole():
+        raise PreconditionError("transfer source must not be the whole space")
+    if B.is_empty():
+        raise PreconditionError("transfer target must be nonempty")
 
 
 def exact_swap_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> GroupElement:
@@ -73,11 +84,7 @@ def full_group_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
     of two involutions built inside the complement of a reserved
     cylinder, so that A u supp(alpha) is not the whole space.
     """
-    backend.check_sets(A, B)
-    if A.is_whole():
-        raise PreconditionError("transfer source must not be the whole space")
-    if B.is_empty():
-        raise PreconditionError("transfer target must be nonempty")
+    _check_transfer_sets(backend, A, B)
     if not backend.measure_below(A, B):
         raise PreconditionError(
             f"transfer unavailable: mu(A)={A.volume_text()} "
@@ -119,18 +126,15 @@ def commutator_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
     shift): both involutions avoid a reserved cylinder, keeping
     A u supp(gamma) proper.
     """
-    backend.check_sets(A, B)
-    if A.is_whole():
-        raise PreconditionError("transfer source must not be the whole space")
-    if B.is_empty():
-        raise PreconditionError("transfer target must be nonempty")
+    _check_transfer_sets(backend, A, B)
     if not backend.measure_below(A, B, factor=3):
         raise PreconditionError(
             f"commutator transfer needs 3*mu(A) < mu(B), got {A.volume_text()} "
             f"vs {B.volume_text()}")
     A1 = A - B
     if A1.is_empty():
-        return TransferResult(identity(backend), DerivedWitness(()), COMMUTATOR_CYCLIC)
+        e = identity(backend)
+        return TransferResult(e, (e, e), COMMUTATOR_CYCLIC)
     if not B.is_subset(A):
         B1 = B - A
         # keep part of the target free so beta has room

@@ -17,7 +17,7 @@ from fullgroup.certificates import (ConjugateFactor, ConjugateProduct,
 from fullgroup.elements import (commutator, compose, conjugate,
                                 element_from_pieces, equals, identity,
                                 inverse)
-from fullgroup.encoding import parse_element
+from fullgroup.encoding import encode_artifact, parse_element
 from fullgroup.errors import MalformedInput, PreconditionError
 from fullgroup.randomize import random_element, substream
 
@@ -533,10 +533,13 @@ class TestCertificateFiles:
             ("b", {"nontrivial": True, "proper_support": True, "moves": 1})])
         cert = commutator_in_normal_closure("a", "b", "tau0", env)
         target = commutator(env.get("a"), env.get("b"))[0]
-        text = dump_certificate(cert, env, target, {"note": "roundtrip"})
+        text = encode_artifact(certificate_to_dict(cert, env, target, {"note": "roundtrip"}))
         cert2, env2, target2 = load_certificate(text)
         assert verify_certificate(cert2, env2, target2)
-        assert dump_certificate(cert2, env2, target2, {"note": "roundtrip"}) == text
+        assert encode_artifact(
+            certificate_to_dict(cert2, env2, target2, {"note": "roundtrip"})) == text
+        assert dump_certificate(cert2, env2, target2) == encode_artifact(
+            certificate_to_dict(cert, env, target))
 
     def test_malformed_json(self):
         with pytest.raises(MalformedInput):

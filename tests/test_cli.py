@@ -64,6 +64,15 @@ class TestCompare:
         assert code == 2 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    # a base is read as the program writes it: 2 to 10, no leading zero
+    @pytest.mark.parametrize("argv", [
+        ("b02:{0}", "b2:{1}"), ("b2:{0}", "b2:{1}", "--backend", "odo02")],
+        ids=["set", "tag"])
+    def test_base_spellings_are_malformed(self, capsys, argv):
+        code, out, err = run(capsys, "compare", *argv)
+        assert code == 2 and not out
+        assert err.startswith("error: bad ") and err.count("\n") == 1
+
     def test_base_mismatch(self, capsys):
         code, _, _ = run(capsys, "compare", "b3:{0}", "b3:{1}",
                          "--backend", "odo2")
@@ -125,7 +134,10 @@ class TestTransferSwapGw:
          "transfer source must not be the whole space"),
         (("transfer", "b2:{0}", "b2:{}", "--backend", "shift2", "--commutator"),
          "transfer target must be nonempty"),
-    ], ids=["swap-inside", "gw-unequal", "transfer-whole-source", "transfer-empty-target"])
+        (("gw", "b2:{00}", "b2:{10}", "--backend", "odo2", "--rounds", "-1"),
+         "rounds must be nonnegative"),
+    ], ids=["swap-inside", "gw-unequal", "transfer-whole-source", "transfer-empty-target",
+            "gw-negative-rounds"])
     def test_precondition_exits(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert code == 1
@@ -373,6 +385,25 @@ class TestUsageErrors:
         assert code == 2 and not out
         assert err.startswith("usage: fullgroup") and err.endswith(f"error: {message}\n")
 
+    # integer options take ASCII digits only: int() would also read other
+    # Unicode digits, '_' separators and surrounding spaces; 5000 digits
+    # are over what int() converts
+    @pytest.mark.parametrize("argv, option, value", [
+        (["selftest", "--suite", "clopen-algebra", "--trials", "٢", "--seed", "٧"],
+         "--trials", "٢"),
+        (["selftest", "--suite", "clopen-algebra", "--seed", "٧"], "--seed", "٧"),
+        (["selftest", "--suite", "clopen-algebra", "--max-depth", "٣"], "--max-depth", "٣"),
+        (["gw", "b2:{00}", "b2:{10}", "--rounds", "٣"], "--rounds", "٣"),
+        (["selftest", "--suite", "clopen-algebra", "--trials", "1_0"], "--trials", "1_0"),
+        (["selftest", "--suite", "clopen-algebra", "--trials", " 2 "], "--trials", " 2 "),
+        (["selftest", "--suite", "clopen-algebra", "--seed", "7" * 5000], "--seed", "7" * 5000),
+    ], ids=["trials", "seed", "max-depth", "rounds", "underscore", "spaces", "overlong"])
+    def test_non_ascii_integers_are_usage_errors(self, capsys, argv, option, value):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("usage: fullgroup")
+        assert err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
+
     def test_help_returns_0(self, capsys):
         code, out, err = run(capsys, "swap", "--help")
         assert code == 0 and out.startswith("usage: fullgroup swap") and not err
@@ -401,6 +432,14 @@ class TestSelftest:
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "selftest", "--suite", "nope")
         assert code == 2
+
+    def test_unwritten_backend_tag(self, capsys):
+        # base 11 has no textual encoding, so its tag is refused when read,
+        # before any trial runs
+        code, out, err = run(capsys, "selftest", "--suite", "clopen-algebra",
+                             "--backend", "odo11", "--trials", "1")
+        assert code == 2 and not out
+        assert err == "error: bad backend tag 'odo11'\n"
 
     def test_zero_trials_rejected(self, capsys):
         code, _, _ = run(capsys, "selftest", "--suite", "comparison",

@@ -35,9 +35,11 @@ class TestClopenCodec:
         assert parse_clopen("b2:{}").is_empty()
         assert parse_clopen("b2:{ε}").is_whole()
 
-    # a base of 5000 digits is over what int() reads
+    # a base is read as written, 2 to 10 with no leading zero; a base of
+    # 5000 digits would be over what int() reads
     @pytest.mark.parametrize("bad", ["b2:{2}", "x2:{0}", "b1:{0}", "b2:(0)",
-                                     "b2:{0,}", "{0}", "b" + "2" * 5000 + ":{0}"],
+                                     "b2:{0,}", "{0}", "b" + "2" * 5000 + ":{0}",
+                                     "b0:{}", "b02:{0}", "b11:{0}"],
                              ids=lambda bad: bad[:8])
     def test_malformed(self, bad):
         with pytest.raises(MalformedInput):
@@ -60,7 +62,8 @@ class TestBackendCodec:
             assert parse_backend(backend.tag) == backend
 
     @pytest.mark.parametrize("bad", ["odo", "shift", "odo1", "torus2", "2odo",
-                                     "odo" + "2" * 5000], ids=lambda bad: bad[:8])
+                                     "odo" + "2" * 5000, "odo02", "odo11", "shift11"],
+                             ids=lambda bad: bad[:8])
     def test_malformed(self, bad):
         with pytest.raises(MalformedInput):
             parse_backend(bad)

@@ -1,13 +1,15 @@
-"""Module layering: every public name is called, imports sit at module
-level, the decomposition layer stays below the certificate layer, the
-model questions are answered by the model classes of `backends.py` over
-one piece class, each kernel fact has one rule (one overlap rule, one
-antichain lookup, one tail addition, one sibling-merge loop), and the
-front end does each job once (one artifact writer, one JSON encoder, one
-self-test loop, exit codes returned)."""
+"""Module layering: every public name is called and every defaulted
+parameter passed, imports sit at module level, the decomposition layer
+stays below the certificate layer, the model questions are answered by
+the model classes of `backends.py` over one piece class, each kernel fact
+has one rule (one overlap rule, one antichain lookup, one tail addition,
+one sibling-merge loop), and the front end does each job once (one
+artifact writer, one JSON encoder, one self-test loop, exit codes
+returned)."""
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -20,6 +22,13 @@ MODULES = sorted(SRC.glob("*.py"))
 UNCALLED_PUBLIC = {
     "apply_point": "the pointwise oracle: the compose and inverse tests "
                    "compare elements against it point by point",
+}
+
+# Defaulted parameters of public functions and methods that no call in
+# src/ or bench/ passes, each with the reason it stays.
+UNPASSED_DEFAULTS = {
+    "main(argv)": "the tests drive the CLI in-process through it; the "
+                  "console script and `python -m fullgroup` read sys.argv",
 }
 
 # The algorithm choices that still ask which model they run on, outside
@@ -87,6 +96,54 @@ def test_public_api_is_called():
                                 for other in trees.values())):
                 uncalled.add(node.name)
     assert uncalled == set(UNCALLED_PUBLIC), f"public names nothing calls: {sorted(uncalled)}"
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> Iterator[tuple[str, int | None]]:
+    """A function's defaulted parameters, each with the index a call's
+    positional argument takes to pass it (None for keyword-only); a
+    method's call leaves out self or cls."""
+    positional = fn.args.posonlyargs + fn.args.args
+    shift = method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                               for d in fn.decorator_list)
+    first = len(positional) - len(fn.args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - shift
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether a call may pass the parameter: by keyword, by position, or
+    through a starred or double-starred argument."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_defaulted_parameters_are_passed():
+    # every defaulted parameter of a public function or method of the
+    # library is passed by some call in src/ or bench/: a default nothing
+    # overrides is a constant, not a parameter
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*MODULES, *BENCH.glob("*.py")]]
+    unpassed = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [("", fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        functions += [(f"{cls.name}.", fn) for cls in tree.body
+                      if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+                      for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        for owner, fn in functions:
+            if fn.name.startswith("_"):
+                continue
+            calls = [call for other in trees for call in _calls(other, fn.name)]
+            unpassed |= {f"{owner}{fn.name}({param})"
+                         for param, index in _defaulted(fn, bool(owner))
+                         if not any(_passes(call, param, index) for call in calls)}
+    assert unpassed == set(UNPASSED_DEFAULTS), f"defaults no call passes: {sorted(unpassed)}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

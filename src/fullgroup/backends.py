@@ -97,8 +97,11 @@ class Piece(NamedTuple):
 
     def after(self, inner: "Piece", base: int) -> "Piece":
         """self o inner, for an inner piece whose range [source.t] lies in
-        the source: self's carry is added to t, and the carries add."""
-        moved, carry = add_to_tail(inner.target[len(self.source):], self.carry, base)
+        the source: self's carry, if any, is added to t, and the carries add."""
+        tail = inner.target[len(self.source):]
+        if not self.carry:
+            return Piece(inner.source, self.target + tail, inner.carry)
+        moved, carry = add_to_tail(tail, self.carry, base)
         return Piece(inner.source, self.target + moved, inner.carry + carry)
 
     def pull_back(self, run: Sequence["Piece"], base: int) -> list["Piece"]:

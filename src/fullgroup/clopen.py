@@ -59,7 +59,8 @@ def check_cylinders(words: Iterable[Word], base: int, which: str, *, cover: bool
     lexicographic order (the words between a word and an extension of it extend it too, so
     that pair is adjacent), and with `cover` unless the words cover the whole space: disjoint
     words partition it when the first is all 0s, the last all b-1s, and each next one is u
-    without its trailing b-1s, last digit + 1, then 0s."""
+    without its trailing b-1s, last digit + 1, then 0s.  That successor walk also bounds
+    every digit by b-1, and the element constructor has no other digit check."""
     ordered = sorted(words)
     covers = cover and bool(ordered) and not any(ordered[0]) and set(ordered[-1]) <= {base - 1}
     for u, v in zip(ordered, ordered[1:]):

@@ -139,8 +139,9 @@ def compose(f: GroupElement, g: GroupElement) -> GroupElement:
 
 def _composed_pieces(f: GroupElement, g: GroupElement) -> Iterator[Sequence[Piece]]:
     base, pieces = f.base, f.pieces
+    sources = [q.source for q in pieces]  # bisected with no key to call per probe
     for p in g.pieces:
-        i, j = meeting(pieces, p.target, base, _source)
+        i, j = meeting(sources, p.target, base)
         if j == i + 1:  # one piece of f meets [v] only if it covers it
             yield (pieces[i].after(p, base),)
         else:
@@ -148,13 +149,14 @@ def _composed_pieces(f: GroupElement, g: GroupElement) -> Iterator[Sequence[Piec
 
 
 def inverse(f: GroupElement) -> GroupElement:
-    """The inverse pieces (target, source, -carry) sorted by source, with
-    no merge: a complete sibling family of them that merged would be the
-    restrictions of one piece P, so their inverses, pieces of f, would be
-    the restrictions of P^-1 to the complete family of P^-1's source, a
-    mergeable family of f, which f's canonical form excludes."""
+    """The inverse pieces (target, source, -carry), each built once, sorted by source,
+    with no merge: a complete sibling family of them that merged would be the
+    restrictions of one piece P, so their inverses, pieces of f, would be the
+    restrictions of P^-1 to the complete family of P^-1's source, a mergeable family of
+    f, which f's canonical form excludes.  The sort keeps its key: comparing the pieces
+    themselves, a tuple subclass, costs more per comparison than comparing sources."""
     return GroupElement._trusted(
-        f.backend, tuple(sorted((p.inverse() for p in f.pieces), key=_source)))
+        f.backend, tuple(sorted([Piece(t, s, -c) for s, t, c in f.pieces], key=_source)))
 
 
 def equals(f: GroupElement, g: GroupElement) -> bool:

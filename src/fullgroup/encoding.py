@@ -42,6 +42,8 @@ _BACKEND_RE = re.compile(rf"^(odo|shift){_BASE}$")
 _ODO_PIECE_RE = re.compile(r"^\(([0-9]+|ε);([+-]?[0-9]+)\)$")
 _SHIFT_PIECE_RE = re.compile(r"^\(([0-9]+|ε)>([0-9]+|ε)\)$")
 _WORD_RE = re.compile(r"[0-9]+")
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # ASCII digits to values
+_DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")  # and back, both in C
 
 
 def _check_encodable(base: int) -> None:
@@ -56,7 +58,8 @@ def encode_artifact(fields: dict) -> str:
 
 
 def format_word(word: Word) -> str:
-    return "".join(map(str, word)) if word else EPSILON
+    """The digits as ASCII text, or ε; each caller is behind `_check_encodable`, so d <= 9."""
+    return bytes(word).translate(_DIGIT_TEXT).decode() if word else EPSILON
 
 
 def parse_word(text: str, base: int) -> Word:
@@ -68,8 +71,8 @@ def parse_word(text: str, base: int) -> Word:
             f"word of depth {len(text)} is over the limit of {MAX_WORD_DEPTH}")
     if not _WORD_RE.fullmatch(text):
         raise MalformedInput(f"bad word {text!r}")
-    word = tuple(int(c) for c in text)
-    if any(d >= base for d in word):
+    word = tuple(text.encode().translate(_DIGIT_VALUES))
+    if max(word) >= base:
         raise MalformedInput(f"word {text!r} has digits out of range for base {base}")
     return word
 

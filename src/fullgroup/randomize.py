@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import reduce
 
 from .backends import BackendId, OdometerPiece, Piece
 from .clopen import ClopenSet, Word
@@ -109,8 +110,8 @@ def random_element(rng: random.Random, backend: BackendId, max_depth: int, *,
                    nontrivial: bool = False,
                    proper_support: bool = False,
                    moves: int | None = None) -> GroupElement:
-    """A random element: a product of exact swap involutions, optionally
-    mixed with a full-support rotation.
+    """A random element: exact swap involutions composed from the first one
+    drawn (the identity if none is), optionally times a full-support rotation.
 
     With proper_support, all swaps happen inside the complement of a
     reserved cylinder, so the support is never the whole space.
@@ -120,10 +121,10 @@ def random_element(rng: random.Random, backend: BackendId, max_depth: int, *,
     if proper_support:
         region = ClopenSet.from_words(base, [random_word(rng, base, 2)]).complement()
     while True:
-        result = identity(backend)
-        for _ in range(moves if moves is not None else rng.randint(1, 3)):
-            A, B = swap_equivalent_pair(rng, backend, max_depth, region=region)
-            result = compose(result, exact_swap_involution(backend, A, B))
+        swaps = [exact_swap_involution(backend, *swap_equivalent_pair(
+                     rng, backend, max_depth, region=region))
+                 for _ in range(moves if moves is not None else rng.randint(1, 3))]
+        result = reduce(compose, swaps) if swaps else identity(backend)
         if not proper_support and rng.random() < 0.35:
             result = compose(result, rotation_element(backend, rng))
         if nontrivial and result.is_identity():

@@ -5,7 +5,7 @@ import random
 from operator import attrgetter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fullgroup.backends import FullShift, Odometer, OdometerPiece, Piece
@@ -114,8 +114,8 @@ def partition_verdict(check, words, base, cover=True):
 def partition_candidates(draw):
     """A partition grown by splitting cylinders of the whole space, then
     up to three edits (drop: a gap; repeat: a duplicate; extend or cut: an
-    overlap; a free word), in any order; or a single word of depth up to
-    12, or no words."""
+    overlap; digit: one digit set to base or -1; a free word), in any
+    order; or a single word of depth up to 12, or no words."""
     base = draw(st.sampled_from([2, 3]))
     digit = st.integers(0, base - 1)
     free_word = st.lists(digit, max_size=12).map(tuple)
@@ -129,7 +129,7 @@ def partition_candidates(draw):
         w = words.pop(draw(st.integers(0, len(words) - 1)))
         words += [w + (d,) for d in range(base)]
     for edit in draw(st.lists(st.sampled_from(
-            ["drop", "repeat", "extend", "cut", "free"]), max_size=3)):
+            ["drop", "repeat", "extend", "cut", "digit", "free"]), max_size=3)):
         w = words[draw(st.integers(0, len(words) - 1))] if words else ()
         if edit == "drop" and words:
             words.remove(w)
@@ -139,6 +139,9 @@ def partition_candidates(draw):
             words.append(w + tuple(draw(st.lists(digit, min_size=1, max_size=3))))
         elif edit == "cut":
             words.append(w[:draw(st.integers(0, len(w)))])
+        elif edit == "digit" and w:
+            i = draw(st.integers(0, len(w) - 1))
+            words[words.index(w)] = w[:i] + (draw(st.sampled_from([base, -1])),) + w[i + 1:]
         elif edit == "free":
             words.append(draw(free_word))
     return base, draw(st.permutations(words))
@@ -146,6 +149,7 @@ def partition_candidates(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(partition_candidates())
+@example((2, [(0, 0), (0, 2), (1,)]))  # disjoint, of measure 1, one digit out of range
 def test_one_pass_partition_check_matches_reference(case):
     base, words = case
     assert (partition_verdict(check_cylinders, words, base)
@@ -181,6 +185,18 @@ class TestConstructor:
         with pytest.raises(MalformedInput, match="carry nothing"):
             GroupElement(FullShift(2), (Piece((), (), 1),))
 
+    @pytest.mark.parametrize("model", [Odometer, FullShift])
+    @pytest.mark.parametrize("pieces", [
+        (Piece((0,), (0,)), Piece((2,), (1,))),
+        (Piece((0,), (0,)), Piece((1,), (2,))),
+    ], ids=["source", "range"])
+    def test_digit_out_of_range_rejected(self, model, pieces):
+        # [0] and [2] are disjoint with measures summing to 1: only the
+        # cover check's successor walk, which bounds every digit, rejects
+        # them, as the constructor has no other digit check
+        with pytest.raises(MalformedInput, match="cylinders do not cover the whole space"):
+            GroupElement(model(2), pieces)
+
     def test_trusted_results_pass_the_checked_constructor(self, backend):
         # compose and inverse skip the checks and build canonical pieces
         # directly; rebuilding their results through the checked
@@ -215,6 +231,18 @@ class TestElementFromPieces:
         with pytest.raises(MalformedInput):
             shift_elem(2, ((0,), (1, 0)))
 
+    @pytest.mark.parametrize("model", [Odometer, FullShift])
+    def test_digit_out_of_range_rejected(self, model):
+        # a source digit fails the identity fill's clopen set; a range
+        # digit, or a source digit with no fill, fails the cover check
+        with pytest.raises(MalformedInput, match="digit 2 out of range for base 2"):
+            element_from_pieces(model(2), [Piece((2,), (1,))])
+        with pytest.raises(MalformedInput, match="range cylinders do not cover"):
+            element_from_pieces(model(2), [Piece((1,), (2,))])
+        with pytest.raises(MalformedInput, match="source cylinders do not cover"):
+            element_from_pieces(model(2), [Piece((0,), (0,)), Piece((2,), (1,))],
+                                fill_identity=False)
+
 
 class TestInvolutionFromPartial:
     @pytest.mark.parametrize("backend, pieces, overlap", [
@@ -229,6 +257,14 @@ class TestInvolutionFromPartial:
                            match="involution pieces must have disjoint sources and "
                                  r"ranges: source cylinders overlap: " + overlap):
             involution_from_partial(backend, pieces)
+
+    @pytest.mark.parametrize("model", [Odometer, FullShift])
+    @pytest.mark.parametrize("piece", [Piece((2,), (0,)), Piece((0,), (2,))],
+                             ids=["source", "range"])
+    def test_digit_out_of_range_is_a_precondition_error(self, model, piece):
+        # the piece and its inverse put the digit on the source side
+        with pytest.raises(PreconditionError, match="digit 2 out of range for base 2"):
+            involution_from_partial(model(2), [piece])
 
     def test_duplicate_sources_name_the_overlap(self):
         # an identity piece is its own inverse: its source comes twice

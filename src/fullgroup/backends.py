@@ -37,11 +37,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import attrgetter
 from typing import ClassVar, Iterable, NamedTuple, Sequence
 
-from .clopen import (ClopenSet, PointName, Word, check_cylinders, depth_for_measure_below,
-                     expand_word, is_prefix, word_key)
+from .clopen import (ClopenSet, PointName, Word, check_base, check_cylinders,
+                     depth_for_measure_below, expand_word, is_prefix, word_key)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 _source = attrgetter("source")
@@ -57,8 +58,7 @@ class BackendId:
     is_odometer: ClassVar[bool]
 
     def __post_init__(self):
-        if self.base < 2:
-            raise MalformedInput(f"base must be >= 2, got {self.base}")
+        check_base(self.base)
 
     @property
     def tag(self) -> str:
@@ -90,19 +90,21 @@ class Piece(NamedTuple):
         added to the tail, and what it carries out of the tail moves the
         rest of the sequence."""
         moved, carry = add_to_tail(tail, self.carry, base)
-        return Piece(self.source + tail, self.target + moved, carry)
+        return new_piece((self.source + tail, self.target + moved, carry))
 
     def inverse(self) -> "Piece":
-        return Piece(self.target, self.source, -self.carry)
+        return new_piece((self.target, self.source, -self.carry))
 
     def after(self, inner: "Piece", base: int) -> "Piece":
-        """self o inner, for an inner piece whose range [source.t] lies in
-        the source: self's carry, if any, is added to t, and the carries add."""
+        """self o inner, for an inner piece whose range [source.t] lies in the
+        source: inner if self is an identity, else t moved by self's carry."""
+        if not self.carry and self.source == self.target:
+            return inner
         tail = inner.target[len(self.source):]
         if not self.carry:
-            return Piece(inner.source, self.target + tail, inner.carry)
+            return new_piece((inner.source, self.target + tail, inner.carry))
         moved, carry = add_to_tail(tail, self.carry, base)
-        return Piece(inner.source, self.target + moved, inner.carry + carry)
+        return new_piece((inner.source, self.target + moved, inner.carry + carry))
 
     def pull_back(self, run: Sequence["Piece"], base: int) -> list["Piece"]:
         """q o self on the preimage of each q.source, sorted by source, for
@@ -115,7 +117,7 @@ class Piece(NamedTuple):
         pieces = []
         for q in run:
             t, out = add_to_tail(q.source[k:], minus, base)
-            pieces.append(Piece(self.source + t, q.target, q.carry - out))
+            pieces.append(new_piece((self.source + t, q.target, q.carry - out)))
         return sorted(pieces, key=_source) if minus else pieces
 
     @staticmethod
@@ -133,12 +135,17 @@ class Piece(NamedTuple):
             _, t, c = family[a]
             if not t or t[-1] + base * c - a != carry or t[:-1] != stem:
                 return None
-        return Piece(parent, stem, carry)
+        return new_piece((parent, stem, carry))
 
     def image_point(self, point: PointName) -> PointName:
         """Image of a point of the source: the carry moves the tail and the
         prefix is rewritten."""
         return point.drop(len(self.source)).add_integer(self.carry).prepend(self.target)
+
+
+# how the piece rules build a piece from a (source, target, carry) triple:
+# in C, where Piece(...) runs the named tuple's Python-level __new__
+new_piece = partial(tuple.__new__, Piece)
 
 
 def add_to_tail(tail: Word, carry: int, base: int) -> tuple[Word, int]:
@@ -280,7 +287,8 @@ class FullShift(BackendId):
         v, width = B.pick(), 1
         while self.base ** width < len(A.words):
             width += 1
-        return [Piece(u, w) for u, w in zip(A.words, expand_word(v, self.base, len(v) + width))]
+        return [new_piece((u, w, 0))
+                for u, w in zip(A.words, expand_word(v, self.base, len(v) + width))]
 
     def pair_onto(self, S: ClopenSet, T: ClopenSet) -> list[Piece]:
         """Pieces from nonempty S onto nonempty T.  Cylinder counts must
@@ -299,7 +307,7 @@ class FullShift(BackendId):
             w = words.pop(0)
             words.extend(w + (a,) for a in range(base))
             words.sort(key=word_key)
-        return [Piece(u, v) for u, v in zip(src, dst)]
+        return [new_piece((u, v, 0)) for u, v in zip(src, dst)]
 
 
 @dataclass(frozen=True)
@@ -348,7 +356,7 @@ def pair_cylinders(backend: BackendId, S: ClopenSet, T: ClopenSet, *,
     dst = (v for w in T.words for v in expand_word(w, base, depth))
     if onto and len(src) != sum(base ** (depth - len(w)) for w in T.words):
         raise PostconditionError("equal measures must refine to equal counts")
-    return [Piece(u, v) for u, v in zip(src, dst)]
+    return [new_piece((u, v, 0)) for u, v in zip(src, dst)]
 
 
 def proper_subcylinder(S: ClopenSet) -> ClopenSet:

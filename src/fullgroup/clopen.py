@@ -39,10 +39,16 @@ MAX_REFINED_CELLS = 1 << 16
 SHORT_DEPTH = 32
 
 
-def check_word(word: Word, base: int) -> None:
+def check_base(base: int) -> None:
+    if base < 2:
+        raise MalformedInput(f"base must be >= 2, got {base}")
+
+
+def check_word(word: Word, base: int) -> Word:
     for d in word:
         if not 0 <= d < base:
             raise MalformedInput(f"digit {d} out of range for base {base}")
+    return word
 
 
 def word_key(word: Word) -> tuple[int, Word]:
@@ -146,13 +152,12 @@ def canonical_words(words: Iterable[Word], base: int) -> tuple[Word, ...]:
     for w in sorted(words):
         if not kept or not is_prefix(kept[-1], w):
             kept.append(w)
-    # merging a family into its parent keeps the stack sorted; a word is
-    # its own key, and `tuple` returns a tuple as it is
-    return tuple(merge_families(zip(kept), base, tuple, _parent_word))
+    return merged_words(kept, base)
 
 
-def _parent_word(parent: Word, family: list[Word]) -> Word:
-    return parent
+def merged_words(words: Iterable[Word], base: int) -> tuple[Word, ...]:
+    """A sorted antichain's canonical form: each word is its own key (`tuple`)."""
+    return tuple(merge_families(zip(words), base, tuple, lambda parent, _: parent))
 
 
 def _gaps(words: Sequence[Word], base: int, k: int) -> list[Word]:
@@ -231,27 +236,24 @@ class ClopenSet:
     words: tuple[Word, ...]
 
     def __post_init__(self):
-        if self.base < 2:
-            raise MalformedInput(f"base must be >= 2, got {self.base}")
-        canon = canonical_words(self.words, self.base)
-        object.__setattr__(self, "words", canon)
+        check_base(self.base)
+        object.__setattr__(self, "words", canonical_words(self.words, self.base))
 
-    # -- constructors ---------------------------------------------------
+    # -- constructors (the empty and whole sets are canonical as written) --
 
     @classmethod
     def empty(cls, base: int) -> "ClopenSet":
-        return cls(base, ())
+        check_base(base)
+        return cls._trusted(base, ())
 
     @classmethod
     def whole(cls, base: int) -> "ClopenSet":
-        return cls(base, ((),))
+        check_base(base)
+        return cls._trusted(base, ((),))
 
     @classmethod
     def from_words(cls, base: int, words: Iterable[Word]) -> "ClopenSet":
-        words = tuple(tuple(w) for w in words)
-        for w in words:
-            check_word(w, base)
-        return cls(base, words)
+        return cls(base, tuple(check_word(tuple(w), base) for w in words))
 
     @classmethod
     def _trusted(cls, base: int, words: tuple[Word, ...]) -> "ClopenSet":

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
-from .backends import BackendId, Piece
-from .clopen import ClopenSet, PointName, Word, check_cylinders, meeting, merge_families
+from .backends import BackendId, Piece, new_piece
+from .clopen import (ClopenSet, PointName, Word, check_cylinders, check_word, meeting,
+                     merge_families, merged_words)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 _source = attrgetter("source")
@@ -72,21 +73,24 @@ class GroupElement:
 
 
 def identity(backend: BackendId) -> GroupElement:
-    return GroupElement(backend, (Piece((), ()),))
+    return GroupElement._trusted(backend, (Piece((), ()),))  # (ε, ε, 0): canonical, any model
 
 
 def element_from_pieces(backend: BackendId, pieces: Iterable[Piece],
                         fill_identity: bool = True) -> GroupElement:
     """Build an element from a partial list of pieces.
 
-    With fill_identity, the complement of the union of sources is filled
-    with identity pieces; the element's partition checks then reject
-    overlaps and ranges that cover another set than the sources.
+    With fill_identity, the sources' digits are checked, then their sorted
+    list for overlaps, ahead of the model's rule; the gaps of their merged
+    antichain get identity pieces, and the element checks the ranges.
     """
     pieces = list(pieces)
     if fill_identity:
-        sources = ClopenSet.from_words(backend.base, [p.source for p in pieces])
-        pieces += [Piece(w, w) for w in sources.complement().words]
+        base = backend.base
+        sources = sorted([check_word(p.source, base) for p in pieces])
+        check_cylinders(sources, base, "source", cover=False)
+        union = ClopenSet._trusted(base, merged_words(sources, base))
+        pieces += [new_piece((w, w, 0)) for w in union.complement().words]
     return GroupElement(backend, tuple(pieces))
 
 
@@ -156,7 +160,7 @@ def inverse(f: GroupElement) -> GroupElement:
     f, which f's canonical form excludes.  The sort keeps its key: comparing the pieces
     themselves, a tuple subclass, costs more per comparison than comparing sources."""
     return GroupElement._trusted(
-        f.backend, tuple(sorted([Piece(t, s, -c) for s, t, c in f.pieces], key=_source)))
+        f.backend, tuple(sorted([new_piece((t, s, -c)) for s, t, c in f.pieces], key=_source)))
 
 
 def equals(f: GroupElement, g: GroupElement) -> bool:

@@ -29,6 +29,18 @@ class TestCanonicalize:
     def test_whole_space(self):
         assert cs(2, (0,), (1,)).is_whole()
 
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_whole_and_empty_are_canonical_as_written(self, base):
+        # built without canonicalizing: they equal the checked sets
+        assert ClopenSet.whole(base) == ClopenSet(base, ((),)) == cs(base, ())
+        assert ClopenSet.empty(base) == ClopenSet(base, ()) == cs(base)
+
+    @pytest.mark.parametrize("make", [ClopenSet.whole, ClopenSet.empty])
+    @pytest.mark.parametrize("base", [1, 0, -2])
+    def test_whole_and_empty_check_the_base(self, make, base):
+        with pytest.raises(MalformedInput, match=f"base must be >= 2, got {base}"):
+            make(base)
+
     def test_idempotent_and_order_insensitive(self):
         a = cs(2, (0, 1), (1, 0), (1, 1))
         b = cs(2, (1, 1), (0, 1), (1, 0))

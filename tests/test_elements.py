@@ -18,7 +18,9 @@ from fullgroup.elements import (GroupElement, _composed_pieces, _join,
                                 image_of_clopen, inverse, involution_from_partial,
                                 restrict, support)
 from fullgroup.errors import MalformedInput, PreconditionError
-from fullgroup.randomize import random_clopen, random_element, rotation_element, substream
+from fullgroup.randomize import (random_clopen, random_element, random_word, rotation_element,
+                                 substream, swap_equivalent_pair)
+from fullgroup.transfers import exact_swap_involution
 
 from conftest import apply_piece, bitmap, element_image, oracle_equal, piece_image
 
@@ -206,7 +208,7 @@ class TestConstructor:
             f = random_element(rng, backend, 4)
             g = random_element(rng, backend, 4)
             for x in (compose(f, g), inverse(f), conjugate(g, f),
-                      inverse(compose(f, g))):
+                      inverse(compose(f, g)), identity(backend)):
                 assert GroupElement(x.backend, x.pieces) == x
 
 
@@ -242,6 +244,88 @@ class TestElementFromPieces:
         with pytest.raises(MalformedInput, match="source cylinders do not cover"):
             element_from_pieces(model(2), [Piece((0,), (0,)), Piece((2,), (1,))],
                                 fill_identity=False)
+
+
+FILL_BACKENDS = [Odometer(2), Odometer(3), FullShift(2), FullShift(3)]
+
+
+def reference_fill(backend, pieces):
+    """The identity fill the sorted one replaced: identity pieces on the
+    complement of the canonical union of the sources (`from_words`, which
+    also checks the sources' digits), then the checked constructor."""
+    sources = ClopenSet.from_words(backend.base, [p.source for p in pieces])
+    return GroupElement(backend, tuple(pieces) + tuple(
+        Piece(w, w) for w in sources.complement().words))
+
+
+def outcome(build):
+    """The pieces built, or the class and message of what was raised."""
+    try:
+        return build().pieces
+    except Exception as err:
+        return type(err), str(err)
+
+
+@st.composite
+def fill_candidates(draw):
+    """A backend and pieces of its model for `element_from_pieces`: the
+    moving pieces of a random element, some refined into their children,
+    in any order (they fill back to the element), then up to two edits:
+    drop a piece (the ranges then miss the sources), repeat one or add a
+    child or a parent of its source (overlapping sources), or set one
+    digit of a source or a target to base or -1."""
+    backend = draw(st.sampled_from(FILL_BACKENDS))
+    base = backend.base
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    pieces = []
+    for p in random_element(rng, backend, 4).pieces:
+        if not p.is_identity() or draw(st.integers(0, 3)) == 0:
+            refined = draw(st.booleans())
+            pieces += [p.restrict((a,), base) for a in range(base)] if refined else [p]
+    for edit in draw(st.lists(st.sampled_from(
+            ["drop", "repeat", "child", "parent", "source digit", "target digit"]),
+            max_size=2)):
+        if not pieces:
+            break
+        i = draw(st.integers(0, len(pieces) - 1))
+        p = pieces[i]
+        bad = draw(st.sampled_from([base, -1]))
+        if edit == "drop":
+            del pieces[i]
+        elif edit == "repeat":
+            pieces.append(p)
+        elif edit == "child":
+            pieces.append(p.restrict((draw(st.integers(0, base - 1)),), base))
+        elif edit == "parent":
+            w = p.source[:draw(st.integers(0, len(p.source)))]
+            pieces.append(Piece(w, w))
+        elif edit == "source digit" and p.source:
+            k = draw(st.integers(0, len(p.source) - 1))
+            pieces[i] = p._replace(source=p.source[:k] + (bad,) + p.source[k + 1:])
+        elif edit == "target digit" and p.target:
+            k = draw(st.integers(0, len(p.target) - 1))
+            pieces[i] = p._replace(target=p.target[:k] + (bad,) + p.target[k + 1:])
+    return backend, draw(st.permutations(pieces))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fill_candidates())
+def test_identity_fill_matches_the_reference(case):
+    # the same element, or the same exception class and message, as the
+    # fill on the canonical union of the sources
+    backend, pieces = case
+    assert (outcome(lambda: element_from_pieces(backend, pieces))
+            == outcome(lambda: reference_fill(backend, pieces)))
+
+
+def test_identity_fill_names_an_overlap_before_a_foreign_piece():
+    # the fill checks the sorted sources for overlaps before the element
+    # applies the model's rule to the pieces
+    pieces = [Piece((0,), (0, 1)), OdometerPiece((0,), 0), OdometerPiece((0, 1), 0)]
+    with pytest.raises(MalformedInput, match=r"source cylinders overlap: \(0,\) vs \(0,\)"):
+        element_from_pieces(Odometer(2), pieces)
+    with pytest.raises(MalformedInput, match="keep the depth"):
+        element_from_pieces(Odometer(2), pieces[:1] + [OdometerPiece((1,), 0)])
 
 
 class TestInvolutionFromPartial:
@@ -726,3 +810,48 @@ def test_deep_words_agree_with_the_oracle(backend, data):
             z = p.source + x[len(p.source):] if x[:len(p.source)] == p.source else \
                 p.source + (0,) * (deepest + 2)
             assert piece_image(p, z, f.base) == element_image(f, z)
+
+
+class TestBuiltPieces:
+    """The piece rules build pieces with `backends.new_piece`, which
+    `Piece.after` passes by when its piece is an identity."""
+
+    def test_identity_heavy_products_match_the_oracle(self, backend):
+        # swaps of small sets are identity on most of the space, and the
+        # rotations move all of it: f's identity pieces cover g's ranges
+        # (passed through) and g's identity pieces pull f's runs back
+        base = backend.base
+        rng = substream(4250, f"identity-heavy:{backend.tag}")
+        for _ in range(12):
+            swaps = [exact_swap_involution(backend, *swap_equivalent_pair(rng, backend, 4))
+                     for _ in range(2)]
+            rotation = rotation_element(backend, rng)
+            for f, g in ((swaps[0], rotation), (rotation, swaps[0]), tuple(swaps)):
+                fg = compose(f, g)
+                depth = max(len(p.source) for p in f.pieces) + max(
+                    len(p.source) for p in g.pieces) + 1
+                for _ in range(40):
+                    w = tuple(rng.randrange(base) for _ in range(depth))
+                    w1, k1 = element_image(g, w)
+                    w2, k2 = element_image(f, w1)
+                    assert element_image(fg, w) == (w2, k1 + k2)
+
+    def test_built_pieces_have_three_fields(self, backend):
+        # tuple.__new__ checks no arity: every built piece must be a
+        # (source, target, carry) Piece
+        base = backend.base
+        rng = substream(4251, f"fields:{backend.tag}")
+        for _ in range(10):
+            f, g = random_element(rng, backend, 4), random_element(rng, backend, 4)
+            built = [*compose(f, g).pieces, *inverse(f).pieces, *compose(f, inverse(f)).pieces]
+            built += restrict(f, random_word(rng, base, 5))
+            for p in f.pieces:
+                built += p.pull_back(restrict(g, p.target), base)
+                family = [p.restrict((a,), base) for a in range(base)]
+                merged = Piece.merge_siblings(p.source, family)
+                assert merged == p
+                built += [*family, merged, p.inverse()]
+            A, B = swap_equivalent_pair(rng, backend, 4)
+            built += backend.pair_onto(A - B, B - A)
+            built += exact_swap_involution(backend, A, B).pieces
+            assert all(type(p) is Piece and len(p) == 3 for p in built)

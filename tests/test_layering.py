@@ -3,9 +3,9 @@ parameter passed, imports sit at module level, the decomposition layer
 stays below the certificate layer, the model questions are answered by
 the model classes of `backends.py` over one piece class, each kernel fact
 has one rule (one overlap rule, one antichain lookup, one tail addition,
-one sibling-merge loop), and the front end does each job once (one
-artifact writer, one JSON encoder, one self-test loop, exit codes
-returned)."""
+one sibling-merge loop, one piece constructor), and the front end does
+each job once (one artifact writer, one JSON encoder, one self-test
+loop, exit codes returned)."""
 
 import ast
 from pathlib import Path
@@ -47,6 +47,16 @@ MODEL_PROTOCOL = {"check_pieces", "separated_word", "measure_below",
                   "pair_onto"}
 # What compose, inverse and restrict call on a piece.
 PIECE_PROTOCOL = {"restrict", "after", "pull_back", "inverse", "merge_siblings"}
+# The cold sites that may build a piece with the named tuple's own
+# constructor, each a constant: the whole-space piece that (u;+n)
+# restricts, and the identity element's one piece.
+PIECE_CONSTANT_SITES = {"backends.py:OdometerPiece", "elements.py:identity"}
+# The kernel rules, which build every piece they return through new_piece.
+PIECE_BUILDERS = {
+    "backends.py:Piece.restrict", "backends.py:Piece.inverse", "backends.py:Piece.after",
+    "backends.py:Piece.pull_back", "backends.py:Piece.merge_siblings",
+    "backends.py:pair_cylinders", "backends.py:FullShift.pair_into",
+    "backends.py:FullShift.pair_onto", "elements.py:inverse", "elements.py:element_from_pieces"}
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
@@ -268,6 +278,33 @@ def test_one_tail_addition():
         "Piece.restrict", "Piece.after", "Piece.pull_back"}
     for name in ("Piece.after", "Piece.pull_back"):
         assert not _calls(functions[name], "restrict") + _calls(functions[name], "inverse")
+
+
+def test_one_piece_constructor():
+    # the kernel rules build pieces through backends.new_piece, tuple.__new__
+    # on Piece in C, the only tuple.__new__ of the library; Piece(...), whose
+    # named-tuple __new__ runs in Python, stays at the named constant sites
+    building, through_new_piece = set(), set()
+    for name in ("backends.py", "elements.py"):
+        building |= {f"{name}:{fn}" for fn in _callers(SRC / name, "Piece")}
+        through_new_piece |= {f"{name}:{fn}" for fn in _callers(SRC / name, "new_piece")}
+    assert building == PIECE_CONSTANT_SITES, sorted(building - PIECE_CONSTANT_SITES)
+    assert through_new_piece == PIECE_BUILDERS, sorted(through_new_piece ^ PIECE_BUILDERS)
+    # tuple.__new__ checks no arity, so each call passes a literal triple
+    loose = [f"{name}:{call.lineno}" for name in ("backends.py", "elements.py")
+             for call in _calls(ast.parse((SRC / name).read_text(encoding="utf-8")), "new_piece")
+             if not (len(call.args) == 1 and isinstance(call.args[0], ast.Tuple)
+                     and len(call.args[0].elts) == 3)]
+    assert not loose, f"new_piece without a (source, target, carry) triple: {loose}"
+    tree = ast.parse((SRC / "backends.py").read_text(encoding="utf-8"))
+    defined = [ast.unparse(node.value) for node in tree.body if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["new_piece"]]
+    assert defined == ["partial(tuple.__new__, Piece)"]
+    uses = [f"{path.name}:{node.lineno}" for path in MODULES
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "__new__"
+            and ast.unparse(node.value) == "tuple"]
+    assert len(uses) == 1, uses
 
 
 def test_no_isinstance_on_pieces():

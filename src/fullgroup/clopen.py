@@ -294,7 +294,6 @@ class ClopenSet:
         """The words of self & other in order, canonical: one walk over both sorted antichains;
         cylinders meet only when one word prefixes the other, and then the longer (maximal in
         its operand) is kept and passed, else the smaller is passed; a shared word comes once."""
-        self._check_base(other)
         a, b = self.words, other.words
         i = j = 0
         while i < len(a) and j < len(b):
@@ -309,6 +308,9 @@ class ClopenSet:
                 i, j = (i + 1, j) if u < v else (i, j + 1)
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
+        self._check_base(other)
+        if self.is_whole() or other.is_whole():  # X & A = A & X = A, canonical as it is
+            return other if self.is_whole() else self
         return ClopenSet._trusted(self.base, tuple(self._meet(other)))
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
@@ -335,6 +337,7 @@ class ClopenSet:
         return ClopenSet._trusted(self.base, tuple(out))
 
     def is_subset(self, other: "ClopenSet") -> bool:
+        self._check_base(other)
         return all(u == w for u, w in itertools.zip_longest(self.words, self._meet(other)))
 
     def __and__(self, other):

@@ -39,15 +39,7 @@ class GroupElement:
     pieces: tuple[Piece, ...]
 
     def __post_init__(self):
-        self.backend.check_pieces(self.pieces)
-        base = self.backend.base
-        # the sources are checked before the merge, which needs an
-        # antichain; merging keeps the union of the sources and of the ranges
-        ordered = sorted(self.pieces, key=_source)
-        check_cylinders([p.source for p in ordered], base, "source", cover=True)
-        canon = tuple(merge_families(zip(ordered), base, _source, _join))
-        object.__setattr__(self, "pieces", canon)
-        check_cylinders([p.target for p in canon], base, "range", cover=True)
+        object.__setattr__(self, "pieces", _assembled(self.backend, self.pieces, fill=False))
 
     @classmethod
     def _trusted(cls, backend: BackendId, pieces: tuple[Piece, ...]) -> "GroupElement":
@@ -78,20 +70,26 @@ def identity(backend: BackendId) -> GroupElement:
 
 def element_from_pieces(backend: BackendId, pieces: Iterable[Piece],
                         fill_identity: bool = True) -> GroupElement:
-    """Build an element from a partial list of pieces.
+    """An element from a partial list of pieces, each fact checked once (`_assembled`):
+    with fill_identity, the sources' digits in the order given, their overlaps, then identity
+    pieces on the gaps; without it, overlaps and cover; then the model's rule and the ranges."""
+    return GroupElement._trusted(backend, _assembled(backend, pieces, fill_identity))
 
-    With fill_identity, the sources' digits are checked, then their sorted
-    list for overlaps, ahead of the model's rule; the gaps of their merged
-    antichain get identity pieces, and the element checks the ranges.
-    """
-    pieces = list(pieces)
-    if fill_identity:
-        base = backend.base
-        sources = sorted([check_word(p.source, base) for p in pieces])
-        check_cylinders(sources, base, "source", cover=False)
-        union = ClopenSet._trusted(base, merged_words(sources, base))
-        pieces += [new_piece((w, w, 0)) for w in union.complement().words]
-    return GroupElement(backend, tuple(pieces))
+
+def _assembled(backend: BackendId, pieces: Iterable[Piece], fill: bool) -> tuple[Piece, ...]:
+    """The checked constructor's and the fill's one assembly.  The fill's sort key checks every
+    digit before any comparison; merging needs the source antichain, and keeps both unions."""
+    base = backend.base
+    ordered = sorted(pieces, key=(lambda p: check_word(p.source, base)) if fill else _source)
+    sources = [p.source for p in ordered]
+    check_cylinders(sources, base, "source", cover=not fill)
+    if fill:
+        gaps = ClopenSet._trusted(base, merged_words(sources, base)).complement().words
+        ordered = sorted(ordered + [new_piece((w, w, 0)) for w in gaps], key=_source)
+    backend.check_pieces(ordered)
+    canon = tuple(merge_families(zip(ordered), base, _source, _join))
+    check_cylinders([p.target for p in canon], base, "range", cover=True)
+    return canon
 
 
 def involution_from_partial(backend: BackendId, pieces: Iterable[Piece],

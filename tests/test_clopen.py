@@ -96,9 +96,16 @@ class TestBooleanOps:
         assert cs(2, (0,)).is_subset(cs(2, (0, 0), (0, 1, 0), (0, 1, 1)))
         assert cs(2, (0, 0), (0, 1, 0), (0, 1, 1)).is_subset(cs(2, (0,)))
 
+    def test_intersect_whole_returns_the_other_operand(self):
+        A = cs(2, (0,), (1, 0))
+        assert A & ClopenSet.whole(2) is A and ClopenSet.whole(2) & A is A
+
     def test_base_mismatch(self):
         with pytest.raises(MalformedInput):
             cs(2, (0,)).intersect(cs(3, (0,)))
+        for A, B in ((ClopenSet.whole(2), cs(3, (0,))), (cs(2, (0,)), ClopenSet.whole(3))):
+            with pytest.raises(MalformedInput, match="base mismatch"):
+                A.intersect(B)
         with pytest.raises(MalformedInput):
             cs(2, (0,)).is_subset(cs(3, (0,)))
 

@@ -17,6 +17,8 @@ from fullgroup.elements import (GroupElement, _composed_pieces, _join,
                                 element_from_pieces, equals, identity,
                                 image_of_clopen, inverse, involution_from_partial,
                                 restrict, support)
+from fullgroup import elements
+from fullgroup.encoding import parse_element
 from fullgroup.errors import MalformedInput, PreconditionError
 from fullgroup.randomize import (random_clopen, random_element, random_word, rotation_element,
                                  substream, swap_equivalent_pair)
@@ -326,6 +328,46 @@ def test_identity_fill_names_an_overlap_before_a_foreign_piece():
         element_from_pieces(Odometer(2), pieces)
     with pytest.raises(MalformedInput, match="keep the depth"):
         element_from_pieces(Odometer(2), pieces[:1] + [OdometerPiece((1,), 0)])
+
+
+def test_checked_constructor_names_an_overlap_before_a_foreign_piece():
+    # the constructor shares the fill's order: the source walk, then the
+    # model's rule
+    pieces = [Piece((0,), (0, 1)), OdometerPiece((0,), 0), OdometerPiece((0, 1), 0)]
+    with pytest.raises(MalformedInput, match=r"source cylinders overlap: \(0,\) vs \(0,\)"):
+        GroupElement(Odometer(2), tuple(pieces))
+    with pytest.raises(MalformedInput, match="keep the depth"):
+        GroupElement(Odometer(2), (pieces[0], OdometerPiece((1,), 0)))
+    # the (u;+n) spelling cannot write the foreign piece, so the parser
+    # refuses it as a bad piece, and the spelled rest names the overlap
+    with pytest.raises(MalformedInput, match=r"bad odometer piece '\(0>01\)'"):
+        parse_element("elem:odo2:[(0>01),(0;+0),(01;+0)]")
+    with pytest.raises(MalformedInput, match=r"source cylinders overlap: \(0,\) vs \(0,\)"):
+        parse_element("elem:odo2:[(0;+1),(0;+0),(01;+0)]")
+
+
+@pytest.mark.parametrize("backend", FILL_BACKENDS, ids=lambda b: b.tag)
+def test_one_source_walk_per_element(backend, monkeypatch):
+    # the fill and the checked constructor share one assembly, which walks
+    # the sources once: the fill's overlap walk is the only one
+    walks = []
+    real = check_cylinders
+
+    def counted(words, base, which, *, cover):
+        walks.append(which)
+        return real(words, base, which, cover=cover)
+
+    monkeypatch.setattr(elements, "check_cylinders", counted)
+    rng = substream(2711, f"walks:{backend.tag}")
+    for _ in range(20):
+        f = random_element(rng, backend, 4)
+        moving = [p for p in f.pieces if not p.is_identity()]
+        for build in (lambda: element_from_pieces(backend, moving, fill_identity=True),
+                      lambda: element_from_pieces(backend, f.pieces, fill_identity=False),
+                      lambda: GroupElement(backend, f.pieces)):
+            walks.clear()
+            assert build() == f
+            assert walks == ["source", "range"]
 
 
 class TestInvolutionFromPartial:

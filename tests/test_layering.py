@@ -56,7 +56,7 @@ PIECE_BUILDERS = {
     "backends.py:Piece.restrict", "backends.py:Piece.inverse", "backends.py:Piece.after",
     "backends.py:Piece.pull_back", "backends.py:Piece.merge_siblings",
     "backends.py:pair_cylinders", "backends.py:FullShift.pair_into",
-    "backends.py:FullShift.pair_onto", "elements.py:inverse", "elements.py:element_from_pieces"}
+    "backends.py:FullShift.pair_onto", "elements.py:inverse", "elements.py:_assembled"}
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
@@ -305,6 +305,17 @@ def test_one_piece_constructor():
             if isinstance(node, ast.Attribute) and node.attr == "__new__"
             and ast.unparse(node.value) == "tuple"]
     assert len(uses) == 1, uses
+
+
+def test_one_element_assembly():
+    # an element's pieces are checked only in _assembled, which the checked
+    # constructor and the identity fill share: the fill never hands its
+    # result to the constructor to be walked again
+    path = SRC / "elements.py"
+    assert _callers(path, "check_cylinders") == {"_assembled"}
+    assert _callers(path, "check_pieces") == {"_assembled"}
+    assert _callers(path, "_assembled") == {"GroupElement.__post_init__", "element_from_pieces"}
+    assert "element_from_pieces" not in _callers(path, "GroupElement")
 
 
 def test_no_isinstance_on_pieces():

@@ -40,8 +40,11 @@ SHORT_DEPTH = 32
 
 
 def check_base(base: int) -> None:
+    """Bases 2..10, the ones whose digits are written as ASCII `0`-`9`."""
     if base < 2:
         raise MalformedInput(f"base must be >= 2, got {base}")
+    if base > 10:
+        raise MalformedInput(f"base must be <= 10, got {base}")
 
 
 def check_word(word: Word, base: int) -> Word:
@@ -507,8 +510,6 @@ class PointName:
             out.append(t % self.base)
             carry = t // self.base
             i += 1
-            if i >= len(pre) and carry == 0 and i == len(pre):
-                return PointName(self.base, tuple(out), per)
 
     def __str__(self):
         pre = "".join(map(str, self.preperiod))

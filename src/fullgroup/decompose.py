@@ -11,15 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clopen import SHORT_DEPTH, ClopenSet, depth_for_measure_below, expand_word, word_key
+from .clopen import SHORT_DEPTH, ClopenSet, Word, depth_for_measure_below, expand_word, word_key
 from .elements import (GroupElement, compose, element_from_pieces,
                        image_of_clopen, inverse, involution_from_partial,
                        restrict, support)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 
-# The most cells an odometer decomposition may refine the space into:
-# a decomposition needing more is refused before any cell is built.
+# The most cells an odometer decomposition's partition may have (only the
+# moved ones are visited): one needing more is refused before any is built.
 MAX_DECOMPOSITION_CELLS = 1 << 13
 
 
@@ -103,6 +103,11 @@ def decompose_small_support(alpha: GroupElement,
     clopen support bounds; on the odometer each bound has measure
     strictly below epsilon.
 
+    On the odometer the first partition cell (measure below epsilon/2)
+    that the residual moves is peeled until the residual is the identity:
+    its factor is the residual on the cell with the image swapped back,
+    bounded by the cell and its image; each cell comes after the last.
+
     A given epsilon must be positive on every backend.  On the full
     shift it is otherwise ignored (there is no invariant measure): a
     two-factor decomposition through a moved cylinder is returned, and
@@ -136,11 +141,15 @@ def _decompose_odometer(alpha: GroupElement, eps: Fraction) -> DecompositionResu
     factors: list[GroupElement] = []
     bounds: list[ClopenSet] = []
     residual = alpha
-    peeled = ClopenSet.empty(base)
-    for cell_word in ClopenSet.whole(base).refine_to(depth):
+    last: Word = ()                   # precedes every cell of the partition
+    while not residual.is_identity():
+        # the first cell it moves: its first moving piece's source, at depth `depth`
+        source = next(p.source for p in residual.pieces if not p.is_identity())
+        cell_word = source[:depth] + (0,) * (depth - len(source))
+        if cell_word <= last:
+            raise PostconditionError("residual support re-entered a peeled cell")
+        last = cell_word
         inside = restrict(residual, cell_word)
-        if all(p.is_identity() for p in inside):
-            continue                  # supp(residual) misses the cell
         cell = ClopenSet.from_words(base, [cell_word])
         moved = ClopenSet.from_words(base, [p.target for p in inside])
         extra = cell - moved          # A_i' : needs to receive the swap-back
@@ -157,11 +166,6 @@ def _decompose_odometer(alpha: GroupElement, eps: Fraction) -> DecompositionResu
         factors.append(factor)
         bounds.append(bound)
         residual = compose(inverse(factor), residual)
-        peeled = peeled | cell
-        if not support(residual).intersect(peeled).is_empty():
-            raise PostconditionError("residual support re-entered a peeled cell")
-    if not residual.is_identity():
-        raise PostconditionError("decomposition left a nontrivial residual")
     return DecompositionResult(tuple(factors), tuple(bounds), eps)
 
 

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fullgroup.backends import FullShift, Odometer
 from fullgroup.clopen import (SHORT_DEPTH, ClopenSet, MeasureValue, PointName,
                              depth_for_measure_below, expand_word, meeting)
 from fullgroup.errors import MalformedInput, PreconditionError
 from fullgroup.randomize import random_clopen
 
-from conftest import clopen_bitmap, same_set
+from conftest import clopen_bitmap, int_word, same_set, word_int
 
 
 def cs(base, *words):
@@ -40,6 +41,12 @@ class TestCanonicalize:
     def test_whole_and_empty_check_the_base(self, make, base):
         with pytest.raises(MalformedInput, match=f"base must be >= 2, got {base}"):
             make(base)
+
+    @pytest.mark.parametrize("make", [Odometer, FullShift, ClopenSet.whole])
+    def test_bases_over_ten_are_refused_when_built(self, make):
+        # no encoding writes a digit above 9, so no such base is ever built
+        with pytest.raises(MalformedInput, match="base must be <= 10, got 11"):
+            make(11)
 
     def test_idempotent_and_order_insensitive(self):
         a = cs(2, (0, 1), (1, 0), (1, 1))
@@ -359,3 +366,12 @@ class TestPointName:
     def test_empty_period_rejected(self):
         with pytest.raises(MalformedInput):
             PointName(2, (0,), ())
+
+    @given(st.sampled_from([2, 3, 5, 10]), st.data())
+    def test_add_integer_adds_on_every_prefix(self, base, data):
+        digit = st.integers(0, base - 1)
+        p = PointName(base, data.draw(st.lists(digit, max_size=6).map(tuple)),
+                      data.draw(st.lists(digit, min_size=1, max_size=4).map(tuple)))
+        n = data.draw(st.integers(-300, 300))
+        k = data.draw(st.integers(0, 12))
+        assert p.add_integer(n).prefix(k) == int_word(word_int(p.prefix(k), base) + n, k, base)

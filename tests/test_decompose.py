@@ -6,14 +6,15 @@ from itertools import permutations
 
 import pytest
 
-from fullgroup import certificates
+from fullgroup import certificates, decompose
 from fullgroup.backends import FullShift, Odometer, OdometerPiece, Piece
-from fullgroup.clopen import ClopenSet
+from fullgroup.clopen import ClopenSet, depth_for_measure_below
 from fullgroup.certificates import split_nontrivial_support, verify_certificate
 from fullgroup.decompose import (decompose_small_support, displaced_set,
                                  separated_cylinder)
 from fullgroup.elements import (compose, element_from_pieces, equals,
-                                identity, image_of_clopen, inverse, support)
+                                identity, image_of_clopen, inverse, restrict,
+                                support)
 from fullgroup.encoding import parse_clopen, parse_element
 from fullgroup.errors import PostconditionError, PreconditionError
 from fullgroup.randomize import random_element, substream
@@ -175,16 +176,22 @@ class TestDecompose:
 
     def test_residual_telescoping(self):
         # replay the peeling loop: after each factor the residual must be
-        # the identity on everything peeled so far
+        # the identity on everything peeled so far.  The peeled cell is the
+        # first partition cell of its bound, since the residual fixes every
+        # earlier cell and so maps the rest of the space onto itself.
         alpha = random_element(substream(31, "tele"), Odometer(2), 4,
                                nontrivial=True)
-        res = decompose_small_support(alpha, Fraction(1, 4))
+        eps = Fraction(1, 4)
+        depth = max(2, depth_for_measure_below(2, eps / 2))
+        res = decompose_small_support(alpha, eps)
         residual = alpha
         cleared = ClopenSet.empty(2)
         for factor, bound in zip(res.factors, res.bounds):
             residual = compose(inverse(factor), residual)
-            cleared = cleared | (bound - image_of_clopen(residual, bound))
+            cleared = cleared | cs(2, bound.refine_to(depth)[0])
+            assert support(residual).intersect(cleared).is_empty()
         assert residual.is_identity()
+        assert len(res.factors) > 1
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=lambda b: b.tag)
     def test_randomized_reconstruction(self, backend):
@@ -200,6 +207,98 @@ class TestDecompose:
                        for f, b in zip(res.factors, res.bounds))
             if backend.is_odometer:
                 assert all(b.volume() < eps for b in res.bounds)
+
+
+GOLDEN_ALPHA = "elem:odo2:[(00;+2),(01;-2),(1;+0)]"
+
+
+def sweep_reference(alpha, eps):
+    """The cell sweep the decomposition walk replaced, as the oracle: it
+    visits every cell of the partition in lexicographic order and peels
+    each one the residual moves."""
+    base, backend = alpha.base, alpha.backend
+    depth = max(2, depth_for_measure_below(base, eps / 2))
+    factors, bounds = [], []
+    residual = alpha
+    peeled = ClopenSet.empty(base)
+    for cell_word in ClopenSet.whole(base).refine_to(depth):
+        inside = restrict(residual, cell_word)
+        if all(p.is_identity() for p in inside):
+            continue                  # supp(residual) misses the cell
+        cell = ClopenSet.from_words(base, [cell_word])
+        moved = ClopenSet.from_words(base, [p.target for p in inside])
+        pieces = inside + backend.pair_onto(moved - cell, cell - moved)
+        factor = element_from_pieces(backend, pieces, fill_identity=True)
+        bound = cell | moved
+        assert support(factor).is_subset(bound) and bound.volume() < eps
+        factors.append(factor)
+        bounds.append(bound)
+        residual = compose(inverse(factor), residual)
+        peeled = peeled | cell
+        assert support(residual).intersect(peeled).is_empty()
+    assert residual.is_identity()
+    return tuple(factors), tuple(bounds)
+
+
+class TestDecompositionWalk:
+    @pytest.mark.parametrize("backend", [Odometer(2), Odometer(3)],
+                             ids=lambda b: b.tag)
+    def test_matches_the_sweep(self, backend):
+        rng = substream(37, f"walk:{backend.tag}")
+        epsilons = [Fraction(1, 4), Fraction(1, 8), Fraction(1, 16), Fraction(1, 64)]
+        for i in range(400):
+            alpha = random_element(rng, backend, 4, nontrivial=True)
+            eps = epsilons[i % 4]
+            res = decompose_small_support(alpha, eps)
+            assert (res.factors, res.bounds) == sweep_reference(alpha, eps)
+
+    def test_golden_alpha_matches_the_sweep(self):
+        alpha, eps = parse_element(GOLDEN_ALPHA), Fraction(1, 512)
+        res = decompose_small_support(alpha, eps)
+        assert (res.factors, res.bounds) == sweep_reference(alpha, eps)
+
+    def test_one_restrict_per_factor(self, monkeypatch):
+        # the sweep restricted the residual to all 8192 cells at depth 13;
+        # the walk restricts it once per moved cell it peels
+        calls = []
+        real = decompose.restrict
+
+        def counted(elem, word):
+            calls.append(word)
+            return real(elem, word)
+
+        monkeypatch.setattr(decompose, "restrict", counted)
+        res = decompose_small_support(parse_element(GOLDEN_ALPHA), Fraction(1, 2048))
+        assert len(res.factors) == 2048
+        assert len(calls) == len(res.factors)
+        assert calls == sorted(calls)
+
+    def test_unchanged_residual_is_reentry(self, monkeypatch):
+        monkeypatch.setattr(decompose, "compose", lambda f, g: g)
+        with pytest.raises(PostconditionError, match="re-entered a peeled cell"):
+            decompose_small_support(parse_element(GOLDEN_ALPHA), Fraction(1, 8))
+
+    def test_moved_skipped_cell_is_reentry_at_once(self, monkeypatch):
+        # alpha moves only [1]; after the first factor the golden alpha, a
+        # swap of [00] and [01], cells the walk passed over, is slipped in
+        alpha = parse_element("elem:odo2:[(0;+0),(10;+2),(11;-2)]")
+        swap = parse_element(GOLDEN_ALPHA)
+        real = decompose.compose
+        composed = []
+
+        def slipped(f, g):
+            composed.append(f)
+            return real(swap, real(f, g)) if len(composed) == 1 else real(f, g)
+
+        monkeypatch.setattr(decompose, "compose", slipped)
+        with pytest.raises(PostconditionError, match="re-entered a peeled cell"):
+            decompose_small_support(alpha, Fraction(1, 8))
+        assert len(composed) == 1
+
+    def test_factor_outside_its_bound_is_named(self, monkeypatch):
+        monkeypatch.setattr(decompose, "support", lambda f: ClopenSet.whole(f.base))
+        with pytest.raises(PostconditionError, match="escaped its bound"):
+            decompose_small_support(parse_element(GOLDEN_ALPHA), Fraction(1, 8))
 
 
 # shift2 elements on which 1 - mu(A) - mu(tau A) - mu(tau^-1 A) is

@@ -16,25 +16,28 @@ adds c to a tail digit by digit; the other piece rules are generic.
   lag |u| - |v|.  No invariant probability measure exists, so comparison
   of clopen sets is unconditional.
 
-A backend is its model class, `Odometer` or `FullShift`: a frozen
-subclass of `BackendId`, whose one field is the base.  A model class
-states which pieces are its own (`check_pieces`), picks a word a piece
-moves off itself (`separated_word`), states the comparison hypothesis (`measure_below`,
-`measure_equal`: vacuous on the shift), gives the depth below which
-cylinders have small measure (`measure_depth`) and the cylinder a
-transfer keeps free (`reserved_cylinder`), and pairs cylinders into a
-set (`pair_into`, for `compare_clopen`) and onto one (`pair_onto`, for
-the exact swap and the odometer decomposition).  `validate_bisection`
-asks the one overlap rule, `clopen.check_cylinders`.  The algorithm
-choices that still ask `is_odometer` live with their algorithms: the
-small-support decomposition (`decompose`), the closure parking set
-(`certificates`), piece syntax (`encoding`) and the samplers
-(`randomize`).  Both models are minimal and second countable; this is a
-documented fact about the models, not a runtime check.
+A backend is its model class, `Odometer` or `FullShift` (`MODELS`, by
+tag prefix): a frozen subclass of `BackendId`, whose one field is the
+base.  A model class writes and reads its pieces (`format_piece`,
+`parse_piece`), states which pieces are its own (`check_pieces`), picks
+a word a piece moves off itself (`separated_word`), states the
+comparison hypothesis (`measure_below`, `measure_equal`: vacuous on the
+shift), gives the depth below which cylinders have small measure
+(`measure_depth`) and the cylinder a transfer keeps free
+(`reserved_cylinder`), and pairs cylinders into a set (`pair_into`, for
+`compare_clopen`) and onto one (`pair_onto`, for the exact swap and the
+odometer decomposition).  `validate_bisection` asks the one overlap
+rule, `clopen.check_cylinders`.  The algorithm choices that still ask
+`is_odometer` live with their algorithms: the small-support
+decomposition (`decompose`), the closure parking set (`certificates`)
+and the samplers (`randomize`).  Both models are minimal and second
+countable; this is a documented fact about the models, not a runtime
+check.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -42,7 +45,8 @@ from operator import attrgetter
 from typing import ClassVar, Iterable, NamedTuple, Sequence
 
 from .clopen import (ClopenSet, PointName, Word, check_base, check_cylinders,
-                     depth_for_measure_below, expand_word, is_prefix, word_key)
+                     depth_for_measure_below, expand_word, format_word, is_prefix,
+                     parse_word, word_key)
 from .errors import MalformedInput, PostconditionError, PreconditionError
 
 _source = attrgetter("source")
@@ -185,6 +189,29 @@ class Odometer(BackendId):
 
     prefix = "odo"
     is_odometer = True
+    piece_re = re.compile(r"^\(([0-9]+|ε);([+-]?[0-9]+)\)$")
+
+    def format_piece(self, piece: Piece) -> str:
+        """(u;+n); a power that `parse_piece` would refuse as too long is
+        refused here too, so what is written reads back."""
+        power = self.power_of(piece)
+        try:
+            text = f"{power:+d}"
+        except ValueError:  # over the interpreter's integer-conversion limit
+            raise MalformedInput(f"odometer power of {power.bit_length()} bits "
+                                 "is too long to write") from None
+        return f"({format_word(piece.source)};{text})"
+
+    def parse_piece(self, text: str) -> Piece:
+        m = self.piece_re.match(text)
+        if not m:
+            raise MalformedInput(f"bad odometer piece {text!r}")
+        try:
+            power = int(m.group(2))
+        except ValueError:  # over the interpreter's integer-conversion limit
+            raise MalformedInput(
+                f"odometer power of {len(m.group(2))} characters is too long") from None
+        return OdometerPiece(parse_word(m.group(1), self.base), power, self.base)
 
     def power_of(self, piece: Piece) -> int:
         """The n of (u;+n) for the piece (u, v, c), the inverse of
@@ -245,6 +272,18 @@ class FullShift(BackendId):
 
     prefix = "shift"
     is_odometer = False
+    piece_re = re.compile(r"^\(([0-9]+|ε)>([0-9]+|ε)\)$")
+
+    def format_piece(self, piece: Piece) -> str:
+        """(u>v)."""
+        return f"({format_word(piece.source)}>{format_word(piece.target)})"
+
+    def parse_piece(self, text: str) -> Piece:
+        m = self.piece_re.match(text)
+        if not m:
+            raise MalformedInput(f"bad shift piece {text!r}")
+        u, v = m.groups()
+        return new_piece((parse_word(u, self.base), parse_word(v, self.base), 0))
 
     def check_pieces(self, pieces: Iterable[Piece]) -> None:
         """Reject pieces with a carry: the shift's tail group is trivial."""
@@ -308,6 +347,9 @@ class FullShift(BackendId):
             words.extend(w + (a,) for a in range(base))
             words.sort(key=word_key)
         return [new_piece((u, v, 0)) for u, v in zip(src, dst)]
+
+
+MODELS = {model.prefix: model for model in (Odometer, FullShift)}
 
 
 @dataclass(frozen=True)

@@ -550,6 +550,9 @@ def certificate_from_dict(data: dict) -> tuple[ConjugateProduct, Environment, Gr
         target = parse_element(_typed(data["target"], str, "target"))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad certificate payload: {exc}") from exc
+    if target.backend != backend:
+        raise MalformedInput(f"target is on backend {target.backend.tag}, "
+                             f"expected {backend.tag}")
     return cp, env, target
 
 

@@ -23,10 +23,11 @@ from .backends import compare_clopen, source_range
 from .certificates import (Environment, certificate_to_dict, commutator_in_normal_closure,
                            load_certificate, product_to_dict,
                            split_nontrivial_support, verify_certificate)
+from .clopen import MAX_WORD_DEPTH
 from .decompose import decompose_small_support
 from .elements import commutator, compose, identity, image_of_clopen, support
-from .encoding import (MAX_WORD_DEPTH, encode_artifact, format_bisection, format_clopen,
-                       format_element, parse_backend, parse_clopen, parse_element)
+from .encoding import (encode_artifact, format_bisection, format_clopen, format_element,
+                       parse_backend, parse_clopen, parse_element)
 from .errors import MalformedInput, PreconditionError
 from .selftest import SUITES, RunConfig, run_selftest
 from .transfers import (exact_swap_involution, full_group_transfer,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -28,6 +29,18 @@ from .errors import MalformedInput, PreconditionError
 
 Word = tuple[int, ...]
 T = TypeVar("T")
+
+EPSILON = "ε"
+
+# The most digits a word may have: a deeper one is malformed input,
+# refused before any cylinder or piece is built from it.
+MAX_WORD_DEPTH = 4096
+
+# Digits are the ASCII 0-9 only: `\d`, `str.isdigit` and `int` also take
+# other Unicode digits, which no encoding writes.
+_WORD_RE = re.compile(r"[0-9]+")
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # ASCII digits to values
+_DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")  # and back, both in C
 
 # The most cylinders `ClopenSet.refine_to` may list: a refinement needing
 # more is refused before any cell is built (65536 paired odometer cells
@@ -61,6 +74,26 @@ def word_key(word: Word) -> tuple[int, Word]:
 
 def is_prefix(shorter: Word, longer: Word) -> bool:
     return longer[: len(shorter)] == shorter
+
+
+def format_word(word: Word) -> str:
+    """The digits as ASCII text, or ε; `check_base` keeps every base at most 10, so d <= 9."""
+    return bytes(word).translate(_DIGIT_TEXT).decode() if word else EPSILON
+
+
+def parse_word(text: str, base: int) -> Word:
+    """The word a stripped text writes: ASCII digits below the base, or ε."""
+    if text in ("", EPSILON):
+        return ()
+    if len(text) > MAX_WORD_DEPTH:
+        raise MalformedInput(
+            f"word of depth {len(text)} is over the limit of {MAX_WORD_DEPTH}")
+    if not _WORD_RE.fullmatch(text):
+        raise MalformedInput(f"bad word {text!r}")
+    word = tuple(text.encode().translate(_DIGIT_VALUES))
+    if max(word) >= base:
+        raise MalformedInput(f"word {text!r} has digits out of range for base {base}")
+    return word
 
 
 def check_cylinders(words: Iterable[Word], base: int, which: str, *, cover: bool) -> None:

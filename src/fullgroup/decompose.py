@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .clopen import SHORT_DEPTH, ClopenSet, Word, depth_for_measure_below, expand_word, word_key
+from .clopen import SHORT_DEPTH, ClopenSet, Word, expand_word, word_key
 from .elements import (GroupElement, compose, element_from_pieces,
                        image_of_clopen, inverse, involution_from_partial,
                        restrict, support)
@@ -131,7 +131,7 @@ def _decompose_odometer(alpha: GroupElement, eps: Fraction) -> DecompositionResu
     backend = alpha.backend
     # partition depth: cells measure below eps/2, and at least 2 so that
     # each bound A_i u residual(A_i) stays proper
-    depth = max(2, depth_for_measure_below(base, eps / 2))
+    depth = max(2, backend.measure_depth(eps / 2))
     # base**depth is formed only for a depth that could keep it under the limit
     if depth >= MAX_DECOMPOSITION_CELLS.bit_length() or base ** depth > MAX_DECOMPOSITION_CELLS:
         cells = base ** depth if depth <= SHORT_DEPTH else f"{base}^{depth}"

@@ -27,10 +27,6 @@ from .errors import MalformedInput, PostconditionError, PreconditionError
 _source = attrgetter("source")
 
 
-def _join(parent: Word, family: list[Piece]) -> Piece | None:
-    return family[0].merge_siblings(parent, family)
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """A full-group element: its backend and its sorted canonical pieces."""
@@ -87,7 +83,7 @@ def _assembled(backend: BackendId, pieces: Iterable[Piece], fill: bool) -> tuple
         gaps = ClopenSet._trusted(base, merged_words(sources, base)).complement().words
         ordered = sorted(ordered + [new_piece((w, w, 0)) for w in gaps], key=_source)
     backend.check_pieces(ordered)
-    canon = tuple(merge_families(zip(ordered), base, _source, _join))
+    canon = tuple(merge_families(zip(ordered), base, _source, Piece.merge_siblings))
     check_cylinders([p.target for p in canon], base, "range", cover=True)
     return canon
 
@@ -136,7 +132,7 @@ def compose(f: GroupElement, g: GroupElement) -> GroupElement:
     like f's, it cannot merge."""
     f._check_backend(g)
     return GroupElement._trusted(f.backend, tuple(merge_families(
-        _composed_pieces(f, g), f.base, _source, _join)))
+        _composed_pieces(f, g), f.base, _source, Piece.merge_siblings)))
 
 
 def _composed_pieces(f: GroupElement, g: GroupElement) -> Iterator[Sequence[Piece]]:

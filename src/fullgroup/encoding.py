@@ -1,14 +1,16 @@
-"""Textual encodings for clopen sets, pieces, bisections and elements,
-and the one JSON encoding of the artifacts that carry them.
+"""Textual encodings for clopen sets, bisections and elements, and the
+one JSON encoding of the artifacts that carry them.
 
 Formats (digits restricted to bases 2..10):
 
 * clopen set   ``b2:{00,01,1}``, empty ``b2:{}``, whole space ``b2:{ε}``;
-  printed depth first, then lexicographic: ``b2:{1,00}``
-* odometer piece ``(u;+n)``, shift piece ``(u>v)``
+  printed depth first, then lexicographic: ``b2:{1,00}``; words are
+  written and read by `clopen.format_word` and `clopen.parse_word`
 * bisection    ``odo2:[(00;+1)]``, ``shift2:[(0>11),(11>0),(10>10)]``
-  (written, never read); pieces are separated by single commas
-  (whitespace allowed around them)
+  (written, never read): the backend's tag (`backends.MODELS` maps its
+  prefix to the model class), then its pieces in the model's own syntax
+  (the backend's `format_piece` and `parse_piece`), separated by single
+  commas (whitespace allowed around them)
 * element      bisection encoding with an ``elem:`` header
 * artifact     JSON object under ``format_version``, keys sorted, indented
   by two, with a final newline (`encode_artifact`)
@@ -19,57 +21,24 @@ from __future__ import annotations
 import json
 import re
 
-from .backends import BackendId, Bisection, FullShift, Odometer, OdometerPiece, Piece
-from .clopen import ClopenSet, Word, word_key
+from .backends import MODELS, BackendId, Bisection
+from .clopen import EPSILON, ClopenSet, format_word, parse_word, word_key
 from .elements import GroupElement
 from .errors import MalformedInput
 
-EPSILON = "ε"
-
 FORMAT_VERSION = 1
 
-# The most digits a word may have: a deeper one is malformed input,
-# refused before any cylinder or piece is built from it.
-MAX_WORD_DEPTH = 4096
-
-# Digits are the ASCII 0-9 only: `\d`, `str.isdigit` and `int` also take
-# other Unicode digits, which no encoding writes.  A base is spelled as
-# it is written, 2 to 10 with no leading zero, so the pattern alone
-# refuses every other base.
+# A base is spelled as it is written, 2 to 10 with no leading zero, in
+# ASCII digits, so the pattern alone refuses every other base.
 _BASE = r"([2-9]|10)"
 _CLOPEN_RE = re.compile(rf"^b{_BASE}:\{{(.*)\}}$")
-_BACKEND_RE = re.compile(rf"^(odo|shift){_BASE}$")
-_ODO_PIECE_RE = re.compile(r"^\(([0-9]+|ε);([+-]?[0-9]+)\)$")
-_SHIFT_PIECE_RE = re.compile(r"^\(([0-9]+|ε)>([0-9]+|ε)\)$")
-_WORD_RE = re.compile(r"[0-9]+")
-_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # ASCII digits to values
-_DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")  # and back, both in C
+_BACKEND_RE = re.compile(rf"^({'|'.join(MODELS)}){_BASE}$")
 
 
 def encode_artifact(fields: dict) -> str:
     """The text of a JSON artifact: its fields under the format version."""
     return json.dumps({"format_version": FORMAT_VERSION, **fields},
                       sort_keys=True, indent=2) + "\n"
-
-
-def format_word(word: Word) -> str:
-    """The digits as ASCII text, or ε; `check_base` keeps every base at most 10, so d <= 9."""
-    return bytes(word).translate(_DIGIT_TEXT).decode() if word else EPSILON
-
-
-def parse_word(text: str, base: int) -> Word:
-    text = text.strip()
-    if text in ("", EPSILON):
-        return ()
-    if len(text) > MAX_WORD_DEPTH:
-        raise MalformedInput(
-            f"word of depth {len(text)} is over the limit of {MAX_WORD_DEPTH}")
-    if not _WORD_RE.fullmatch(text):
-        raise MalformedInput(f"bad word {text!r}")
-    word = tuple(text.encode().translate(_DIGIT_VALUES))
-    if max(word) >= base:
-        raise MalformedInput(f"word {text!r} has digits out of range for base {base}")
-    return word
 
 
 def format_clopen(A: ClopenSet) -> str:
@@ -96,72 +65,28 @@ def parse_backend(tag: str) -> BackendId:
     m = _BACKEND_RE.match(tag.strip())
     if not m:
         raise MalformedInput(f"bad backend tag {tag!r}")
-    model = Odometer if m.group(1) == "odo" else FullShift
-    return model(int(m.group(2)))
+    return MODELS[m.group(1)](int(m.group(2)))
 
 
-def format_piece(piece: Piece, backend: BackendId) -> str:
-    """The piece's text in the backend's syntax; an odometer power that
-    `parse_piece` would refuse as too long is refused here too, so what
-    is written reads back."""
-    if not backend.is_odometer:
-        return f"({format_word(piece.source)}>{format_word(piece.target)})"
-    power = backend.power_of(piece)
-    try:
-        text = f"{power:+d}"
-    except ValueError:  # over the interpreter's integer-conversion limit
-        raise MalformedInput(f"odometer power of {power.bit_length()} bits "
-                             "is too long to write") from None
-    return f"({format_word(piece.source)};{text})"
-
-
-def parse_piece(text: str, backend: BackendId) -> Piece:
-    text = text.strip()
-    if backend.is_odometer:
-        m = _ODO_PIECE_RE.match(text)
-        if not m:
-            raise MalformedInput(f"bad odometer piece {text!r}")
-        try:
-            power = int(m.group(2))
-        except ValueError:  # over the interpreter's integer-conversion limit
-            raise MalformedInput(
-                f"odometer power of {len(m.group(2))} characters is too long") from None
-        return OdometerPiece(parse_word(m.group(1), backend.base), power, backend.base)
-    m = _SHIFT_PIECE_RE.match(text)
-    if not m:
-        raise MalformedInput(f"bad shift piece {text!r}")
-    return Piece(parse_word(m.group(1), backend.base),
-                 parse_word(m.group(2), backend.base))
-
-
-def _format_pieces(backend: BackendId, pieces: tuple[Piece, ...]) -> str:
-    return f"{backend.tag}:[{','.join(format_piece(p, backend) for p in pieces)}]"
-
-
-def _parse_pieces(text: str) -> tuple[BackendId, tuple[Piece, ...]]:
-    text = text.strip()
-    head, sep, body = text.partition(":")
-    if not sep or not body.startswith("[") or not body.endswith("]"):
-        raise MalformedInput(f"bad bisection encoding {text!r}")
-    backend = parse_backend(head)
-    inner = body[1:-1].strip()
-    if not inner:
-        return backend, ()
-    # pieces contain no commas, so each comma-separated part must be
-    # exactly one piece: junk and empty parts fail parse_piece
-    return backend, tuple(parse_piece(p, backend) for p in inner.split(","))
-
-
-def format_bisection(bis: Bisection) -> str:
-    return _format_pieces(bis.backend, bis.pieces)
+def format_bisection(bis: Bisection | GroupElement) -> str:
+    """A bisection's tag and pieces; an element is written as its bisection."""
+    return f"{bis.backend.tag}:[{','.join(map(bis.backend.format_piece, bis.pieces))}]"
 
 
 def format_element(elem: GroupElement) -> str:
-    return "elem:" + _format_pieces(elem.backend, elem.pieces)
+    return "elem:" + format_bisection(elem)
 
 
 def parse_element(text: str) -> GroupElement:
     text = text.strip()
     if not text.startswith("elem:"):
         raise MalformedInput(f"element encodings start with 'elem:', got {text!r}")
-    return GroupElement(*_parse_pieces(text[len("elem:"):]))
+    text = text[len("elem:"):].strip()
+    head, sep, body = text.partition(":")
+    if not sep or not body.startswith("[") or not body.endswith("]"):
+        raise MalformedInput(f"bad bisection encoding {text!r}")
+    backend = parse_backend(head)
+    # pieces contain no commas, so each comma-separated part must be
+    # exactly one piece: junk and empty parts fail parse_piece
+    parts = body[1:-1].split(",") if body[1:-1].strip() else ()
+    return GroupElement(backend, tuple(backend.parse_piece(part.strip()) for part in parts))

@@ -21,12 +21,12 @@ from .certificates import (Environment, GroupWord, commutator_in_normal_closure,
                            commutator_word, expand_commutator_product,
                            normality_certificate, scan_conjugate_form,
                            split_nontrivial_support, verify_certificate)
-from .clopen import ClopenSet
+from .clopen import MAX_WORD_DEPTH, ClopenSet
 from .decompose import decompose_small_support
 from .elements import (check_measure_invariance, commutator, compose,
                        conjugate, equals, identity, image_of_clopen,
                        inverse, support)
-from .encoding import MAX_WORD_DEPTH, format_clopen, format_element
+from .encoding import format_clopen, format_element
 from .errors import MalformedInput
 from .transfers import (COMMUTATOR_CYCLIC, INVOLUTION_SMALL_SUPPORT,
                         exact_swap_involution, full_group_transfer,

@@ -125,6 +125,14 @@ class TestGroupWord:
             with pytest.raises(MalformedInput, match=f"expected {backend.tag}"):
                 env.define("x", identity(other))
 
+    def test_environment_refuses_a_rebinding(self):
+        backend = Odometer(2)
+        env = Environment(backend, {"x": identity(backend)})
+        assert env.define("x", identity(backend)) == "x"   # the same element again
+        with pytest.raises(MalformedInput, match="'x' already bound to a different element"):
+            env.define("x", parse_element("elem:odo2:[(ε;+1)]"))
+        assert env.get("x") == identity(backend)
+
 
 class TestFreeReduction:
     """Evaluation by free reduction against the unreduced oracles."""

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from fullgroup import decompose, selftest, transfers
 from fullgroup.cli import main
-from fullgroup.clopen import ClopenSet
-from fullgroup.encoding import MAX_WORD_DEPTH
+from fullgroup.clopen import MAX_WORD_DEPTH, ClopenSet
 from fullgroup.errors import PostconditionError
 
 from conftest import first_range_emptied, overlapping_pairing
@@ -285,11 +284,17 @@ class TestCertifyVerify:
         one_factor_cert(sign=2).replace(b'"sign": 2', b'"sign": 1e400'),
         *(one_factor_cert(exp=v) for v in (1.9, "1", True, 1.0)),
         *(json.dumps({**VALID_CERT, "format_version": v}).encode() for v in (True, 1.0, "1")),
+        # integers of the right type that a certificate still refuses
+        *(one_factor_cert(sign=v) for v in (2, 0)),
+        one_factor_cert(exp=2),
+        one_factor_cert().replace(b'[["g", 1]]', b'[["", 1]]'),
+        json.dumps({**VALID_CERT, "generator": ""}).encode(),
     ], ids=["environment-list", "backend-number", "element-number", "target-number",
             "not-utf8", "deep-nesting", "sign-fraction", "sign-string", "sign-bool",
             "sign-float", "sign-overflow", "exponent-fraction", "exponent-string",
             "exponent-bool", "exponent-float", "version-bool", "version-float",
-            "version-string"])
+            "version-string", "sign-2", "sign-0", "exponent-2", "empty-conjugator-name",
+            "empty-generator"])
     def test_malformed_certificate_file(self, capsys, tmp_path, payload):
         cert_file = tmp_path / "cert.json"
         cert_file.write_bytes(payload)
@@ -297,6 +302,17 @@ class TestCertifyVerify:
         assert code == 2
         assert not out
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("target", ["elem:odo3:[(ε;+0)]", "elem:shift2:[(ε>ε)]"])
+    def test_target_on_another_backend_is_malformed(self, capsys, tmp_path, target):
+        # like an environment element on the wrong backend, the target is
+        # refused as input before anything is composed, not failed
+        cert_file = tmp_path / "cert.json"
+        cert_file.write_text(json.dumps({**VALID_CERT, "target": target}))
+        code, out, err = run(capsys, "verify", str(cert_file))
+        assert code == 2
+        assert not out
+        assert err == f"error: target is on backend {target.split(':')[1]}, expected odo2\n"
 
     @pytest.mark.parametrize("pair,code_want", [("ghost", 2), ("alpha", 0)])
     def test_inserted_cancelling_pair(self, capsys, tmp_path, pair, code_want):

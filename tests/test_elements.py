@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fullgroup.backends import FullShift, Odometer, OdometerPiece, Piece
 from fullgroup.clopen import (ClopenSet, PointName, canonical_words, check_cylinders,
                               merge_families)
-from fullgroup.elements import (GroupElement, _composed_pieces, _join,
+from fullgroup.elements import (GroupElement, _composed_pieces,
                                 apply_point, check_measure_invariance,
                                 commutator, compose, conjugate,
                                 element_from_pieces, equals, identity,
@@ -485,7 +485,7 @@ def one_at_a_time(f, g):
     pushed one at a time, with the merge loop after each."""
     blocks = [list(block) for block in _composed_pieces(f, g)]
     flat = [p for block in blocks for p in block]
-    return blocks, merge_families(zip(flat), f.base, attrgetter("source"), _join)
+    return blocks, merge_families(zip(flat), f.base, attrgetter("source"), Piece.merge_siblings)
 
 
 class TestPullBack:
@@ -551,7 +551,7 @@ class TestPullBack:
                     assert tuple(merged) == compose(x, y).pieces
                     for block in blocks:
                         assert merge_families(zip(block), x.base, attrgetter("source"),
-                                              _join) == block
+                                              Piece.merge_siblings) == block
 
     def test_merge_cascades_across_covering_blocks(self):
         # g moves [0] by 2 (carry 1), so f's run on [0] is pulled back and
@@ -675,6 +675,10 @@ class TestImage:
         e = odo_elem(2, ((0, 0), 1), ((1, 0), -1))
         assert image_of_clopen(e, cs(2, (0,))) == cs(2, (0, 1), (1, 0))
 
+    def test_base_mismatch(self, phi):
+        with pytest.raises(MalformedInput, match="base mismatch between element and clopen set"):
+            image_of_clopen(phi, cs(3, (0,)))
+
 
 class TestEqualsOracle:
     @pytest.mark.parametrize("kind", ["odometer", "shift"])
@@ -745,6 +749,10 @@ class TestApplyPoint:
         e = shift_elem(2, ((0,), (1, 1)), ((1, 1), (0,)), ((1, 0), (1, 0)))
         p = PointName(2, (0,), (0, 1))
         assert apply_point(e, p) == PointName(2, (1, 1), (0, 1))
+
+    def test_base_mismatch(self, phi):
+        with pytest.raises(MalformedInput, match="base mismatch between element and point"):
+            apply_point(phi, PointName.zeros_tail(3, (0,)))
 
 
 class TestPointwiseDifferential:

@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 
 from fullgroup.backends import (Bisection, FullShift, Odometer, OdometerPiece,
                                 Piece)
-from fullgroup.clopen import ClopenSet
+from fullgroup.clopen import MAX_WORD_DEPTH, ClopenSet, parse_word
 from fullgroup.elements import element_from_pieces
-from fullgroup.encoding import (MAX_WORD_DEPTH, format_bisection, format_clopen,
-                                format_element, format_piece, parse_backend,
-                                parse_clopen, parse_element, parse_piece,
-                                parse_word)
+from fullgroup.encoding import (format_bisection, format_clopen, format_element,
+                                parse_backend, parse_clopen, parse_element)
 from fullgroup.errors import MalformedInput
 from fullgroup.randomize import random_clopen, random_element, substream
 
@@ -96,11 +94,12 @@ class TestBisectionCodec:
     def test_power_too_long_to_write_is_refused(self):
         # parse_piece refuses a power over the interpreter's 4300-digit
         # limit, so format_piece does not write one
+        odo2 = Odometer(2)
         for power in (2 ** 14400, -(2 ** 14400)):
             with pytest.raises(MalformedInput, match="too long to write"):
-                format_piece(OdometerPiece((0,), power), Odometer(2))
+                odo2.format_piece(OdometerPiece((0,), power))
         longest = OdometerPiece((0,), -(10 ** 4299))
-        assert parse_piece(format_piece(longest, Odometer(2)), Odometer(2)) == longest
+        assert odo2.parse_piece(odo2.format_piece(longest)) == longest
 
     def test_epsilon_source(self):
         assert parse_element("elem:odo2:[(ε;+1)]").pieces == (OdometerPiece((), 1),)

@@ -33,18 +33,17 @@ UNPASSED_DEFAULTS = {
 
 # The algorithm choices that still ask which model they run on, outside
 # backends.py: the closure parking set (certificates), the small-support
-# decomposition (decompose), piece syntax (encoding: parse and format) and
-# the samplers (randomize).  A measure condition that is vacuous on the
-# shift goes through a method of the model class instead.
-IS_ODOMETER_SITES = {"certificates.py": 1, "decompose.py": 1, "encoding.py": 2,
-                     "randomize.py": 2}
+# decomposition (decompose) and the samplers (randomize).  A measure
+# condition that is vacuous on the shift, and piece syntax, go through
+# methods of the model class.
+IS_ODOMETER_SITES = {"certificates.py": 1, "decompose.py": 1, "randomize.py": 2}
 # Where the (u;+n) form of an odometer piece is built or read.
-POWER_FORM_MODULES = {"__init__.py", "backends.py", "encoding.py", "randomize.py"}
+POWER_FORM_MODULES = {"__init__.py", "backends.py", "randomize.py"}
 # What every model class of backends.py sets, and what it answers.
 MODEL_ATTRIBUTES = {"prefix", "is_odometer"}
-MODEL_PROTOCOL = {"check_pieces", "separated_word", "measure_below",
-                  "measure_equal", "measure_depth", "reserved_cylinder", "pair_into",
-                  "pair_onto"}
+MODEL_PROTOCOL = {"format_piece", "parse_piece", "check_pieces", "separated_word",
+                  "measure_below", "measure_equal", "measure_depth", "reserved_cylinder",
+                  "pair_into", "pair_onto"}
 # What compose, inverse and restrict call on a piece.
 PIECE_PROTOCOL = {"restrict", "after", "pull_back", "inverse", "merge_siblings"}
 # The cold sites that may build a piece with the named tuple's own
@@ -56,7 +55,8 @@ PIECE_BUILDERS = {
     "backends.py:Piece.restrict", "backends.py:Piece.inverse", "backends.py:Piece.after",
     "backends.py:Piece.pull_back", "backends.py:Piece.merge_siblings",
     "backends.py:pair_cylinders", "backends.py:FullShift.pair_into",
-    "backends.py:FullShift.pair_onto", "elements.py:inverse", "elements.py:_assembled"}
+    "backends.py:FullShift.pair_onto", "backends.py:FullShift.parse_piece",
+    "elements.py:inverse", "elements.py:_assembled"}
 
 
 def imported_modules(tree: ast.AST) -> set[str]:
@@ -167,6 +167,16 @@ def test_no_function_local_imports(path):
     assert not local, f"imports inside function bodies: {local}"
 
 
+def test_encoding_names_no_model():
+    # a model writes and reads its own pieces, and encoding looks a model
+    # up by its tag prefix in backends.MODELS, so a new model needs no
+    # edit of encoding.py
+    tree = ast.parse((SRC / "encoding.py").read_text(encoding="utf-8"))
+    names = _referenced(tree) | {alias.name for node in ast.walk(tree)
+                                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not names & {"Odometer", "FullShift", "OdometerPiece", "is_odometer", "power_of"}
+
+
 def test_decompose_below_certificates():
     tree = ast.parse((SRC / "decompose.py").read_text(encoding="utf-8"))
     assert not imported_modules(tree) & {"certificates", "encoding"}
@@ -231,7 +241,8 @@ def test_power_form_named_only_where_pieces_are_built_or_read():
         powers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and node.attr == "power"]
     assert naming <= POWER_FORM_MODULES
-    assert reading == {"encoding.py:format_piece", "backends.py:Odometer.separated_word"}
+    assert reading == {"backends.py:Odometer.format_piece",
+                       "backends.py:Odometer.separated_word"}
     assert not powers, f"power read on {powers}"
 
 
@@ -369,15 +380,15 @@ def test_one_sibling_merge_loop():
 
 
 def test_compose_merges_through_merge_families():
-    # elements.py joins a family only in _join, and passes _join only to
-    # merge_families: compose among others
+    # elements.py calls no merge_siblings: it passes Piece.merge_siblings,
+    # whose signature is the join's, only to merge_families (compose among
+    # others), with no wrapper frame between them
     tree = ast.parse((SRC / "elements.py").read_text(encoding="utf-8"))
     functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
-    joining = {name for name, fn in functions.items() if _calls(fn, "merge_siblings")}
-    assert joining == {"_join"}
+    assert not _calls(tree, "merge_siblings")
     passed = [arg for call in _calls(tree, "merge_families") for arg in call.args]
-    named = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
-             and node.id == "_join" and isinstance(node.ctx, ast.Load)]
+    named = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and node.attr == "merge_siblings"]
     assert named and all(any(node is arg for arg in passed) for node in named)
     assert _calls(functions["compose"], "merge_families")
 

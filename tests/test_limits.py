@@ -14,10 +14,10 @@ from pathlib import Path
 import pytest
 
 from fullgroup.backends import Odometer, OdometerPiece
-from fullgroup.clopen import MAX_REFINED_CELLS
+from fullgroup.clopen import MAX_REFINED_CELLS, MAX_WORD_DEPTH
 from fullgroup.decompose import MAX_DECOMPOSITION_CELLS
 from fullgroup.elements import involution_from_partial
-from fullgroup.encoding import MAX_WORD_DEPTH, format_element
+from fullgroup.encoding import format_element
 from fullgroup.selftest import MAX_TRIALS
 from fullgroup.transfers import MAX_GW_ROUNDS
 

@@ -17,10 +17,11 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import add
+from typing import Sequence
 
 from .backends import BackendId, proper_subcylinder
 from .clopen import ClopenSet
@@ -64,9 +65,11 @@ class GroupWord:
     def evaluate(self, env: "Environment") -> GroupElement:
         """Resolve every name in token order (an unresolved name raises
         even where it would cancel), reduce freely (x x^-1 -> 1, exact in
-        any group), compress the reduced word by pairs (`_pair_rules`),
-        composing each repeated pair once, then compose the compressed
-        word left to right, inverting each symbol at most once."""
+        any group), compress the reduced word by pairs (`_grammar`, the
+        memo of `_pair_rules`), composing each repeated pair once, then
+        compose the compressed word left to right, inverting each symbol
+        at most once.  Symbols are numbered by first occurrence, so words
+        of one shape over other names share one grammar."""
         values = {name: env.get(name) for name, _ in self.tokens}
         ids = {name: k for k, name in enumerate(values, 1)}
         reduced: list[int] = []
@@ -87,13 +90,14 @@ class GroupWord:
                 inverses[symbol] = inverse(elems[-symbol])
             return inverses[symbol]
 
-        rules, compressed = _pair_rules(reduced, len(elems))
+        rules, compressed = _grammar(tuple(reduced), len(elems))
         for x, y in rules:
             elems.append(compose(value(x), value(y)))
         return reduce(compose, map(value, compressed))
 
 
-def _pair_rules(word: list[int], fresh: int) -> tuple[list[tuple[int, int]], list[int]]:
+def _pair_rules(word: Sequence[int],
+                fresh: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """Re-Pair compression (Larsson and Moffat, 2000) of a freely reduced
     word over signed symbols, -s standing for s^-1.  While some adjacent
     pair occurs twice, the one with the most occurrences (the least pair
@@ -151,7 +155,16 @@ def _pair_rules(word: list[int], fresh: int) -> tuple[list[tuple[int, int]], lis
     while i != -1:
         compressed.append(sym[i])
         i = nxt[i]
-    return rules, compressed
+    return tuple(rules), tuple(compressed)
+
+
+# The grammars of the last GRAMMAR_MEMO_SIZE reduced words, keyed on the
+# word (a tuple) and `fresh`: a certificate shape is compressed once per
+# process, for the synthesizer's check, `verify` and every later
+# certificate of that shape.  An entry holds its key, rules and
+# compressed word, each at most as long as the word.
+GRAMMAR_MEMO_SIZE = 64
+_grammar = lru_cache(maxsize=GRAMMAR_MEMO_SIZE)(_pair_rules)
 
 
 def commutator_word(a: str, b: str) -> GroupWord:
@@ -381,15 +394,24 @@ def normality_certificate(tau_name: str, alpha_name: str,
     return word
 
 
+def _image(word: tuple[GroupElement, ...], A: ClopenSet) -> ClopenSet:
+    """The image of A under the product of `word`, read in composition
+    order (rightmost acts first): one image per element, no compose."""
+    for f in reversed(word):
+        A = image_of_clopen(f, A)
+    return A
+
+
 def _atomic_closure_factors(a_name: str, a_bound: ClopenSet,
                             b_name: str, b_bound: ClopenSet,
-                            tau0_name: str, C: ClopenSet,
+                            tau0_name: str, tau0_inv: GroupElement, C: ClopenSet,
                             env: Environment,
                             tags: set[str]) -> tuple[ConjugateFactor, ...]:
     """The eight conjugate factors expressing [a, b] inside the normal
     closure of tau0, via gamma0 (moving supp a off supp b), sigma
     (parking everything inside C, a clopen set disjoint from tau0(C)) and
-    tau = sigma^-1 tau0 sigma."""
+    tau = sigma^-1 tau0 sigma.  The checks on tau and on
+    gamma = [gamma0, tau] read the sets they move, as chains of images."""
     backend = env.backend
     tau0 = env.get(tau0_name)
     not_b = b_bound.complement()
@@ -405,11 +427,12 @@ def _atomic_closure_factors(a_name: str, a_bound: ClopenSet,
     tags.update({moved.postcondition_tag, parked.postcondition_tag})
     g0 = env.fresh("gamma0", gamma0)
     sg = env.fresh("sigma", sigma)
-    tau = compose(compose(inverse(sigma), tau0), sigma)
-    if not image_of_clopen(tau, D).intersect(D).is_empty():
+    sigma_inv = inverse(sigma)
+    tau = (sigma_inv, tau0, sigma)
+    if not _image(tau, D).intersect(D).is_empty():
         raise PostconditionError("conjugated generator does not displace the parked region")
-    gamma = commutator(gamma0, tau)[0]
-    if not image_of_clopen(gamma, a_bound).is_subset(not_b):
+    gamma = (gamma0, *tau, inverse(gamma0), sigma_inv, tau0_inv, sigma)
+    if not _image(gamma, a_bound).is_subset(not_b):
         raise PostconditionError("closure element does not separate the supports")
     w_g0s = GroupWord(((g0, 1), (sg, -1)))
     w_s = GroupWord(((sg, -1),))
@@ -445,6 +468,7 @@ def commutator_in_normal_closure(alpha_name: str, beta_name: str,
     target = commutator(alpha, beta)[0]
     if target.is_identity():
         return ConjugateProduct(tau0_name, ())
+    tau0_inv = inverse(tau0)
     C = displaced_set(tau0) if backend.is_odometer else separated_cylinder(tau0)
     b_factors = _proper_support_factors(beta_name, env, Fraction(1, 2))
     eta = min(min(b.complement().volume() for _, b in b_factors), C.volume())
@@ -461,7 +485,7 @@ def commutator_in_normal_closure(alpha_name: str, beta_name: str,
             continue      # disjoint supports commute: conj [a, b] conj^-1 = 1
         pairs += 1
         eight = _atomic_closure_factors(a_nm, a_bounds[a_nm], b_nm, b_bounds[b_nm],
-                                        tau0_name, C, env, tags)
+                                        tau0_name, tau0_inv, C, env, tags)
         factors.extend(ConjugateFactor(conj * f.conjugator, f.sign) for f in eight)
     cert = ConjugateProduct(tau0_name, tuple(factors))
     if not cert.evaluate(env) == target:

@@ -131,6 +131,11 @@ def _cmd_gw(args) -> None:
           args.out)
 
 
+# Fraction's own grammar without the `_` separators and surrounding
+# whitespace it also takes, and with the ASCII digits only
+_EPS_RE = re.compile(r"[-+]?(?:[0-9]+/[0-9]+|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)")
+
+
 def _parse_eps(text: str) -> Fraction:
     """An exact rational in ASCII digits (1/8, 0.125, 125e-3).  Its decimal
     exponent is at most MAX_WORD_DEPTH in size, so no power of ten longer
@@ -138,8 +143,9 @@ def _parse_eps(text: str) -> Fraction:
     cylinder a word can name."""
     _, e, exponent = text.lower().partition("e")
     try:
-        if not text.isascii():
-            raise ValueError("digits must be ASCII 0-9")
+        if not _EPS_RE.fullmatch(text):
+            raise ValueError("not a rational in ASCII digits 0-9, such as 1/8, "
+                             "0.125 or 125e-3")
         if e and abs(int(exponent)) > MAX_WORD_DEPTH:
             raise ValueError(f"decimal exponent over the limit of {MAX_WORD_DEPTH}")
         return Fraction(text)

@@ -16,7 +16,7 @@ from fullgroup.certificates import (ConjugateFactor, ConjugateProduct,
                                     verify_certificate)
 from fullgroup.elements import (commutator, compose, conjugate,
                                 element_from_pieces, equals, identity,
-                                inverse)
+                                image_of_clopen, inverse)
 from fullgroup.encoding import encode_artifact, parse_element
 from fullgroup.errors import MalformedInput, PreconditionError
 from fullgroup.randomize import random_element, substream
@@ -275,6 +275,56 @@ class TestPairCompression:
         assert 0 < len(composes) <= (len(free_reduction(flat)) - 1) / 2
 
 
+class TestGrammarMemo:
+    """A certificate shape's reduced word is compressed once per process."""
+
+    def test_one_grammar_per_shape(self):
+        # the odo2 golden certificate, and a copy over other names bound to
+        # other elements: one compression, then one memo hit
+        x = INPUTS["odo2"]
+        env = Environment(Odometer(2))
+        for name in ("tau0", "alpha", "beta"):
+            env.define(name, parse_element(x["rotation" if name == "tau0" else name]))
+        cert = commutator_in_normal_closure("alpha", "beta", "tau0", env)
+        rename = {name: f"other.{k}" for k, name in enumerate(env.names())}
+        renamed = ConjugateProduct(rename[cert.generator], tuple(
+            ConjugateFactor(GroupWord(tuple((rename[n], e) for n, e in f.conjugator.tokens)),
+                            f.sign) for f in cert.factors))
+        rng = substream(37, "memo")
+        other = Environment(Odometer(2), {
+            new: random_element(rng, Odometer(2), 3, nontrivial=True)
+            for new in rename.values()})
+        certificates._grammar.cache_clear()
+        assert equals(cert.evaluate(env), commutator(env.get("alpha"), env.get("beta"))[0])
+        assert equals(renamed.evaluate(other), per_factor_oracle(renamed, other))
+        info = certificates._grammar.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_memo_matches_a_fresh_compression(self):
+        # the word's names first occur in NAMES order, so evaluation numbers
+        # them as `ids` does and stores the grammar under (reduced, 5)
+        env = non_involution_env(Odometer(2), 38, NAMES)
+        ids = {name: k for k, name in enumerate(NAMES, 1)}
+        w = word("a", "b", "a", "b", "c-", "a", "b", "d", "c-", "a", "b")
+        reduced = [ids[n] * e for n, e in free_reduction(w)]
+        certificates._grammar.cache_clear()
+        assert equals(w.evaluate(env), word_oracle(w, env))
+        rules, compressed = certificates._grammar(tuple(reduced), len(NAMES) + 1)
+        assert certificates._grammar.cache_info().hits == 1
+        assert type(rules) is tuple and type(compressed) is tuple
+        assert rules and all(type(rule) is tuple for rule in rules)
+        assert (rules, compressed) == _pair_rules(list(reduced), len(NAMES) + 1)
+
+    def test_the_bound_holds(self):
+        bound = certificates.GRAMMAR_MEMO_SIZE
+        assert certificates._grammar.cache_info().maxsize == bound
+        certificates._grammar.cache_clear()
+        for n in range(bound + 10):
+            certificates._grammar((1, 2) * (n + 2), 3)
+        info = certificates._grammar.cache_info()
+        assert info.currsize == bound and info.misses == bound + 10
+
+
 class TestExpansion:
     def test_atomic(self):
         assert expand_commutator_product(["g"], ["h"]) == [(GroupWord(), "g", "h")]
@@ -480,6 +530,65 @@ class TestClosure:
             target = commutator(env.get("a"), env.get("b"))[0]
             assert verify_certificate(cert, env, target)
             assert scan_conjugate_form(cert, env)
+
+
+def closure_draws():
+    """(tag, environment) cases: the golden certify inputs, and three
+    criterion-09 draws per backend (depth 5, tau0 no involution, alpha and
+    beta of proper support moving one pair)."""
+    cases = []
+    for tag, x in INPUTS.items():
+        env = Environment(parse_element(x["rotation"]).backend)
+        for name in ("tau0", "alpha", "beta"):
+            env.define(name, parse_element(x["rotation" if name == "tau0" else name]))
+        cases.append((f"golden-{tag}", env))
+    for backend in ALL_BACKENDS:
+        rng = substream(65, f"c9:{backend.tag}")
+        drawn = 0
+        while drawn < 3:
+            tau0 = random_element(rng, backend, 5, nontrivial=True)
+            if equals(tau0, inverse(tau0)):
+                continue
+            env = Environment(backend, {"tau0": tau0})
+            for name in ("alpha", "beta"):
+                env.define(name, random_element(rng, backend, 5, nontrivial=True,
+                                                proper_support=True, moves=1))
+            if not commutator(env.get("alpha"), env.get("beta"))[0].is_identity():
+                drawn += 1
+                cases.append((f"{backend.tag}-{drawn}", env))
+    return cases
+
+
+@pytest.mark.parametrize("case", closure_draws(), ids=lambda case: case[0])
+def test_closure_images_match_the_composed_elements(case, monkeypatch):
+    # the reference composes tau = sigma^-1 tau0 sigma and
+    # gamma = [gamma0, tau] as the synthesizer once did; the image chains
+    # its two checks read must be those elements' images
+    _, env = case
+    transfers, images = [], []
+    real_transfer, real_image = certificates.full_group_transfer, certificates._image
+
+    def transfer(*args):
+        transfers.append(real_transfer(*args))
+        return transfers[-1]
+
+    def image(word, A):
+        images.append((A, real_image(word, A)))
+        return images[-1][1]
+
+    monkeypatch.setattr(certificates, "full_group_transfer", transfer)
+    monkeypatch.setattr(certificates, "_image", image)
+    trace = {}
+    commutator_in_normal_closure("alpha", "beta", "tau0", env, trace)
+    tau0 = env.get("tau0")
+    assert trace["pairs"] > 0 and len(transfers) == len(images) == 2 * trace["pairs"]
+    for k in range(trace["pairs"]):
+        gamma0, sigma = (t.element for t in transfers[2 * k:2 * k + 2])
+        (D, tau_D), (a_bound, gamma_a) = images[2 * k:2 * k + 2]
+        tau = compose(compose(inverse(sigma), tau0), sigma)
+        gamma = commutator(gamma0, tau)[0]
+        assert tau_D == image_of_clopen(tau, D)
+        assert gamma_a == image_of_clopen(gamma, a_bound)
 
 
 class TestVerify:

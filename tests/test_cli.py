@@ -5,14 +5,17 @@ import io
 import json
 import re
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fullgroup import decompose, selftest, transfers
+from fullgroup import certificates, decompose, selftest, transfers
 from fullgroup.cli import main
 from fullgroup.clopen import MAX_WORD_DEPTH, ClopenSet
+from fullgroup.elements import identity
+from fullgroup.encoding import parse_element
 from fullgroup.errors import PostconditionError
 
 from conftest import first_range_emptied, overlapping_pairing
@@ -195,6 +198,24 @@ class TestDecomposeSplit:
         code, out, err = run(capsys, "decompose", elem, "--eps", eps)
         assert code == 2 and not out
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # Fraction also takes `_` separators and surrounding whitespace, which
+    # no other number of the CLI takes
+    @pytest.mark.parametrize("eps", ["1_0/80", "1/8_0", " 1/8", "1/8 ", "\t1/8\n", "1e-1_0",
+                                     "0.12_5", "1 /8"])
+    def test_eps_separators_and_spaces_are_malformed(self, capsys, eps):
+        code, out, err = run(capsys, "decompose", INPUTS["odo2"]["alpha"], "--eps", eps)
+        assert code == 2 and not out
+        assert err == (f"error: bad epsilon {eps!r}: not a rational in ASCII digits 0-9, "
+                       "such as 1/8, 0.125 or 125e-3\n")
+
+    @pytest.mark.parametrize("eps, value", [
+        ("1/8", "1/8"), ("0.125", "1/8"), ("125e-3", "1/8"), ("125E-3", "1/8"),
+        ("+1/8", "1/8"), (".5", "1/2"), ("1.", "1"), ("2/16", "1/8")])
+    def test_eps_forms_accepted(self, capsys, eps, value):
+        code, out, _ = run(capsys, "decompose", INPUTS["odo2"]["alpha"], "--eps", eps)
+        assert code == 0
+        assert artifact_of(out)["epsilon"] == value
 
     def test_overlong_power_exit_code(self, capsys):
         # 5000 digits is over the interpreter's integer-conversion limit
@@ -385,6 +406,56 @@ class TestInternalErrors:
         assert not out
         assert err.startswith("internal error: PostconditionError: ")
         assert err.count("\n") == 1
+
+
+class TestClosurePostconditions:
+    """Each check of the closure synthesizer fires on a broken transfer,
+    image or factor list: certify exits 4 with one line."""
+
+    def certify_fails(self, capsys, message):
+        code, out, err = run(capsys, *certify_argv("odo2"))
+        assert code == 4
+        assert not out
+        assert err == f"internal error: PostconditionError: {message}\n"
+
+    def test_parked_region_fills_the_space(self, capsys, monkeypatch):
+        # gamma0 becomes the odometer's rotation, whose support is the whole space
+        real = certificates.full_group_transfer
+        rotation = parse_element(INPUTS["odo2"]["rotation"])
+        monkeypatch.setattr(certificates, "full_group_transfer",
+                            lambda *args: replace(real(*args), element=rotation))
+        self.certify_fails(capsys, "parked region filled the whole space")
+
+    def test_generator_does_not_displace(self, capsys, monkeypatch):
+        # the image of any set under tau0 reads as the whole space
+        real = certificates.image_of_clopen
+        tau0 = parse_element(INPUTS["odo2"]["rotation"])
+        monkeypatch.setattr(certificates, "image_of_clopen",
+                            lambda f, A: ClopenSet.whole(A.base) if f == tau0 else real(f, A))
+        self.certify_fails(capsys, "conjugated generator does not displace the parked region")
+
+    def test_closure_element_does_not_separate(self, capsys, monkeypatch):
+        # the first transfer, gamma0, leaves supp(a) where it is, so
+        # gamma = [1, tau] = 1 keeps a on b's support
+        real = certificates.full_group_transfer
+        calls = []
+
+        def stay(backend, A, B):
+            calls.append(A)
+            result = real(backend, A, B)
+            return replace(result, element=identity(backend)) if len(calls) == 1 else result
+        monkeypatch.setattr(certificates, "full_group_transfer", stay)
+        self.certify_fails(capsys, "closure element does not separate the supports")
+
+    def test_certificate_does_not_evaluate(self, capsys, monkeypatch):
+        # the first factor's sign is flipped, and tau0, the rotation, is no involution
+        real = certificates._atomic_closure_factors
+
+        def flipped(*args):
+            first, *rest = real(*args)
+            return (certificates.ConjugateFactor(first.conjugator, -first.sign), *rest)
+        monkeypatch.setattr(certificates, "_atomic_closure_factors", flipped)
+        self.certify_fails(capsys, "closure certificate does not evaluate to the commutator")
 
 
 class TestUsageErrors:

@@ -444,6 +444,33 @@ def test_one_certificate_fold():
         "compose", "reduce", "inverse"}
 
 
+def test_one_grammar_per_shape():
+    # Re-Pair runs only through the memo: _pair_rules is read once, as the
+    # function that lru_cache bounds by a module constant, and only
+    # GroupWord.evaluate calls the memo
+    path = SRC / "certificates.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and node.id == "_pair_rules"]
+    memos = [call for call in ast.walk(tree) if isinstance(call, ast.Call)
+             and isinstance(call.func, ast.Call) and _calls(call.func, "lru_cache")]
+    assert len(reads) == 1 and [memo.args[0] for memo in memos] == reads
+    assert [(k.arg, type(k.value)) for k in memos[0].func.keywords] == [("maxsize", ast.Name)]
+    assert _callers(path, "_grammar") == {"GroupWord.evaluate"}
+    assert not [other.name for other in MODULES if other != path and "_pair_rules"
+                in _referenced(ast.parse(other.read_text(encoding="utf-8")))]
+
+
+def test_closure_checks_compose_nothing():
+    # the closure factors' checks read tau(D) and gamma(a) as chains of
+    # images of the sets; no element is composed to be tested
+    closure = dict(_functions(ast.parse((SRC / "certificates.py").read_text(
+        encoding="utf-8"))))["_atomic_closure_factors"]
+    assert not [call.lineno for name in ("compose", "commutator", "conjugate")
+                for call in _calls(closure, name)]
+    assert _calls(closure, "_image")
+
+
 def _callers(path: Path, name: str, where=lambda call: True) -> set[str]:
     """The functions of a module that call `name` (bare or as an attribute)
     in a call for which `where` holds; module-level code is "<module>"."""

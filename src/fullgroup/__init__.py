@@ -8,8 +8,7 @@ conjugate-product certificates with a CLI front end.
 """
 
 from .backends import (BackendId, Bisection, FullShift, Odometer,
-                       OdometerPiece, Piece, compare_clopen, source_range,
-                       validate_bisection)
+                       OdometerPiece, Piece, compare_clopen, source_range)
 from .certificates import (ConjugateFactor, ConjugateProduct, Environment,
                            GroupWord, SplitResult,
                            commutator_in_normal_closure, dump_certificate,

@@ -25,8 +25,8 @@ comparison hypothesis (`measure_below`, `measure_equal`: vacuous on the
 shift), gives the depth below which cylinders have small measure
 (`measure_depth`) and the cylinder a transfer keeps free
 (`reserved_cylinder`), and pairs cylinders into a set (`pair_into`, for
-`compare_clopen`) and onto one (`pair_onto`, for the exact swap and the
-odometer decomposition).  `validate_bisection` asks the one overlap
+`compare_clopen` and the transfers) and onto one (`pair_onto`, for the
+swap and the odometer decomposition).  `Bisection` asks the one overlap
 rule, `clopen.check_cylinders`.  The algorithm choices that still ask
 `is_odometer` live with their algorithms: the small-support
 decomposition (`decompose`), the closure parking set (`certificates`)
@@ -354,29 +354,21 @@ MODELS = {model.prefix: model for model in (Odometer, FullShift)}
 
 @dataclass(frozen=True)
 class Bisection:
-    """A compact open bisection given by finitely many pieces: the
-    partial comparison witness of `compare_clopen`."""
+    """A compact open bisection: finitely many pieces of its model, with
+    pairwise disjoint sources and pairwise disjoint ranges (else
+    MalformedInput).  The partial comparison witness of `compare_clopen`."""
 
     backend: BackendId
     pieces: tuple[Piece, ...]
 
     def __post_init__(self):
         self.backend.check_pieces(self.pieces)
+        check_cylinders([p.source for p in self.pieces], self.base, "source", cover=False)
+        check_cylinders([p.target for p in self.pieces], self.base, "range", cover=False)
 
     @property
     def base(self) -> int:
         return self.backend.base
-
-
-def validate_bisection(bis: Bisection) -> str | None:
-    """None if sources and ranges are both pairwise disjoint, else the
-    message naming the first overlapping pair (`check_cylinders`)."""
-    try:
-        check_cylinders([p.source for p in bis.pieces], bis.base, "source", cover=False)
-        check_cylinders([p.target for p in bis.pieces], bis.base, "range", cover=False)
-    except MalformedInput as err:
-        return str(err)
-    return None
 
 
 def source_range(bis: Bisection) -> tuple[ClopenSet, ClopenSet]:
@@ -415,14 +407,12 @@ def compare_clopen(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Bisection:
     backend.check_sets(A, B)
     if B.is_empty():
         raise PreconditionError("comparison target must be nonempty")
-    if A.is_empty():
-        return Bisection(backend, ())
     if not backend.measure_below(A, B):
         raise PreconditionError(
             f"comparison unavailable: mu(A)={A.volume_text()} "
             f"is not below mu(B)={B.volume_text()}")
-    witness = Bisection(backend, tuple(backend.pair_into(A, B)))
-    violation = validate_bisection(witness)
-    if violation is not None:
-        raise PostconditionError(f"comparison witness is not a bisection: {violation}")
-    return witness
+    pieces = tuple(backend.pair_into(A, B))  # a refused pairing is bad input
+    try:
+        return Bisection(backend, pieces)
+    except MalformedInput as err:  # a pairing that breaks the definition is a bug
+        raise PostconditionError(f"comparison witness is not a bisection: {err}") from None

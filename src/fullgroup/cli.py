@@ -149,8 +149,10 @@ def _parse_eps(text: str) -> Fraction:
         if e and abs(int(exponent)) > MAX_WORD_DEPTH:
             raise ValueError(f"decimal exponent over the limit of {MAX_WORD_DEPTH}")
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise MalformedInput(f"bad epsilon {text!r}: {exc}") from exc
+    except ZeroDivisionError:
+        raise MalformedInput(f"bad epsilon {text!r}: zero denominator") from None
 
 
 def _cmd_decompose(args) -> None:

@@ -157,7 +157,10 @@ def _decompose_odometer(alpha: GroupElement, eps: Fraction) -> DecompositionResu
         # the pieces map the cell onto moved, so surplus and extra have equal
         # measure, and pair_onto pairs two empty sets to no pieces
         pieces = inside + backend.pair_onto(surplus, extra)
-        factor = element_from_pieces(backend, pieces, fill_identity=True)
+        try:
+            factor = element_from_pieces(backend, pieces, fill_identity=True)
+        except MalformedInput as err:  # the pieces are the decomposition's own
+            raise PostconditionError(f"peeled factor is not an element: {err}") from None
         bound = cell | moved
         if not support(factor).is_subset(bound):
             raise PostconditionError("peeled factor escaped its bound")

@@ -110,10 +110,13 @@ def full_group_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> Trans
 
 
 def _transfer_involution(backend: BackendId, A: ClopenSet, B: ClopenSet) -> GroupElement:
-    """The sigma_U | sigma_U^-1 | id involution for U = compare(A\\B, B\\A);
-    every caller passes an A not inside B."""
-    U = compare_clopen(backend, A - B, B - A)
-    return involution_from_partial(backend, U.pieces, "transfer pieces")
+    """The sigma_U | sigma_U^-1 | id involution for U = compare(A\\B, B\\A),
+    paired by the model as the swap is.  The comparison's gate is not asked
+    again: the caller's measure_below(A, B) is mu(A\\B) < mu(B\\A), the inside
+    cases run on the shift, where it is vacuous, and every call has A\\B and
+    B\\A nonempty.  `involution_from_partial` re-checks the model's rule and every
+    source and range overlap, then the involution."""
+    return involution_from_partial(backend, backend.pair_into(A - B, B - A), "transfer pieces")
 
 
 def commutator_transfer(backend: BackendId, A: ClopenSet, B: ClopenSet) -> TransferResult:

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from fullgroup.backends import (Bisection, FullShift, Odometer,
                                 OdometerPiece, Piece, compare_clopen,
-                                pair_cylinders, source_range, validate_bisection,
-                                word_value)
+                                pair_cylinders, source_range, word_value)
 from fullgroup.clopen import ClopenSet
 from fullgroup.encoding import parse_backend
 from fullgroup.errors import MalformedInput, PostconditionError, PreconditionError
@@ -64,19 +63,28 @@ def test_range_word_matches_integer_sum(base, power, data):
 
 
 class TestValidate:
+    """The constructor asks the model's rule, then the overlap rule of the
+    sources and of the ranges: a Bisection is a bisection."""
+
     def test_ok_shift(self):
-        bis = Bisection(FullShift(2), (
-            Piece((0,), (1, 1)), Piece((1, 1), (0,)), Piece((1, 0), (1, 0))))
-        assert validate_bisection(bis) is None
+        pieces = (Piece((0,), (1, 1)), Piece((1, 1), (0,)), Piece((1, 0), (1, 0)))
+        assert Bisection(FullShift(2), pieces).pieces == pieces
 
     def test_range_violation(self):
-        bis = Bisection(FullShift(2), (
-            Piece((0,), (1,)), Piece((1, 0), (1, 1))))
-        assert validate_bisection(bis) == "range cylinders overlap: (1,) vs (1, 1)"
+        with pytest.raises(MalformedInput,
+                           match=r"^range cylinders overlap: \(1,\) vs \(1, 1\)$"):
+            Bisection(FullShift(2), (Piece((0,), (1,)), Piece((1, 0), (1, 1))))
+
+    def test_source_violation(self):
+        # the sources are checked before the ranges, which overlap too
+        with pytest.raises(MalformedInput,
+                           match=r"^source cylinders overlap: \(0,\) vs \(0, 1\)$"):
+            Bisection(FullShift(2), (Piece((0,), (1,)), Piece((0, 1), (1, 1))))
 
     def test_odometer_involution(self):
-        bis = Bisection(Odometer(2), (OdometerPiece((0,), 1), OdometerPiece((1,), -1)))
-        assert validate_bisection(bis) is None
+        pieces = (OdometerPiece((0,), 1), OdometerPiece((1,), -1))
+        bis = Bisection(Odometer(2), pieces)
+        assert bis.pieces == pieces
         _, rng = source_range(bis)
         assert rng.is_whole()
 
@@ -148,7 +156,7 @@ class TestCompare:
         for _ in range(60):
             A, B = comparison_pair(rng, backend, 5)
             U = compare_clopen(backend, A, B)
-            assert validate_bisection(U) is None
+            assert Bisection(backend, U.pieces) == U
             src, dst = source_range(U)
             assert src == A
             assert dst.is_subset(B)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fullgroup import certificates, decompose, selftest, transfers
+from fullgroup.backends import Odometer
 from fullgroup.cli import main
 from fullgroup.clopen import MAX_WORD_DEPTH, ClopenSet
 from fullgroup.elements import identity
@@ -209,6 +210,12 @@ class TestDecomposeSplit:
         assert err == (f"error: bad epsilon {eps!r}: not a rational in ASCII digits 0-9, "
                        "such as 1/8, 0.125 or 125e-3\n")
 
+    @pytest.mark.parametrize("eps", ["1/0", "0/0"])
+    def test_eps_zero_denominator_is_malformed(self, capsys, eps):
+        code, out, err = run(capsys, "decompose", INPUTS["odo2"]["alpha"], "--eps", eps)
+        assert code == 2 and not out
+        assert err == f"error: bad epsilon {eps!r}: zero denominator\n"
+
     @pytest.mark.parametrize("eps, value", [
         ("1/8", "1/8"), ("0.125", "1/8"), ("125e-3", "1/8"), ("125E-3", "1/8"),
         ("+1/8", "1/8"), (".5", "1/2"), ("1.", "1"), ("2/16", "1/8")])
@@ -390,6 +397,21 @@ class TestInternalErrors:
         assert not out
         assert err.startswith("internal error: PostconditionError: two-factor pieces overlap")
         assert err.count("\n") == 1
+
+    def test_repeated_decomposition_piece(self, capsys, monkeypatch):
+        # the swap-back pairing repeats its first piece: the decomposition
+        # built the overlapping pieces itself, so they are a bug, not bad input
+        real = Odometer.pair_onto
+
+        def repeated(self, S, T):
+            pieces = real(self, S, T)
+            return pieces[:1] + pieces
+        monkeypatch.setattr(Odometer, "pair_onto", repeated)
+        code, out, err = run(capsys, "decompose", INPUTS["odo2"]["alpha"], "--eps", "1/8")
+        assert code == 4
+        assert not out
+        assert err == ("internal error: PostconditionError: peeled factor is not an element: "
+                       "source cylinders overlap: (0, 1, 0, 0, 0) vs (0, 1, 0, 0, 0)\n")
 
     # each command pairs at least two odometer cylinders, which the broken
     # pairing maps onto one

@@ -350,6 +350,21 @@ def test_one_overlap_rule():
     assert "matching_pieces" not in defined
 
 
+def test_a_bisection_is_checked_by_its_constructor():
+    # the overlap rule of a bisection is asked only by its constructor, so
+    # no validator sits beside it; a transfer pairs through the model, as
+    # the swap does with pair_onto, and involution_from_partial checks what
+    # the pairing built, without a second comparison
+    path = SRC / "backends.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert "validate_bisection" not in {node.name for node in tree.body
+                                        if isinstance(node, ast.FunctionDef)}
+    assert _callers(path, "check_cylinders") == {"Bisection.__post_init__"}
+    involution = dict(_functions(ast.parse((SRC / "transfers.py").read_text(
+        encoding="utf-8"))))["_transfer_involution"]
+    assert _calls(involution, "pair_into") and not _calls(involution, "compare_clopen")
+
+
 def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and (isinstance(node.func, ast.Name) and node.func.id == name

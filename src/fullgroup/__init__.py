@@ -21,8 +21,8 @@ from .elements import (GroupElement, apply_point, check_measure_invariance,
                        commutator, compose, conjugate, element_from_pieces,
                        equals, identity, image_of_clopen, inverse,
                        involution_from_partial, support)
-from .errors import (FullGroupError, MalformedInput, PostconditionError,
-                     PreconditionError)
+from .errors import (ForeignPiece, FullGroupError, MalformedInput,
+                     PostconditionError, PreconditionError)
 from .transfers import (GWState, TransferResult, commutator_transfer,
                         exact_swap_involution, full_group_transfer,
                         gw_intertwining)

@@ -18,16 +18,16 @@ adds c to a tail digit by digit; the other piece rules are generic.
 
 A backend is its model class, `Odometer` or `FullShift` (`MODELS`, by
 tag prefix): a frozen subclass of `BackendId`, whose one field is the
-base.  A model class writes and reads its pieces (`format_piece`,
-`parse_piece`), states which pieces are its own (`check_pieces`), picks
-a word a piece moves off itself (`separated_word`), states the
-comparison hypothesis (`measure_below`, `measure_equal`: vacuous on the
-shift), gives the depth below which cylinders have small measure
-(`measure_depth`) and the cylinder a transfer keeps free
-(`reserved_cylinder`), and pairs cylinders into a set (`pair_into`, for
-`compare_clopen` and the transfers) and onto one (`pair_onto`, for the
-swap and the odometer decomposition).  `Bisection` asks the one overlap
-rule, `clopen.check_cylinders`.  The algorithm choices that still ask
+base.  A model class writes its pieces (`format_piece`), reads a list of
+them in one pass (`parse_pieces`), states which pieces are its own
+(`check_pieces`), picks a word a piece moves off itself
+(`separated_word`), states the comparison hypothesis (`measure_below`,
+`measure_equal`: vacuous on the shift), gives the depth below which
+cylinders have small measure (`measure_depth`) and the cylinder a
+transfer keeps free (`reserved_cylinder`), and pairs cylinders into a
+set (`pair_into`, for `compare_clopen` and the transfers) and onto one
+(`pair_onto`, for the swap and the odometer decomposition).  `Bisection`
+asks the one overlap rule, `clopen.check_cylinders`.  The algorithm choices that still ask
 `is_odometer` live with their algorithms: the small-support
 decomposition (`decompose`), the closure parking set (`certificates`)
 and the samplers (`randomize`).  Both models are minimal and second
@@ -42,12 +42,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import attrgetter
-from typing import ClassVar, Iterable, NamedTuple, Sequence
+from typing import ClassVar, Iterable, Iterator, NamedTuple, Sequence
 
 from .clopen import (ClopenSet, PointName, Word, check_base, check_cylinders,
                      depth_for_measure_below, expand_word, format_word, is_prefix,
-                     parse_word, word_key)
-from .errors import MalformedInput, PostconditionError, PreconditionError
+                     read_word, word_key)
+from .errors import ForeignPiece, MalformedInput, PostconditionError, PreconditionError
 
 _source = attrgetter("source")
 
@@ -189,10 +189,10 @@ class Odometer(BackendId):
 
     prefix = "odo"
     is_odometer = True
-    piece_re = re.compile(r"^\(([0-9]+|ε);([+-]?[0-9]+)\)$")
+    piece_re = re.compile(r"\s*\(([0-9]+|ε);([+-]?[0-9]+)\)\s*(,|\Z)")
 
     def format_piece(self, piece: Piece) -> str:
-        """(u;+n); a power that `parse_piece` would refuse as too long is
+        """(u;+n); a power that `parse_pieces` would refuse as too long is
         refused here too, so what is written reads back."""
         power = self.power_of(piece)
         try:
@@ -202,16 +202,16 @@ class Odometer(BackendId):
                                  "is too long to write") from None
         return f"({format_word(piece.source)};{text})"
 
-    def parse_piece(self, text: str) -> Piece:
-        m = self.piece_re.match(text)
-        if not m:
-            raise MalformedInput(f"bad odometer piece {text!r}")
-        try:
-            power = int(m.group(2))
-        except ValueError:  # over the interpreter's integer-conversion limit
-            raise MalformedInput(
-                f"odometer power of {len(m.group(2))} characters is too long") from None
-        return OdometerPiece(parse_word(m.group(1), self.base), power, self.base)
+    def parse_pieces(self, body: str) -> list[Piece]:
+        pieces = []
+        for m in _piece_matches(self.piece_re, body, "odometer"):
+            try:
+                power = int(m[2])
+            except ValueError:  # over the interpreter's integer-conversion limit
+                raise MalformedInput(
+                    f"odometer power of {len(m[2])} characters is too long") from None
+            pieces.append(OdometerPiece(read_word(m[1], self.base), power, self.base))
+        return pieces
 
     def power_of(self, piece: Piece) -> int:
         """The n of (u;+n) for the piece (u, v, c), the inverse of
@@ -226,8 +226,8 @@ class Odometer(BackendId):
         """Reject pieces that change the depth, which "add n" keeps."""
         for p in pieces:
             if len(p.source) != len(p.target):
-                raise MalformedInput(f"piece {p!r} does not belong to backend {self.tag}: "
-                                     "odometer pieces keep the depth")
+                raise ForeignPiece(f"piece {p!r} does not belong to backend {self.tag}: "
+                                   "odometer pieces keep the depth")
 
     def separated_word(self, piece: Piece) -> Word:
         """A word extending the source whose cylinder the piece moves off
@@ -272,25 +272,22 @@ class FullShift(BackendId):
 
     prefix = "shift"
     is_odometer = False
-    piece_re = re.compile(r"^\(([0-9]+|ε)>([0-9]+|ε)\)$")
+    piece_re = re.compile(r"\s*\(([0-9]+|ε)>([0-9]+|ε)\)\s*(,|\Z)")
 
     def format_piece(self, piece: Piece) -> str:
         """(u>v)."""
         return f"({format_word(piece.source)}>{format_word(piece.target)})"
 
-    def parse_piece(self, text: str) -> Piece:
-        m = self.piece_re.match(text)
-        if not m:
-            raise MalformedInput(f"bad shift piece {text!r}")
-        u, v = m.groups()
-        return new_piece((parse_word(u, self.base), parse_word(v, self.base), 0))
+    def parse_pieces(self, body: str) -> list[Piece]:
+        return [new_piece((read_word(m[1], self.base), read_word(m[2], self.base), 0))
+                for m in _piece_matches(self.piece_re, body, "shift")]
 
     def check_pieces(self, pieces: Iterable[Piece]) -> None:
         """Reject pieces with a carry: the shift's tail group is trivial."""
         for p in pieces:
             if p.carry:
-                raise MalformedInput(f"piece {p!r} does not belong to backend {self.tag}: "
-                                     "shift pieces carry nothing into the tail")
+                raise ForeignPiece(f"piece {p!r} does not belong to backend {self.tag}: "
+                                   "shift pieces carry nothing into the tail")
 
     def separated_word(self, piece: Piece) -> Word:
         """A child of the source whose cylinder the piece moves off itself
@@ -350,6 +347,17 @@ class FullShift(BackendId):
 
 
 MODELS = {model.prefix: model for model in (Odometer, FullShift)}
+
+
+def _piece_matches(piece_re: re.Pattern, body: str, model: str) -> Iterator[re.Match]:
+    """A model's piece pattern (a piece, then a comma or the end) matched along a list."""
+    pos, more = 0, bool(body.strip())
+    while more:
+        m = piece_re.match(body, pos)
+        if not m:  # the first bad part, stripped, as a split at the commas names it
+            raise MalformedInput(f"bad {model} piece {body[pos:].partition(',')[0].strip()!r}")
+        yield m
+        pos, more = m.end(), m[3]
 
 
 @dataclass(frozen=True)

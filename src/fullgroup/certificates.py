@@ -98,14 +98,15 @@ class GroupWord:
 
 def _pair_rules(word: Sequence[int],
                 fresh: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """Re-Pair compression (Larsson and Moffat, 2000) of a freely reduced
-    word over signed symbols, -s standing for s^-1.  While some adjacent
-    pair occurs twice, the one with the most occurrences (the least pair
-    on ties) becomes the next symbol from `fresh` on, and each
-    occurrence is replaced by it; an occurrence of (y^-1, x^-1) counts as
-    one of (x, y) and becomes the new symbol's inverse.  A linked list,
-    pair -> occurrence sets and a max-heap recounted lazily keep this
-    near-linear.  Returns the rules in order and the compressed word.
+    """Re-Pair compression (Larsson and Moffat, 2000) of a freely reduced word over
+    signed symbols, -s standing for s^-1.  While some adjacent pair occurs twice, the
+    one with the most occurrences (the least pair on ties) becomes the next symbol from
+    `fresh` on, and each occurrence is replaced by it; an occurrence of (y^-1, x^-1)
+    counts as one of (x, y) and becomes the new symbol's inverse.  A linked list, pair
+    -> occurrence sets and a max-heap recounted lazily keep this near-linear.  Returns
+    the rules in order and the compressed word, each rule oriented by its uses, last
+    first: one only ever used inverted (in the word and in later rules) is stored as
+    its inverse (-y, -x), and its uses negated, so evaluation inverts fewer symbols.
 
     A pair counts all its occurrences, overlapping ones too.  Only a pair
     (x, x) overlaps itself, in a run x x x, where its count is too high.
@@ -155,7 +156,14 @@ def _pair_rules(word: Sequence[int],
     while i != -1:
         compressed.append(sym[i])
         i = nxt[i]
-    return tuple(rules), tuple(compressed)
+    used, flip = set(compressed), {}
+    for k in reversed(range(len(rules))):  # a rule's uses are final before it is reached
+        z, (x, y) = fresh + k, rules[k]
+        if z not in used:                  # every use is inverted: store the inverse
+            rules[k], flip[z], flip[-z] = (-y, -x), -z, z
+        used.update(rules[k])
+    return (tuple((flip.get(x, x), flip.get(y, y)) for x, y in rules),
+            tuple(flip.get(s, s) for s in compressed))
 
 
 # The grammars of the last GRAMMAR_MEMO_SIZE reduced words, keyed on the

@@ -38,7 +38,7 @@ MAX_WORD_DEPTH = 4096
 
 # Digits are the ASCII 0-9 only: `\d`, `str.isdigit` and `int` also take
 # other Unicode digits, which no encoding writes.
-_WORD_RE = re.compile(r"[0-9]+")
+_WORD_RE = re.compile(r"[0-9]*|ε")
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))  # ASCII digits to values
 _DIGIT_TEXT = bytes.maketrans(bytes(range(10)), b"0123456789")  # and back, both in C
 
@@ -83,16 +83,22 @@ def format_word(word: Word) -> str:
 
 def parse_word(text: str, base: int) -> Word:
     """The word a stripped text writes: ASCII digits below the base, or ε."""
-    if text in ("", EPSILON):
-        return ()
-    if len(text) > MAX_WORD_DEPTH:
-        raise MalformedInput(
-            f"word of depth {len(text)} is over the limit of {MAX_WORD_DEPTH}")
-    if not _WORD_RE.fullmatch(text):
+    if len(text) <= MAX_WORD_DEPTH and not _WORD_RE.fullmatch(text):
         raise MalformedInput(f"bad word {text!r}")
-    word = tuple(text.encode().translate(_DIGIT_VALUES))
+    return read_word(text, base)
+
+
+def read_word(digits: str, base: int) -> Word:
+    """The word of ε, nothing or ASCII digits (a text `parse_word` checked, or a digit run a
+    model's piece pattern matched): refused over the depth limit or with a digit >= base."""
+    if digits in ("", EPSILON):
+        return ()
+    if len(digits) > MAX_WORD_DEPTH:
+        raise MalformedInput(
+            f"word of depth {len(digits)} is over the limit of {MAX_WORD_DEPTH}")
+    word = tuple(digits.encode().translate(_DIGIT_VALUES))
     if max(word) >= base:
-        raise MalformedInput(f"word {text!r} has digits out of range for base {base}")
+        raise MalformedInput(f"word {digits!r} has digits out of range for base {base}")
     return word
 
 
@@ -493,13 +499,8 @@ class PointName:
         """The point prefix . 0 0 0 ..."""
         return cls(base, prefix, (0,))
 
-    def digit(self, i: int) -> int:
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
-
     def prefix(self, k: int) -> Word:
-        return tuple(self.digit(i) for i in range(k))
+        return (self.preperiod + self.period * (k // len(self.period) + 1))[:k]
 
     def drop(self, k: int) -> "PointName":
         """The tail sequence after the first k digits."""

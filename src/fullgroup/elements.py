@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 from .backends import BackendId, Piece, new_piece
 from .clopen import (ClopenSet, PointName, Word, check_cylinders, check_word, meeting,
                      merge_families, merged_words)
-from .errors import MalformedInput, PostconditionError, PreconditionError
+from .errors import ForeignPiece, MalformedInput, PostconditionError, PreconditionError
 
 _source = attrgetter("source")
 
@@ -90,18 +90,20 @@ def _assembled(backend: BackendId, pieces: Iterable[Piece], fill: bool) -> tuple
 
 def involution_from_partial(backend: BackendId, pieces: Iterable[Piece],
                             own: str | None = None) -> GroupElement:
-    """The involution acting by the given pieces on their disjoint sources,
-    by their inverses on the ranges, and trivially elsewhere, for pieces of
-    the backend.  Two sources, two ranges or a source and a range
-    meeting is an overlap among the sources of the pieces and their
-    inverses, which the element's source check reports: a
-    PreconditionError for a caller's pieces.  Pieces the library paired
-    itself, named by `own`, make an overlap a bug (a PostconditionError
-    "{own} overlap: ...") and are checked as alpha = alpha^-1."""
+    """The involution acting by the given pieces on their disjoint sources, by their
+    inverses on the ranges, and trivially elsewhere, for pieces of the backend.  Two
+    sources, two ranges or a source and a range meeting is an overlap among the sources
+    of the pieces and their inverses, which the element's source check reports: a
+    PreconditionError for a caller's pieces.  Pieces the library paired itself, named by
+    `own`, make an overlap a bug (a PostconditionError "{own} overlap: ...") and are
+    checked as alpha = alpha^-1.  A piece the model refuses "breaks the model's rule"."""
     pieces = list(pieces)
     both = pieces + [p.inverse() for p in pieces]
     try:
         alpha = element_from_pieces(backend, both, fill_identity=True)
+    except ForeignPiece as err:  # not an overlap: the model refuses a piece
+        raise (PreconditionError if own is None else PostconditionError)(
+            f"{own or 'involution pieces'} break the model's rule: {err}") from None
     except MalformedInput as err:
         message = f"involution pieces must have disjoint sources and ranges: {err}"
         if own is None:

@@ -9,8 +9,8 @@ Formats (digits restricted to bases 2..10):
 * bisection    ``odo2:[(00;+1)]``, ``shift2:[(0>11),(11>0),(10>10)]``
   (written, never read): the backend's tag (`backends.MODELS` maps its
   prefix to the model class), then its pieces in the model's own syntax
-  (the backend's `format_piece` and `parse_piece`), separated by single
-  commas (whitespace allowed around them)
+  (the backend's `format_piece`, and `parse_pieces` for the whole list),
+  separated by single commas (whitespace allowed around them)
 * element      bisection encoding with an ``elem:`` header
 * artifact     JSON object under ``format_version``, keys sorted, indented
   by two, with a final newline (`encode_artifact`)
@@ -86,7 +86,4 @@ def parse_element(text: str) -> GroupElement:
     if not sep or not body.startswith("[") or not body.endswith("]"):
         raise MalformedInput(f"bad bisection encoding {text!r}")
     backend = parse_backend(head)
-    # pieces contain no commas, so each comma-separated part must be
-    # exactly one piece: junk and empty parts fail parse_piece
-    parts = body[1:-1].split(",") if body[1:-1].strip() else ()
-    return GroupElement(backend, tuple(backend.parse_piece(part.strip()) for part in parts))
+    return GroupElement(backend, backend.parse_pieces(body[1:-1]))

@@ -11,6 +11,10 @@ class MalformedInput(FullGroupError):
     `decompose.MAX_DECOMPOSITION_CELLS`)."""
 
 
+class ForeignPiece(MalformedInput):
+    """A piece that breaks its model's rule (the model's `check_pieces`)."""
+
+
 class PreconditionError(FullGroupError):
     """A documented precondition of an operation does not hold.
 

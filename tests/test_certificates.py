@@ -275,6 +275,50 @@ class TestPairCompression:
         assert 0 < len(composes) <= (len(free_reduction(flat)) - 1) / 2
 
 
+def bench_shaped_shift_env(seed):
+    """A shift2 triple drawn as the certify benchmark draws its shift tasks:
+    depth 5, tau0 no involution, alpha and beta one swap each off a reserved
+    cylinder, with a nontrivial commutator."""
+    backend, rng = FullShift(2), substream(seed, "bench-shaped shift")
+    while True:
+        tau0 = random_element(rng, backend, 5, nontrivial=True)
+        if equals(tau0, inverse(tau0)):
+            continue
+        alpha, beta = (random_element(rng, backend, 5, nontrivial=True,
+                                      proper_support=True, moves=1) for _ in range(2))
+        if not commutator(alpha, beta)[0].is_identity():
+            return Environment(backend, {"tau0": tau0, "alpha": alpha, "beta": beta})
+
+
+class TestOrientedGrammar:
+    """A grammar rule used only inverted is stored as its inverse, so one
+    evaluation inverts fewer symbols and composes as often."""
+
+    # (composes, inverses) of one evaluation.  Before the rules were
+    # oriented by their uses they were odo2 (54, 44), odo3 (37, 32), shift2
+    # and shift3 (11, 12) each, and (11, 12) for the bench-shaped shift
+    # certificate.
+    @pytest.mark.parametrize("tag, counts", [
+        ("odo2", (54, 26)), ("odo3", (37, 19)), ("shift2", (11, 7)), ("shift3", (11, 7)),
+        ("bench-shift", (11, 7))])
+    def test_fewer_inverses_per_evaluation(self, tag, counts, monkeypatch):
+        if tag == "bench-shift":
+            env = bench_shaped_shift_env(0)
+        else:
+            x = INPUTS[tag]
+            env = Environment(parse_element(x["rotation"]).backend)
+            for name in ("tau0", "alpha", "beta"):
+                env.define(name, parse_element(x["rotation" if name == "tau0" else name]))
+        cert = commutator_in_normal_closure("alpha", "beta", "tau0", env)
+        calls = {"compose": 0, "inverse": 0}
+        for name in calls:
+            real = getattr(certificates, name)
+            monkeypatch.setattr(certificates, name, lambda *args, name=name, real=real: (
+                calls.__setitem__(name, calls[name] + 1) or real(*args)))
+        assert equals(cert.evaluate(env), commutator(env.get("alpha"), env.get("beta"))[0])
+        assert (calls["compose"], calls["inverse"]) == counts
+
+
 class TestGrammarMemo:
     """A certificate shape's reduced word is compressed once per process."""
 

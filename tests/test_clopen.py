@@ -344,6 +344,18 @@ class TestPointName:
         p = PointName(2, (1,), (0, 1))
         assert p.prefix(5) == (1, 0, 1, 0, 1)
 
+    @settings(max_examples=300)
+    @given(st.sampled_from([2, 3, 10]), st.data())
+    def test_prefix_reads_digit_by_digit(self, base, data):
+        # prefix slices a repeated period; the oracle reads the drawn
+        # preperiod and period one digit at a time, before normalization
+        digit = st.integers(0, base - 1)
+        pre = data.draw(st.lists(digit, max_size=7).map(tuple))
+        per = data.draw(st.lists(digit, min_size=1, max_size=7).map(tuple))
+        k = data.draw(st.integers(0, 60))
+        assert PointName(base, pre, per).prefix(k) == tuple(
+            pre[i] if i < len(pre) else per[(i - len(pre)) % len(per)] for i in range(k))
+
     def test_membership(self):
         p = PointName.zeros_tail(2, (1, 1))
         assert cs(2, (1,)).contains_point(p)

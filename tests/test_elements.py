@@ -392,6 +392,16 @@ class TestInvolutionFromPartial:
         with pytest.raises(PreconditionError, match="digit 2 out of range for base 2"):
             involution_from_partial(model(2), [piece])
 
+    @pytest.mark.parametrize("backend, piece, rule", [
+        (Odometer(2), Piece((0, 0), (1,)), "odometer pieces keep the depth"),
+        (FullShift(2), Piece((0,), (1,), 1), "shift pieces carry nothing into the tail")])
+    def test_foreign_piece_names_the_model_rule(self, backend, piece, rule):
+        # not an overlap: the sources and ranges are disjoint
+        with pytest.raises(PreconditionError) as caught:
+            involution_from_partial(backend, [piece])
+        assert str(caught.value) == (f"involution pieces break the model's rule: piece "
+                                     f"{piece!r} does not belong to backend {backend.tag}: {rule}")
+
     def test_duplicate_sources_name_the_overlap(self):
         # an identity piece is its own inverse: its source comes twice
         with pytest.raises(PreconditionError, match=r"overlap: \(1,\) vs \(1,\)"):

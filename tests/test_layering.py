@@ -41,7 +41,7 @@ IS_ODOMETER_SITES = {"certificates.py": 1, "decompose.py": 1, "randomize.py": 2}
 POWER_FORM_MODULES = {"__init__.py", "backends.py", "randomize.py"}
 # What every model class of backends.py sets, and what it answers.
 MODEL_ATTRIBUTES = {"prefix", "is_odometer"}
-MODEL_PROTOCOL = {"format_piece", "parse_piece", "check_pieces", "separated_word",
+MODEL_PROTOCOL = {"format_piece", "parse_pieces", "check_pieces", "separated_word",
                   "measure_below", "measure_equal", "measure_depth", "reserved_cylinder",
                   "pair_into", "pair_onto"}
 # What compose, inverse and restrict call on a piece.
@@ -55,7 +55,7 @@ PIECE_BUILDERS = {
     "backends.py:Piece.restrict", "backends.py:Piece.inverse", "backends.py:Piece.after",
     "backends.py:Piece.pull_back", "backends.py:Piece.merge_siblings",
     "backends.py:pair_cylinders", "backends.py:FullShift.pair_into",
-    "backends.py:FullShift.pair_onto", "backends.py:FullShift.parse_piece",
+    "backends.py:FullShift.pair_onto", "backends.py:FullShift.parse_pieces",
     "elements.py:inverse", "elements.py:_assembled"}
 
 

@@ -104,6 +104,11 @@ ROWS = {
         patched("fullgroup.backends.pair_cylinders", overlapping_pairing),
         "transfer pieces overlap: involution pieces must have disjoint sources and "
         "ranges: source cylinders overlap: (1, 0, 0) vs (1, 0, 0)"),
+    "transfer-foreign-piece": (
+        "{} break the model's rule: {}", TRANSFER,
+        patched("fullgroup.backends.pair_cylinders", depth_changing_pairing),
+        "transfer pieces break the model's rule: piece Piece(source=(0, 0), target=(1,), "
+        "carry=0) does not belong to backend odo2: odometer pieces keep the depth"),
     "inside-transfer-image": (
         "inside-case transfer image escapes the target", TRANSFER_INSIDE,
         whole_space("image_of_clopen"), "inside-case transfer image escapes the target"),
